@@ -3,27 +3,29 @@
 One subcommand per pipeline: singular-fiber tables, period mirror checks,
 critical values, vanishing-cycle data, mutation verification, junction
 lattice decompositions, torus-model cycle sequences, interpolation sweeps,
-and direct word application.  Exit codes follow a CI-friendly contract:
-0 when every requested check passes, 2 when a verification fails, and 1
-for usage or numeric errors.  All rational inputs cross the boundary as
-exact "num/den" strings; identical configurations produce byte-identical
-JSON, CSV, and SVG artifacts.  The ``DPMIRROR_THREADS`` environment
-variable caps worker counts for any parallel reduction; every pipeline is
-deterministic regardless of its value.
+and direct word application, plus ``check``, which prints one verdict line
+per claim across all degrees.  Each subcommand accepts only the flags it
+reads, and ``--format`` only where it writes more than one format.  Exit
+codes follow a CI-friendly contract: 0 when every requested check passes,
+2 when a verification fails, and 1 for usage or numeric errors.  All
+rational inputs cross the boundary as exact "num/den" strings; identical
+configurations produce byte-identical JSON, CSV, SVG, and text artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .exactpoly import rational_to_num_den
 from .homology import (
+    HomologyClass,
     extended_vanishing_classes,
+    infinity_cycle,
     reference_vanishing_classes,
     seifert_gram,
 )
@@ -57,19 +59,40 @@ EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 
-THREAD_ENV = "DPMIRROR_THREADS"
+# The flags each subcommand reads, besides --out.
+COMMANDS: Dict[str, Tuple[str, ...]] = {
+    "fibers": ("d", "epsilon", "variant"),
+    "mirror": ("d", "order"),
+    "critvals": ("d", "epsilon", "variant"),
+    "cycles": ("d", "epsilon"),
+    "verify": ("d",),
+    "junction": ("d",),
+    "ghs": ("d",),
+    "interpolate": ("d", "epsilon"),
+    "mutate": ("d", "word"),
+    "check": (),
+}
 
-COMMANDS = (
-    "fibers",
-    "mirror",
-    "critvals",
-    "cycles",
-    "verify",
-    "junction",
-    "ghs",
-    "interpolate",
-    "mutate",
-)
+# Output formats of the subcommands that write more than JSON; the others
+# take no --format flag.
+FORMATS: Dict[str, Tuple[str, ...]] = {
+    "fibers": ("json", "csv"),
+    "critvals": ("json", "csv"),
+    "cycles": ("json", "csv", "svg"),
+    "interpolate": ("json", "csv", "svg"),
+}
+
+_FLAGS: Dict[str, Dict[str, object]] = {
+    "d": dict(type=int, required=True,
+              help="surface degree (interpolate: source degree)"),
+    "epsilon": dict(help='perturbation as an exact rational "num/den" '
+                         "(default 1/100)"),
+    "order": dict(type=int, help="series truncation order (default 12)"),
+    "variant": dict(choices=("exact", "perturbed"),
+                    help="model selection (default: exact for fibers, "
+                         "perturbed for critvals)"),
+    "word": dict(required=True, help='mutation word such as "L1 R3"'),
+}
 
 
 class UsageError(ValueError):
@@ -95,7 +118,7 @@ def parse_rational(text: str) -> Fraction:
         sign = -1 if body[0] == "-" else 1
         body = body[1:]
     num, slash, den = body.partition("/")
-    if not num.isdigit() or (slash and not den.isdigit()):
+    if not num.isdecimal() or (slash and not den.isdecimal()):
         raise UsageError(f"not an exact rational: {text!r}")
     if slash and int(den) == 0:
         raise UsageError(f"zero denominator: {text!r}")
@@ -104,84 +127,53 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully parsed invocation."""
+    """One fully parsed invocation; fields a subcommand does not read keep
+    their defaults."""
 
     command: str
-    d: int  # surface degree (the source degree for interpolations)
-    epsilon: Fraction  # perturbation parameter for perturbed models
-    order: int  # power-series truncation order
-    tol: Fraction  # reporting tolerance carried into artifacts
-    out: Optional[str]  # output path; None prints to stdout
-    fmt: str  # json, csv, or svg
-    word: Optional[str]  # mutation word for the mutate subcommand
-    variant: Optional[str]  # exact or perturbed model selection
-    seed: int  # reserved for search tie-breaks; pipelines are deterministic
-    threads: int  # worker cap from the environment
+    d: Optional[int] = None  # surface degree (interpolate: source degree)
+    epsilon: Fraction = Fraction(1, 100)  # perturbation for perturbed models
+    order: int = 12  # power-series truncation order
+    out: Optional[str] = None  # output path; None prints to stdout
+    fmt: str = "json"  # json, csv, or svg
+    word: Optional[str] = None  # mutation word for the mutate subcommand
+    variant: Optional[str] = None  # exact or perturbed model selection
 
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.d not in (1, 2, 3):
+        if self.command != "check" and self.d not in (1, 2, 3):
             raise UsageError("--d must be 1, 2, or 3")
         if self.epsilon <= 0:
             raise UsageError("--epsilon must be positive")
         if self.order < 1:
             raise UsageError("--order must be at least 1")
-        if self.tol <= 0:
-            raise UsageError("--tol must be positive")
         if self.fmt not in ("json", "csv", "svg"):
             raise UsageError(f"unknown format {self.fmt!r}")
         if self.variant not in (None, "exact", "perturbed"):
             raise UsageError(f"unknown variant {self.variant!r}")
-        if self.threads < 1:
-            raise UsageError(f"{THREAD_ENV} must be a positive integer")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREAD_ENV, "1")
-    if not raw.isdigit() or int(raw) < 1:
-        raise UsageError(f"{THREAD_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def parse_args(argv: Sequence[str]) -> RunConfig:
     """Parse an argument vector into an exact configuration."""
     parser = _Parser(prog="dpmirror", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, add_help=True)
-        cmd.add_argument("--d", type=int, required=True,
-                         help="surface degree (interpolate: source degree)")
-        cmd.add_argument("--epsilon", default="1/100",
-                         help='perturbation as an exact rational "num/den"')
-        cmd.add_argument("--order", type=int, default=12,
-                         help="series truncation order")
-        cmd.add_argument("--tol", default="1/1000000",
-                         help='reporting tolerance as an exact rational')
-        cmd.add_argument("--out", default=None, help="output path")
-        cmd.add_argument("--format", dest="fmt", default="json",
-                         choices=("json", "csv", "svg"))
-        cmd.add_argument("--word", default=None,
-                         help='mutation word such as "L1 R3"')
-        cmd.add_argument("--variant", default=None,
-                         choices=("exact", "perturbed"),
-                         help="model selection where applicable")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="tie-break seed for searches")
-    space = parser.parse_args(argv)
-    return RunConfig(
-        command=space.command,
-        d=space.d,
-        epsilon=parse_rational(space.epsilon),
-        order=space.order,
-        tol=parse_rational(space.tol),
-        out=space.out,
-        fmt=space.fmt,
-        word=space.word,
-        variant=space.variant,
-        seed=space.seed,
-        threads=_thread_count(),
-    )
+    for name, flags in COMMANDS.items():
+        cmd = sub.add_parser(name)
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", **_FLAGS[flag])
+        if name in FORMATS:
+            cmd.add_argument("--format", dest="fmt", choices=FORMATS[name],
+                             help="artifact format (default json)")
+        cmd.add_argument("--out", help="output path (default: stdout)")
+    given = {
+        key: value
+        for key, value in vars(parser.parse_args(argv)).items()
+        if value is not None
+    }
+    if "epsilon" in given:
+        given["epsilon"] = parse_rational(given["epsilon"])
+    return RunConfig(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +184,16 @@ def _json_text(payload: Dict[str, object]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _fraction_text(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _pair(z: complex) -> List[float]:
     return [z.real, z.imag]
 
 
-def _require_format(config: RunConfig, *allowed: str) -> None:
-    if config.fmt not in allowed:
-        raise UsageError(
-            f"{config.command} supports formats {', '.join(allowed)}; "
-            f"got {config.fmt}"
-        )
+def _matches_up_to_sign(
+    sequence: Sequence[HomologyClass], target: Sequence[HomologyClass]
+) -> bool:
+    return len(sequence) == len(target) and all(
+        s == t or s == -t for s, t in zip(sequence, target)
+    )
 
 
 def _model_for(config: RunConfig, default_variant: str):
@@ -220,7 +208,6 @@ def _model_for(config: RunConfig, default_variant: str):
 
 
 def _cmd_fibers(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json", "csv")
     model, variant = _model_for(config, "exact")
     table = fiber_configuration(model)
     if config.fmt == "csv":
@@ -233,12 +220,11 @@ def _cmd_fibers(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_mirror(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json")
     report = mirror_check(config.d, config.order)
     payload = {
         "d": report.d,
         "order": report.order,
-        "alpha": _fraction_text(report.alpha),
+        "alpha": rational_to_num_den(report.alpha),
         "passed": report.passed,
         "first_mismatch": report.first_mismatch,
         "regularized_quantum": report.regularized.to_json(),
@@ -248,7 +234,6 @@ def _cmd_mirror(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_critvals(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json", "csv")
     model, variant = _model_for(config, "perturbed")
     values = critical_values_ordered(model)
     if config.fmt == "csv":
@@ -266,7 +251,6 @@ def _cmd_critvals(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_cycles(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json", "csv", "svg")
     data = vanishing_classes(config.d, config.epsilon)
     if config.fmt == "svg":
         return EXIT_PASS, render_delta_svg(data)
@@ -281,14 +265,12 @@ def _cmd_cycles(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_verify(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json")
     report = verify_mutation_equivalence(config.d)
     code = EXIT_PASS if report.passed else EXIT_FAIL
     return code, _json_text(dict(report.to_json()))
 
 
 def _cmd_junction(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json")
     lattice, _, charge = from_boundaries(reference_vanishing_classes(config.d))
     decomposition = kernel_decomposition(lattice, charge)
     surface = kuznetsov_basis(config.d)
@@ -311,13 +293,10 @@ def _cmd_junction(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_ghs(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json")
     ell = 9 - config.d
     sequence = ghs_sequences(ell)
     target = ghs_target(ell)
-    matches = len(sequence) == len(target) and all(
-        s == t or s == -t for s, t in zip(sequence, target)
-    )
+    matches = _matches_up_to_sign(sequence, target)
     payload = {
         "d": config.d,
         "ell": ell,
@@ -329,7 +308,6 @@ def _cmd_ghs(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_interpolate(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json", "csv", "svg")
     if config.d not in (2, 3):
         raise UsageError("interpolate runs between degrees d and d-1; --d "
                          "must be 2 or 3")
@@ -363,7 +341,7 @@ def _cmd_interpolate(config: RunConfig) -> Tuple[int, str]:
     payload = {
         "from_degree": config.d,
         "to_degree": target,
-        "epsilon": _fraction_text(config.epsilon),
+        "epsilon": rational_to_num_den(config.epsilon),
         "track_count": trajectories.track_count,
         "finite_start": trajectories.finite_count(0),
         "finite_end": trajectories.finite_count(last),
@@ -376,7 +354,6 @@ def _cmd_interpolate(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_mutate(config: RunConfig) -> Tuple[int, str]:
-    _require_format(config, "json")
     if not config.word:
         raise UsageError("mutate requires --word")
     try:
@@ -408,6 +385,54 @@ def _cmd_mutate(config: RunConfig) -> Tuple[int, str]:
     return EXIT_PASS, _json_text(payload)
 
 
+def _claims() -> List[Tuple[str, bool]]:
+    """Every desk-checked claim with its verdict: the reduction words, the
+    exact word identities, the junction-lattice decompositions, the surface
+    basis Grams, the torus-model cycle sequences, and the monodromy at
+    infinity."""
+    claims = [
+        (f"reduction word, degree {d}", verify_mutation_equivalence(d).passed)
+        for d in (1, 2, 3)
+    ]
+    for d in (1, 2):
+        lattice, basis, _ = from_boundaries(extended_vanishing_classes(d))
+        claims.append((f"word identity, degree {d}",
+                       word_identity(lattice, basis, *standard_word_identity(d))))
+    for d in (1, 2, 3):
+        ell = 9 - d
+        lattice, _, charge = from_boundaries(reference_vanishing_classes(d))
+        decomposition = kernel_decomposition(lattice, charge)
+        claims.append((
+            f"junction kernel E{ell} + radical, degree {d}",
+            decomposition.passed
+            and decomposition.root_report.dynkin_type == f"E{ell}",
+        ))
+        surface = kuznetsov_basis(d)
+        claims.append((
+            f"surface basis Gram, degree {d}",
+            surface.passed and surface.unit_canonical == Fraction(-d, 2),
+        ))
+    for ell in (6, 7, 8):
+        claims.append((f"torus-model sequence, rank {ell}",
+                       _matches_up_to_sign(ghs_sequences(ell), ghs_target(ell))))
+    b = HomologyClass(0, 1)
+    for d in (1, 2, 3):
+        cycle = infinity_cycle(reference_vanishing_classes(d), d)
+        claims.append((f"infinity cycle is +/-b, degree {d}", cycle in (b, -b)))
+    return claims
+
+
+def _cmd_check(config: RunConfig) -> Tuple[int, str]:
+    claims = _claims()
+    width = max(len(label) for label, _ in claims)
+    lines = [f"{label:<{width}s}  {'PASS' if ok else 'FAIL'}"
+             for label, ok in claims]
+    passed = sum(ok for _, ok in claims)
+    lines.append(f"\n{passed}/{len(claims)} checks passed")
+    code = EXIT_PASS if passed == len(claims) else EXIT_FAIL
+    return code, "\n".join(lines) + "\n"
+
+
 _DISPATCH = {
     "fibers": _cmd_fibers,
     "mirror": _cmd_mirror,
@@ -418,6 +443,7 @@ _DISPATCH = {
     "ghs": _cmd_ghs,
     "interpolate": _cmd_interpolate,
     "mutate": _cmd_mutate,
+    "check": _cmd_check,
 }
 
 
@@ -437,13 +463,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_args(list(sys.argv[1:] if argv is None else argv))
         return run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NumericsError, PseudolatticeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, NumericsError, PseudolatticeError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

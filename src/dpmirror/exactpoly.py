@@ -44,6 +44,11 @@ def rational_to_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def rational_to_num_den(value: Fraction) -> str:
+    """Render a Fraction as ``"num/den"``, keeping a denominator of 1."""
+    return f"{value.numerator}/{value.denominator}"
+
+
 def _coerce(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return rational_from_string(value)

@@ -29,6 +29,7 @@ from ._intlin import (
     symmetric_signature,
     transpose,
 )
+from .exactpoly import rational_to_num_den
 from .pseudolattice import (
     ChargeMap,
     Pseudolattice,
@@ -627,17 +628,14 @@ class SurfaceBasisReport:
     passed: bool
 
     def to_json(self) -> Dict[str, object]:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "d": self.d,
-            "basis": [[frac(x) for x in row] for row in self.basis],
-            "gram": [[frac(x) for x in row] for row in self.gram],
+            "basis": [list(map(rational_to_num_den, row)) for row in self.basis],
+            "gram": [list(map(rational_to_num_den, row)) for row in self.gram],
             "cartan": [list(r) for r in self.cartan],
-            "unit_canonical": frac(self.unit_canonical),
-            "canonical_unit": frac(self.canonical_unit),
-            "canonical_self": frac(self.canonical_self),
+            "unit_canonical": rational_to_num_den(self.unit_canonical),
+            "canonical_unit": rational_to_num_den(self.canonical_unit),
+            "canonical_self": rational_to_num_den(self.canonical_self),
             "corner_checks": self.corner_checks,
             "cross_zero": self.cross_zero,
             "passed": self.passed,
@@ -763,13 +761,12 @@ class SplittingReport:
     witness: Optional[int]  # kernel index of the first failing vector
 
     def to_json(self) -> Dict[str, object]:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "kernel_rank": self.kernel_rank,
-            "complement": [[frac(x) for x in row] for row in self.complement],
-            "coefficients": [frac(c) for c in self.coefficients],
+            "complement": [
+                list(map(rational_to_num_den, row)) for row in self.complement
+            ],
+            "coefficients": list(map(rational_to_num_den, self.coefficients)),
             "passed": self.passed,
             "witness": self.witness,
         }

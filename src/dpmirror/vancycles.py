@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactpoly import UniPoly, poly_gcd
+from .exactpoly import UniPoly, poly_gcd, rational_to_num_den
 from .homology import (
     HomologyClass,
     SL2Matrix,
@@ -42,6 +42,7 @@ from .pathnum import (
 from .weierstrass import WeierstrassModel, catalog, reference_nodal_place
 
 __all__ = [
+    "ArcGuardError",
     "HomologyClass",
     "SL2Matrix",
     "VanishingData",
@@ -59,6 +60,11 @@ __all__ = [
 ARC_GUARD = 1e-3  # minimal distance of other critical values from an arc
 RESIDUAL_BOUND = 1e-6  # integer period solve must certify below this
 RETRY_FACTOR = Fraction(18, 17)  # epsilon bump when an arc guard trips
+
+
+class ArcGuardError(NumericsError):
+    """A straight arc passes within the guard distance of another critical
+    value; a different epsilon separates them."""
 
 
 def _fiber_family(model: WeierstrassModel):
@@ -186,7 +192,7 @@ class VanishingData:
     def to_json(self) -> Dict[str, object]:
         return {
             "d": self.d,
-            "epsilon": f"{self.epsilon.numerator}/{self.epsilon.denominator}",
+            "epsilon": rational_to_num_den(self.epsilon),
             "critical_values": [[z.real, z.imag] for z in self.critical_values],
             "colliding_pairs": [list(p) for p in self.colliding_pairs],
             "classes": [list(c.to_pair()) for c in self.classes],
@@ -230,13 +236,11 @@ def vanishing_classes(
     eps = Fraction(epsilon)
     if eps <= 0:
         raise NumericsError("epsilon must be positive")
-    last_error: Optional[NumericsError] = None
+    last_error: Optional[ArcGuardError] = None
     for _ in range(max_retries + 1):
         try:
             return _vanishing_classes_once(d, eps)
-        except NumericsError as error:
-            if "guard" not in str(error):
-                raise
+        except ArcGuardError as error:
             last_error = error
             eps *= RETRY_FACTOR
     raise NumericsError(
@@ -254,7 +258,7 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
             if other == lam:
                 continue
             if _segment_distance(other, 0j, lam) < ARC_GUARD:
-                raise NumericsError(
+                raise ArcGuardError(
                     f"arc guard: the straight arc to critical value {index} "
                     f"passes within {ARC_GUARD} of another critical value "
                     "(a different epsilon separates them)"

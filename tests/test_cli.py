@@ -7,17 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from dpmirror import cli
 from dpmirror.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
-    THREAD_ENV,
     RunConfig,
     UsageError,
     main,
     parse_args,
     parse_rational,
 )
+from dpmirror.homology import HomologyClass
 
 # Frozen singular-fiber tables of the exact catalog models.
 EXACT_TABLES = {
@@ -25,6 +26,29 @@ EXACT_TABLES = {
     2: {"0": "III*", "64": "I1", "inf": "I2"},
     3: {"0": "IV*", "27": "I1", "inf": "I3"},
 }
+
+# Frozen output of `dpmirror check`: one verdict line per claim.
+CHECK_REPORT = """\
+reduction word, degree 1                PASS
+reduction word, degree 2                PASS
+reduction word, degree 3                PASS
+word identity, degree 1                 PASS
+word identity, degree 2                 PASS
+junction kernel E8 + radical, degree 1  PASS
+surface basis Gram, degree 1            PASS
+junction kernel E7 + radical, degree 2  PASS
+surface basis Gram, degree 2            PASS
+junction kernel E6 + radical, degree 3  PASS
+surface basis Gram, degree 3            PASS
+torus-model sequence, rank 6            PASS
+torus-model sequence, rank 7            PASS
+torus-model sequence, rank 8            PASS
+infinity cycle is +/-b, degree 1        PASS
+infinity cycle is +/-b, degree 2        PASS
+infinity cycle is +/-b, degree 3        PASS
+
+17/17 checks passed
+"""
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -45,7 +69,7 @@ def test_parse_rational_accepts_exact_forms():
 
 
 def test_parse_rational_rejects_inexact_forms():
-    for bad in ("0.01", "1e-2", "1/0", "a/b", "", "1//2", "--3"):
+    for bad in ("0.01", "1e-2", "1/0", "a/b", "", "1//2", "--3", "²", "1/²"):
         with pytest.raises(UsageError):
             parse_rational(bad)
 
@@ -58,24 +82,20 @@ def test_parse_args_defaults():
     assert config.order == 12
     assert config.fmt == "json"
     assert config.out is None
-    assert config.threads == 1
 
 
 def test_config_validation_rejects_bad_fields():
     base = dict(
         command="verify", d=3, epsilon=Fraction(1, 100), order=12,
-        tol=Fraction(1, 10**6), out=None, fmt="json", word=None,
-        variant=None, seed=0, threads=1,
+        out=None, fmt="json", word=None, variant=None,
     )
     for patch in (
         {"command": "bogus"},
         {"d": 4},
         {"epsilon": Fraction(0)},
         {"order": 0},
-        {"tol": Fraction(-1)},
         {"fmt": "png"},
         {"variant": "fancy"},
-        {"threads": 0},
     ):
         with pytest.raises(UsageError):
             RunConfig(**{**base, **patch})
@@ -88,13 +108,25 @@ def test_usage_errors_exit_one(capsys):
         == EXIT_USAGE
     assert run_cli(capsys, "mirror", "--d", "3", "--format", "csv")[0] \
         == EXIT_USAGE
+    code, _, err = run_cli(capsys, "fibers", "--d", "1", "--epsilon", "²")
+    assert code == EXIT_USAGE
+    assert "not an exact rational" in err
 
 
-def test_thread_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv(THREAD_ENV, "0")
-    assert run_cli(capsys, "ghs", "--d", "3")[0] == EXIT_USAGE
-    monkeypatch.setenv(THREAD_ENV, "4")
-    assert run_cli(capsys, "ghs", "--d", "3")[0] == EXIT_PASS
+def test_subcommands_refuse_flags_they_do_not_read(capsys):
+    for argv in (
+        ("mirror", "--d", "1", "--word", "L1"),
+        ("verify", "--d", "1", "--order", "4"),
+        ("ghs", "--d", "1", "--seed", "1"),
+        ("junction", "--d", "1", "--tol", "1/3"),
+        ("mirror", "--d", "1", "--variant", "perturbed"),
+        ("cycles", "--d", "3", "--variant", "exact"),
+        ("fibers", "--d", "3", "--format", "svg"),
+        ("check", "--d", "3"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "error:" in err
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +298,22 @@ def test_identical_configs_produce_identical_bytes(capsys):
     third = run_cli(capsys, "ghs", "--d", "2")[1]
     fourth = run_cli(capsys, "ghs", "--d", "2")[1]
     assert third == fourth
+
+
+# ---------------------------------------------------------------------------
+# check
+
+
+def test_check_prints_one_verdict_per_claim(capsys):
+    code, out, _ = run_cli(capsys, "check")
+    assert code == EXIT_PASS
+    assert out == CHECK_REPORT
+
+
+def test_check_fails_when_a_claim_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "infinity_cycle",
+                        lambda classes, d: HomologyClass(1, 0))
+    code, out, _ = run_cli(capsys, "check")
+    assert code == EXIT_FAIL
+    assert "infinity cycle is +/-b, degree 2        FAIL" in out
+    assert out.endswith("\n14/17 checks passed\n")

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,19 +101,20 @@ def test_short_vectors_match_box_enumeration(rows: list, bound: int) -> None:
     gram = matrix_multiply(rows, transpose(rows))
     lattice = IntLattice(tuple(tuple(r) for r in gram))
     n = lattice.rank
-    eigenvalues = np.linalg.eigvalsh(np.array(gram, dtype=float))
-    radius = int(np.sqrt(bound / eigenvalues.min())) + 1
-    box = []
-
-    def fill(prefix: list) -> None:
-        if len(prefix) == n:
-            if any(prefix) and lattice.norm(prefix) <= bound:
-                box.append(list(prefix))
-            return
-        for t in range(-radius, radius + 1):
-            fill(prefix + [t])
-
-    fill([])
+    # v^T G v <= B bounds each coordinate exactly: v_i^2 <= B (G^-1)_ii,
+    # where (G^-1)_ii is the principal cofactor C_ii over det G.
+    det = determinant_integer(gram)
+    radii = []
+    for i in range(n):
+        minor = [[g for j, g in enumerate(row) if j != i]
+                 for k, row in enumerate(gram) if k != i]
+        cofactor = determinant_integer(minor) if minor else 1
+        radii.append(math.isqrt(bound * cofactor // det))
+    box = [
+        list(v)
+        for v in itertools.product(*(range(-r, r + 1) for r in radii))
+        if any(v) and lattice.norm(list(v)) <= bound
+    ]
     assert short_vectors(lattice, bound) == sorted(box)
 
 

@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 
 from dpmirror.exactpoly import UniPoly
+from dpmirror import vancycles
 from dpmirror.pathnum import NumericsError, PathPolyline
 from dpmirror.vancycles import (
+    ArcGuardError,
     HomologyClass,
     VanishingData,
     critical_values_ordered,
@@ -155,6 +157,24 @@ def test_guard_retries_bump_epsilon_until_the_arcs_clear():
 def test_guard_retries_exhaust_with_a_clear_error():
     with pytest.raises(NumericsError, match="arc guard kept failing"):
         vanishing_classes(2, Fraction(1, 1000))
+
+
+def test_only_arc_guard_errors_are_retried(monkeypatch):
+    tried = []
+
+    def fail(d, eps):
+        tried.append(eps)
+        raise NumericsError("a message that mentions the guard")
+
+    monkeypatch.setattr(vancycles, "_vanishing_classes_once", fail)
+    with pytest.raises(NumericsError, match="mentions the guard"):
+        vanishing_classes(2, Fraction(1, 100))
+    assert tried == [Fraction(1, 100)]
+
+
+def test_a_tripped_arc_guard_raises_its_own_type():
+    with pytest.raises(ArcGuardError, match="arc guard"):
+        vancycles._vanishing_classes_once(2, Fraction(1, 1000))
 
 
 def test_rejects_unknown_degree_and_bad_epsilon():
