@@ -87,7 +87,7 @@ _FLAGS: Dict[str, Dict[str, object]] = {
               help="surface degree (interpolate: source degree)"),
     "epsilon": dict(help='perturbation as an exact rational "num/den" '
                          "(default 1/100)"),
-    "order": dict(type=int, help="series truncation order (default 12)"),
+    "order": dict(type=int, help="series truncation order, at least 2 (default 12)"),
     "variant": dict(choices=("exact", "perturbed"),
                     help="model selection (default: exact for fibers, "
                          "perturbed for critvals)"),
@@ -146,8 +146,8 @@ class RunConfig:
             raise UsageError("--d must be 1, 2, or 3")
         if self.epsilon <= 0:
             raise UsageError("--epsilon must be positive")
-        if self.order < 1:
-            raise UsageError("--order must be at least 1")
+        if self.order < 2:
+            raise UsageError("--order must be at least 2")
         if self.fmt not in ("json", "csv", "svg"):
             raise UsageError(f"unknown format {self.fmt!r}")
         if self.variant not in (None, "exact", "perturbed"):

@@ -8,9 +8,16 @@ attached to a weighted hypersurface datum with weights ``(a_1..a_4)`` and
 constraint degree ``d1``, dressed by ``exp(-alpha*t)`` with ``alpha`` chosen
 so the linear coefficient vanishes, then regularized term-by-term with a
 factorial.  The other side expands a two-variable Laurent polynomial (the
-weighted potential assigned to each degree) and collects constant terms of
-its successive powers.  The two coefficient lists agree exactly; the check
-reports the first mismatch if they ever do not.
+weighted potential assigned to each degree) and collects the constant terms
+of its successive powers.  It works in integers: with ``D`` the lcm of the
+coefficient denominators and ``g = D*f``, it forms the half powers
+``g^0 .. g^h`` with ``h = ceil(order/2)`` and reads each constant term from
+one pairing of two of them,
+
+    [f^k]_0 = sum_m [g^a]_m * [g^b]_(-m) / D^k,   a = floor(k/2),  b = k - a.
+
+The two coefficient lists agree exactly; the check reports the first
+mismatch if they ever do not.
 
 All arithmetic is exact; every series carries its truncation order.
 """
@@ -20,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .exactpoly import LaurentPoly, Rational, rational_from_string, rational_to_string
@@ -164,15 +172,31 @@ def przyjalkowski_g(d: int) -> LaurentPoly:
 
 
 def classical_period(f: LaurentPoly, order: int = 12) -> PowerSeries:
-    """Constant terms of successive powers ``f^k`` for ``k = 0..order``."""
+    """Constant terms of successive powers ``f^k`` for ``k = 0..order``.
+
+    Clears denominators once: ``g = D*f`` has integer coefficients, with
+    ``D`` the lcm of the coefficient denominators of ``f``.  Forms the half
+    powers ``g^0 .. g^h``, ``h = ceil(order/2)``, by repeated sparse products
+    with ``g``, and takes each ``[f^k]_0`` from one pairing,
+    ``sum_m [g^a]_m [g^b]_(-m) / D^k`` with ``a = floor(k/2)``, ``b = k - a``.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    denominator = lcm(*(c.denominator for c in f.terms.values()))
+    g = [(e, int(c * denominator)) for e, c in f.terms.items()]
+    halves: List[Dict[Tuple[int, ...], int]] = [{(0,) * f.nvars: 1}]
+    for _ in range((order + 1) // 2):
+        product: Dict[Tuple[int, ...], int] = {}
+        for e1, c1 in halves[-1].items():
+            for e2, c2 in g:
+                key = tuple(map(add, e1, e2))
+                product[key] = product.get(key, 0) + c1 * c2
+        halves.append({e: c for e, c in product.items() if c})
     constants: List[Fraction] = []
-    power = LaurentPoly.constant(1, f.nvars)
     for k in range(order + 1):
-        constants.append(power.constant_term())
-        if k < order:
-            power = power * f
+        left, right = halves[k // 2], halves[k - k // 2]
+        paired = sum(c * right.get(tuple(-x for x in e), 0) for e, c in left.items())
+        constants.append(Fraction(paired, denominator**k))
     return PowerSeries(tuple(constants))
 
 

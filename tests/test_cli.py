@@ -94,6 +94,7 @@ def test_config_validation_rejects_bad_fields():
         {"d": 4},
         {"epsilon": Fraction(0)},
         {"order": 0},
+        {"order": 1},
         {"fmt": "png"},
         {"variant": "fancy"},
     ):
@@ -111,6 +112,9 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "fibers", "--d", "1", "--epsilon", "²")
     assert code == EXIT_USAGE
     assert "not an exact rational" in err
+    code, _, err = run_cli(capsys, "mirror", "--d", "3", "--order", "1")
+    assert code == EXIT_USAGE
+    assert "--order must be at least 2" in err
 
 
 def test_subcommands_refuse_flags_they_do_not_read(capsys):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpmirror.exactpoly import LaurentPoly
@@ -50,6 +51,9 @@ DRESSED_D3 = [
 ]
 
 ALPHAS = {1: FR(60), 2: FR(12), 3: FR(6)}
+
+# Weights and constraint degree of each catalog datum (index 1 for all three).
+WEIGHTS = {1: ((1, 1, 2, 3), 6), 2: ((1, 1, 1, 2), 4), 3: ((1, 1, 1, 1), 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +175,60 @@ def test_classical_period_central_binomials():
 def test_classical_period_of_zero():
     series = classical_period(LaurentPoly.zero(2), 4)
     assert list(series.coefficients) == [1, 0, 0, 0, 0]
+
+
+def _classical_period_by_powers(f, order):
+    """The direct oracle: multiply out ``f^k`` and read each constant term."""
+    constants = []
+    power = LaurentPoly.constant(1, f.nvars)
+    for _ in range(order + 1):
+        constants.append(power.constant_term())
+        power = power * f
+    return constants
+
+
+@st.composite
+def _laurent_polys(draw):
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exponents = st.tuples(*[st.integers(min_value=-3, max_value=3)] * nvars)
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return LaurentPoly(draw(st.dictionaries(exponents, coefficients, max_size=5)), nvars)
+
+
+@given(f=_laurent_polys())
+@example(f=LaurentPoly.zero(1))
+@example(f=LaurentPoly.zero(3))
+@settings(max_examples=60, deadline=None)
+def test_classical_period_matches_repeated_products(f):
+    expected = _classical_period_by_powers(f, 9)
+    for order in range(10):
+        assert list(classical_period(f, order).coefficients) == expected[: order + 1]
+
+
+def _closed_form_classical(d, order):
+    """``sum_j C(k,j) (-alpha)^(k-j) j! (d1 j)!/prod_i (a_i j)!`` for ``k <= order``.
+
+    The ``j!`` is the regularization; it cancels one unit weight, which leaves
+    the multinomial coefficient ``(d1 j)! / (j! (a3 j)! (a4 j)!)``.
+    """
+    weights, d1 = WEIGHTS[d]
+    regularized = [
+        FR(factorial(j) * factorial(d1 * j), prod(factorial(a * j) for a in weights))
+        for j in range(order + 1)
+    ]
+    alpha = ALPHAS[d]
+    assert regularized[1] == alpha
+    return [
+        sum(comb(k, j) * (-alpha) ** (k - j) * regularized[j] for j in range(k + 1))
+        for k in range(order + 1)
+    ]
+
+
+@pytest.mark.parametrize("d,order", [(1, 24), (2, 28), (3, 30)])
+def test_mirror_check_high_order_matches_closed_form(d, order):
+    report = mirror_check(d, order)
+    assert report.passed and report.first_mismatch is None
+    assert list(report.classical.coefficients) == _closed_form_classical(d, order)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
