@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -473,20 +473,25 @@ def elliptic_integral(
 ) -> complex:
     """The integral of dx / y along ``path``, with y^2 = cubic(x).
 
-    Endpoints may coincide with roots of the cubic: the bordering segment is
-    integrated in the square-root variable x = root + s^2 (delta), which
-    removes the endpoint singularity exactly.  The square root is evaluated
-    in factored form (product over the three roots) and its branch is
-    marched node to node along the path; the branch at the anchor -- the
-    first interior quadrature node of the base grid -- is the principal
-    square root of the cubic there, or the choice nearest ``branch_seed``
-    when one is given.  Panels double until the whole-path total moves by
-    less than ``tol``.
+    Each quadrature level is one set of numpy arrays: a unit grid of 16
+    Gauss-Legendre nodes on each of 2^level panels, broadcast over every
+    segment of the path, in path order.  Endpoints may coincide with roots
+    of the cubic: the bordering segment is integrated in the square-root
+    variable x = root + s^2 (delta), which removes the endpoint singularity
+    exactly.  The square root is evaluated in factored form (product over
+    the three roots, with the exact factor s^2 (delta) in the substituted
+    root's slot).  Its branch is continued node to node as a product of
+    signs: a node flips relative to its predecessor when it is nearer the
+    negated value, and an exact tie keeps the raw value.  The branch at the
+    anchor -- the first node of the level-0 grid -- is the principal square
+    root of the cubic there, or the choice nearest ``branch_seed`` when one
+    is given.  Panels double until the whole-path total moves by less than
+    ``tol``.
     """
     if cubic.degree != 3:
         raise NumericsError("elliptic integrals need a cubic")
     roots = all_roots(cubic)
-    lead = cubic.leading
+    sqrt_lead = np.sqrt(complex(cubic.leading))
     scale = 1.0 + max(abs(r) for r in roots)
     snap = 1e-9 * scale
 
@@ -504,84 +509,93 @@ def elliptic_integral(
     if len(nodes) == 2 and start_is_root and end_is_root:
         nodes = [nodes[0], (nodes[0] + nodes[1]) / 2, nodes[1]]
 
-    # jobs in path order: plain segments and substituted end segments
-    jobs: List[Tuple[str, complex, complex, int]] = []
-    for i, (w0, w1) in enumerate(zip(nodes, nodes[1:])):
-        if i == 0 and start_is_root:
-            jobs.append(("start", roots[start_idx], w1, start_idx))
-        elif i == len(nodes) - 2 and end_is_root:
-            jobs.append(("end", roots[end_idx], w0, end_idx))
-        else:
-            jobs.append(("plain", w0, w1, -1))
+    # path order: the substituted start segment, the plain segments, then
+    # the substituted end segment
+    segments = list(zip(nodes, nodes[1:]))
+    start = end = None
+    if start_is_root:
+        start = (start_idx, segments.pop(0)[1])
+    if end_is_root and segments:
+        end = (end_idx, segments.pop()[0])
+    plain_a = np.array([a for a, _ in segments], dtype=complex)
+    plain_delta = np.array([b - a for a, b in segments], dtype=complex)
 
-    def stream(level: int) -> Iterator[Tuple[complex, complex, int, complex]]:
-        """Yield (x, d-contribution weight, substituted index, exact factor)."""
-        panels = 1 << level
-        for kind, a, b, ridx in jobs:
-            if kind == "plain":
-                delta = b - a
-                for panel in range(panels):
-                    lo = panel / panels
-                    width = 1.0 / panels
-                    for xg, wg in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-                        u = lo + width * (xg + 1) / 2
-                        weight = wg * width / 2
-                        yield (a + u * delta, weight * delta, -1, 0j)
-            else:
-                delta = b - a  # from the root to the far node
-                forward = kind == "start"
-                panel_order = range(panels) if forward else reversed(range(panels))
-                sign = 1.0 if forward else -1.0
-                for panel in panel_order:
-                    lo = panel / panels
-                    width = 1.0 / panels
-                    gauss = (
-                        zip(_GAUSS_NODES, _GAUSS_WEIGHTS)
-                        if forward
-                        else zip(reversed(_GAUSS_NODES), reversed(_GAUSS_WEIGHTS))
-                    )
-                    for xg, wg in gauss:
-                        s = lo + width * (xg + 1) / 2
-                        weight = wg * width / 2
-                        factor = s * s * delta
-                        yield (a + factor, sign * weight * 2 * s * delta,
-                               ridx, factor)
-
-    def branch_value(x: complex, ridx: int, factor: complex) -> complex:
-        value = cmath.sqrt(lead)
+    def branch_values(
+        x: np.ndarray, ridx: int = -1, factor: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Raw factored square roots at ``x``; ``factor`` fills slot ``ridx``."""
+        value = sqrt_lead
         for i, r in enumerate(roots):
-            value *= cmath.sqrt(factor if i == ridx else x - r)
+            if i == ridx:
+                value = value * np.sqrt(factor)
+                continue
+            diff = x - r
+            if np.any(np.abs(diff) < snap):
+                raise NumericsError("path passes too close to a root of the cubic")
+            value = value * np.sqrt(diff)
         return value
 
-    first_x, _, first_idx, first_factor = next(stream(0))
-    anchor_value = branch_value(first_x, first_idx, first_factor)
+    def level_values(level: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, weights and raw square roots of one level, in path order."""
+        panels = 1 << level
+        width = 1.0 / panels
+        u = (
+            np.arange(panels)[:, None] / panels
+            + width * (_GAUSS_NODES + 1) / 2
+        ).ravel()
+        w = np.tile(_GAUSS_WEIGHTS * width / 2, panels)
+        xs, weights, values = [], [], []
+
+        def substituted(ridx: int, far: complex, s: np.ndarray,
+                        ws: np.ndarray) -> None:
+            delta = far - roots[ridx]  # from the root to the far node
+            factor = s * s * delta
+            x = roots[ridx] + factor
+            xs.append(x)
+            weights.append(ws * 2 * s * delta)
+            values.append(branch_values(x, ridx, factor))
+
+        if start is not None:
+            substituted(start[0], start[1], u, w)
+        if segments:
+            x = (plain_a[:, None] + u * plain_delta[:, None]).ravel()
+            xs.append(x)
+            weights.append((w * plain_delta[:, None]).ravel())
+            values.append(branch_values(x))
+        if end is not None:
+            substituted(end[0], end[1], u[::-1], -w[::-1])
+        return np.concatenate(xs), np.concatenate(weights), np.concatenate(values)
+
+    def integrate(weights: np.ndarray, values: np.ndarray) -> complex:
+        if np.any(values == 0):
+            raise NumericsError("square root vanished at a quadrature node")
+        previous = np.concatenate(([anchor_value], values[:-1]))
+        apart = np.abs(values - previous)
+        across = np.abs(values + previous)
+        signs = np.cumprod(np.where(apart > across, -1.0, 1.0))
+        ties = apart == across
+        if ties.any():
+            # an exact tie keeps the raw value and restarts the product there
+            last_tie = np.maximum.accumulate(
+                np.where(ties, np.arange(len(values)), 0)
+            )
+            signs = np.where(
+                np.maximum.accumulate(ties), signs * signs[last_tie], signs
+            )
+        return np.sum(weights / (signs * values))
+
+    first_x, first_weights, first_values = level_values(0)
+    anchor_value = first_values[0]
     reference = (
-        branch_seed if branch_seed is not None else cmath.sqrt(cubic(first_x))
+        branch_seed if branch_seed is not None else cmath.sqrt(cubic(first_x[0]))
     )
     if abs(anchor_value - reference) > abs(anchor_value + reference):
         anchor_value = -anchor_value
 
-    def evaluate(level: int) -> complex:
-        total = 0j
-        y_prev = anchor_value
-        for x, weight, ridx, factor in stream(level):
-            for i, r in enumerate(roots):
-                if i != ridx and abs(x - r) < snap:
-                    raise NumericsError(
-                        "path passes too close to a root of the cubic"
-                    )
-            value = branch_value(x, ridx, factor)
-            if value == 0:
-                raise NumericsError("square root vanished at a quadrature node")
-            if abs(value - y_prev) > abs(value + y_prev):
-                value = -value
-            y_prev = value
-            total += weight / value
-        return total
-
-    previous = evaluate(0)
+    previous = integrate(first_weights, first_values)
     for level in range(1, max_level + 1):
-        current = evaluate(level)
+        _, weights, values = level_values(level)
+        current = integrate(weights, values)
         if abs(current - previous) < tol:
             return current
         previous = current

@@ -58,6 +58,14 @@ class FiberClassificationError(ValueError):
     """Raised when a fiber configuration cannot be certified exactly."""
 
 
+class UncertifiedPlacesError(FiberClassificationError):
+    """Raised when the places of some discriminant factor cannot be certified.
+
+    Either its rational roots cannot be enumerated or it leaves a factor
+    over irrational places that is not certifiably nodal.
+    """
+
+
 @dataclass(frozen=True)
 class WeierstrassModel:
     """Coefficients of ``y^2 = x^3 + a(t) x + b(t)`` over one affine chart."""
@@ -382,7 +390,7 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
         try:
             roots = rational_roots(factor)
         except ValueError as exc:
-            raise FiberClassificationError(
+            raise UncertifiedPlacesError(
                 f"cannot enumerate rational places of factor {factor.to_pairs()}: {exc}"
             ) from exc
         remainder = factor
@@ -405,7 +413,7 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
                 FiberPlacement(None, nodal, count=remainder.degree(), factor=remainder)
             )
             continue
-        raise FiberClassificationError(
+        raise UncertifiedPlacesError(
             "cannot certify fibers over irrational places: factor "
             f"{remainder.to_pairs()} has multiplicity {multiplicity}, "
             f"gcd with a {'constant' if coprime_a else 'non-constant'}, "

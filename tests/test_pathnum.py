@@ -5,9 +5,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpmirror.exactpoly import UniPoly
@@ -352,6 +354,188 @@ def test_elliptic_integral_detects_root_crossing() -> None:
     cubic = CPoly((0j, 0.01 + 0j, 0j, 1 + 0j))
     with pytest.raises(NumericsError):
         elliptic_integral(cubic, PathPolyline((-1 + 0j, 1 + 0j)))
+
+
+_ORACLE_NODES, _ORACLE_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _node_by_node_integral(
+    cubic: CPoly,
+    path: PathPolyline,
+    branch_seed: Optional[complex] = None,
+    tol: float = 1e-9,
+    max_level: int = 9,
+) -> complex:
+    """Oracle: the scalar quadrature that ``elliptic_integral`` replaced, one
+    Gauss node and one branch step at a time, with the same substitutions,
+    anchor, checks and convergence test."""
+    if cubic.degree != 3:
+        raise NumericsError("elliptic integrals need a cubic")
+    roots = all_roots(cubic)
+    lead = cubic.leading
+    scale = 1.0 + max(abs(r) for r in roots)
+    snap = 1e-9 * scale
+
+    def nearest(z: complex) -> Tuple[float, int]:
+        return min((abs(z - r), i) for i, r in enumerate(roots))
+
+    nodes = list(path.nodes)
+    for w in nodes[1:-1]:
+        if nearest(w)[0] < snap:
+            raise NumericsError("an interior path node sits on a root")
+    start_dist, start_idx = nearest(nodes[0])
+    end_dist, end_idx = nearest(nodes[-1])
+    start_is_root = start_dist < snap
+    end_is_root = end_dist < snap
+    if len(nodes) == 2 and start_is_root and end_is_root:
+        nodes = [nodes[0], (nodes[0] + nodes[1]) / 2, nodes[1]]
+
+    # jobs in path order: plain segments and substituted end segments
+    jobs: List[Tuple[str, complex, complex, int]] = []
+    for i, (w0, w1) in enumerate(zip(nodes, nodes[1:])):
+        if i == 0 and start_is_root:
+            jobs.append(("start", roots[start_idx], w1, start_idx))
+        elif i == len(nodes) - 2 and end_is_root:
+            jobs.append(("end", roots[end_idx], w0, end_idx))
+        else:
+            jobs.append(("plain", w0, w1, -1))
+
+    def stream(level: int) -> Iterator[Tuple[complex, complex, int, complex]]:
+        """Yield (x, d-contribution weight, substituted index, exact factor)."""
+        panels = 1 << level
+        for kind, a, b, ridx in jobs:
+            if kind == "plain":
+                delta = b - a
+                for panel in range(panels):
+                    lo = panel / panels
+                    width = 1.0 / panels
+                    for xg, wg in zip(_ORACLE_NODES, _ORACLE_WEIGHTS):
+                        u = lo + width * (xg + 1) / 2
+                        weight = wg * width / 2
+                        yield (a + u * delta, weight * delta, -1, 0j)
+            else:
+                delta = b - a  # from the root to the far node
+                forward = kind == "start"
+                panel_order = range(panels) if forward else reversed(range(panels))
+                sign = 1.0 if forward else -1.0
+                for panel in panel_order:
+                    lo = panel / panels
+                    width = 1.0 / panels
+                    gauss = (
+                        zip(_ORACLE_NODES, _ORACLE_WEIGHTS)
+                        if forward
+                        else zip(reversed(_ORACLE_NODES), reversed(_ORACLE_WEIGHTS))
+                    )
+                    for xg, wg in gauss:
+                        s = lo + width * (xg + 1) / 2
+                        weight = wg * width / 2
+                        factor = s * s * delta
+                        yield (a + factor, sign * weight * 2 * s * delta,
+                               ridx, factor)
+
+    def branch_value(x: complex, ridx: int, factor: complex) -> complex:
+        value = cmath.sqrt(lead)
+        for i, r in enumerate(roots):
+            value *= cmath.sqrt(factor if i == ridx else x - r)
+        return value
+
+    first_x, _, first_idx, first_factor = next(stream(0))
+    anchor_value = branch_value(first_x, first_idx, first_factor)
+    reference = (
+        branch_seed if branch_seed is not None else cmath.sqrt(cubic(first_x))
+    )
+    if abs(anchor_value - reference) > abs(anchor_value + reference):
+        anchor_value = -anchor_value
+
+    def evaluate(level: int) -> complex:
+        total = 0j
+        y_prev = anchor_value
+        for x, weight, ridx, factor in stream(level):
+            for i, r in enumerate(roots):
+                if i != ridx and abs(x - r) < snap:
+                    raise NumericsError(
+                        "path passes too close to a root of the cubic"
+                    )
+            value = branch_value(x, ridx, factor)
+            if value == 0:
+                raise NumericsError("square root vanished at a quadrature node")
+            if abs(value - y_prev) > abs(value + y_prev):
+                value = -value
+            y_prev = value
+            total += weight / value
+        return total
+
+    previous = evaluate(0)
+    for level in range(1, max_level + 1):
+        current = evaluate(level)
+        if abs(current - previous) < tol:
+            return current
+        previous = current
+    raise NumericsError(
+        "quadrature did not converge: branch tracking is unreliable this "
+        "close to a root (refine the path or perturb)"
+    )
+
+
+_box = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+_points = st.builds(complex, _box, _box)
+
+
+@st.composite
+def quadrature_cases(draw):
+    """A cubic with three distinct roots and a 2-6 node polyline that may
+    start or end on a root, cross a branch cut or pass a few snaps from a
+    root, with or without a branch seed."""
+    roots = draw(st.lists(_points, min_size=3, max_size=3))
+    assume(min(abs(roots[i] - roots[j]) for i in range(3) for j in range(i)) > 0.2)
+    lead = draw(st.sampled_from([1 + 0j, -2 + 0j, 0.5j, 1 - 1j]))
+    cubic = CPoly((lead,))
+    for r in roots:
+        cubic = cubic * CPoly((-r, 1))
+    snap = 1e-9 * (1.0 + max(abs(r) for r in roots))
+    nodes: List[complex] = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["free", "free", "cut", "near"]))
+        r = draw(st.sampled_from(roots))
+        if kind == "free":
+            nodes.append(draw(_points))
+        elif kind == "cut":  # across the cut x - r in (-inf, 0] of one factor
+            left, height = draw(st.floats(0.05, 1)), draw(st.floats(0.01, 0.5))
+            nodes += [r + complex(-left, height), r + complex(-left, -height)]
+        else:  # a straight pass from a few snaps to 1e6 snaps from r
+            reach = draw(st.floats(0.05, 0.5))
+            miss = snap * 10 ** draw(st.floats(0.3, 6))
+            nodes += [r + complex(-reach, miss), r + complex(reach, miss)]
+    if draw(st.booleans()):
+        nodes.insert(0, draw(st.sampled_from(roots)))
+    if draw(st.booleans()):
+        nodes.append(draw(st.sampled_from(roots)))
+    assume(2 <= len(nodes) <= 6)
+    try:
+        path = PathPolyline(tuple(nodes))
+    except NumericsError:
+        assume(False)
+    seed = draw(st.none() | _points.filter(lambda z: abs(z) > 0.1))
+    return cubic, path, seed
+
+
+def _outcome(integral, *args):
+    try:
+        return integral(*args)
+    except NumericsError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadrature_cases())
+def test_elliptic_integral_matches_node_by_node_oracle(case) -> None:
+    cubic, path, seed = case
+    oracle = _outcome(_node_by_node_integral, cubic, path, seed)
+    value = _outcome(elliptic_integral, cubic, path, seed)
+    if oracle is None or value is None:
+        assert oracle is None and value is None
+    else:
+        assert abs(value - oracle) <= 1e-12 * (1 + abs(oracle))
 
 
 # ---------------------------------------------------------------------------

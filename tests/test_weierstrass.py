@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dpmirror import weierstrass
 from dpmirror.exactpoly import UniPoly, rational_roots
 from dpmirror.weierstrass import (
     FiberClassificationError,
+    UncertifiedPlacesError,
     WeierstrassModel,
     catalog,
     chart_at_infinity,
@@ -283,6 +285,15 @@ def test_additive_fiber_over_irrational_place_refused():
         fiber_configuration(model)
 
 
+def test_unenumerable_rational_places_raise_typed_error(monkeypatch):
+    def refuse(factor):
+        raise ValueError("no divisor certificate")
+
+    monkeypatch.setattr(weierstrass, "rational_roots", refuse)
+    with pytest.raises(UncertifiedPlacesError, match="cannot enumerate"):
+        fiber_configuration(catalog(3))
+
+
 def test_non_minimal_model_refused():
     with pytest.raises(FiberClassificationError, match="not globally minimal"):
         fiber_configuration(WeierstrassModel(UniPoly({4: 1}), UniPoly({6: 1})))
@@ -319,10 +330,8 @@ def test_random_perturbations_keep_euler_total(d, eps):
     assume(is_globally_minimal(model).is_minimal)
     try:
         config = fiber_configuration(model)
-    except FiberClassificationError as exc:
-        if "cannot certify" in str(exc) or "cannot enumerate" in str(exc):
-            assume(False)
-        raise
+    except UncertifiedPlacesError:
+        assume(False)
     assert config.euler_total() == 12
 
 
@@ -335,8 +344,6 @@ def test_fiber_labels_invariant_under_recentering(d, eps, offset):
     try:
         original = sorted(fiber_configuration(model).labels())
         moved = sorted(fiber_configuration(shifted).labels())
-    except FiberClassificationError as exc:
-        if "cannot certify" in str(exc) or "cannot enumerate" in str(exc):
-            assume(False)
-        raise
+    except UncertifiedPlacesError:
+        assume(False)
     assert original == moved
