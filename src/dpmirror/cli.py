@@ -73,10 +73,6 @@ COMMANDS: Dict[str, Tuple[str, ...]] = {
     "check": (),
 }
 
-# The model variant of the subcommands that read --variant, when it is not
-# given.
-DEFAULT_VARIANT: Dict[str, str] = {"fibers": "exact", "critvals": "perturbed"}
-
 # Output formats of the subcommands that write more than JSON; the others
 # take no --format flag.
 FORMATS: Dict[str, Tuple[str, ...]] = {
@@ -177,9 +173,6 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     }
     if "epsilon" in given:
         given["epsilon"] = parse_rational(given["epsilon"])
-        variant = given.get("variant", DEFAULT_VARIANT.get(given["command"]))
-        if variant == "exact":
-            raise UsageError("--epsilon applies only to the perturbed variant")
     return RunConfig(**given)
 
 
@@ -203,8 +196,8 @@ def _matches_up_to_sign(
     )
 
 
-def _model_for(config: RunConfig):
-    variant = config.variant or DEFAULT_VARIANT[config.command]
+def _model_for(config: RunConfig, default_variant: str):
+    variant = config.variant or default_variant
     if variant == "exact":
         return catalog(config.d), variant
     return catalog(config.d, config.epsilon), variant
@@ -215,7 +208,7 @@ def _model_for(config: RunConfig):
 
 
 def _cmd_fibers(config: RunConfig) -> Tuple[int, str]:
-    model, variant = _model_for(config)
+    model, variant = _model_for(config, "exact")
     table = fiber_configuration(model)
     if config.fmt == "csv":
         lines = ["place,type,count"]
@@ -241,7 +234,7 @@ def _cmd_mirror(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_critvals(config: RunConfig) -> Tuple[int, str]:
-    model, variant = _model_for(config)
+    model, variant = _model_for(config, "perturbed")
     values = critical_values_ordered(model)
     if config.fmt == "csv":
         lines = ["index,re,im"]

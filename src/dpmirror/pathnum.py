@@ -464,6 +464,27 @@ def continue_roots(
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _branch_signs(values: np.ndarray, anchor: complex) -> np.ndarray:
+    """Signs that continue the square roots ``values`` from ``anchor``.
+
+    Node k flips against the signed node before it (the anchor for k = 0)
+    when it is farther from that value than from its negation, so the sign is
+    a cumulative product of steps: -1 where |v_k - v_{k-1}| > |v_k + v_{k-1}|
+    on the raw values.  On an exact tie the node keeps its raw value, so the
+    product restarts at +1 there.
+    """
+    previous = np.concatenate(([anchor], values[:-1]))
+    apart = np.abs(values - previous)
+    across = np.abs(values + previous)
+    signs = np.cumprod(np.where(apart > across, -1.0, 1.0))
+    ties = apart == across
+    if ties.any():
+        # divide out the product up to the last tie at or before each node
+        last_tie = np.maximum.accumulate(np.where(ties, np.arange(len(values)), 0))
+        signs = np.where(np.maximum.accumulate(ties), signs * signs[last_tie], signs)
+    return signs
+
+
 def elliptic_integral(
     cubic: CPoly,
     path: PathPolyline,
@@ -515,7 +536,7 @@ def elliptic_integral(
     start = end = None
     if start_is_root:
         start = (start_idx, segments.pop(0)[1])
-    if end_is_root and segments:
+    if end_is_root:
         end = (end_idx, segments.pop()[0])
     plain_a = np.array([a for a, _ in segments], dtype=complex)
     plain_delta = np.array([b - a for a, b in segments], dtype=complex)
@@ -535,8 +556,9 @@ def elliptic_integral(
             value = value * np.sqrt(diff)
         return value
 
-    def level_values(level: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, weights and raw square roots of one level, in path order."""
+    def level_values(level: int) -> Tuple[complex, np.ndarray, np.ndarray]:
+        """The first node, the weights and the raw square roots of one level,
+        in path order."""
         panels = 1 << level
         width = 1.0 / panels
         u = (
@@ -564,30 +586,18 @@ def elliptic_integral(
             values.append(branch_values(x))
         if end is not None:
             substituted(end[0], end[1], u[::-1], -w[::-1])
-        return np.concatenate(xs), np.concatenate(weights), np.concatenate(values)
+        return xs[0][0], np.concatenate(weights), np.concatenate(values)
 
     def integrate(weights: np.ndarray, values: np.ndarray) -> complex:
         if np.any(values == 0):
             raise NumericsError("square root vanished at a quadrature node")
-        previous = np.concatenate(([anchor_value], values[:-1]))
-        apart = np.abs(values - previous)
-        across = np.abs(values + previous)
-        signs = np.cumprod(np.where(apart > across, -1.0, 1.0))
-        ties = apart == across
-        if ties.any():
-            # an exact tie keeps the raw value and restarts the product there
-            last_tie = np.maximum.accumulate(
-                np.where(ties, np.arange(len(values)), 0)
-            )
-            signs = np.where(
-                np.maximum.accumulate(ties), signs * signs[last_tie], signs
-            )
-        return np.sum(weights / (signs * values))
+        signs = _branch_signs(values, anchor_value)
+        return complex(np.sum(weights / (signs * values)))
 
     first_x, first_weights, first_values = level_values(0)
     anchor_value = first_values[0]
     reference = (
-        branch_seed if branch_seed is not None else cmath.sqrt(cubic(first_x[0]))
+        branch_seed if branch_seed is not None else cmath.sqrt(cubic(first_x))
     )
     if abs(anchor_value - reference) > abs(anchor_value + reference):
         anchor_value = -anchor_value

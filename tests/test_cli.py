@@ -112,14 +112,6 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "fibers", "--d", "1", "--epsilon", "²")
     assert code == EXIT_USAGE
     assert "not an exact rational" in err
-    for argv in (
-        ("fibers", "--d", "2", "--epsilon", "1/50"),
-        ("fibers", "--d", "2", "--variant", "exact", "--epsilon", "5"),
-        ("critvals", "--d", "3", "--variant", "exact", "--epsilon", "1/50"),
-    ):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == EXIT_USAGE
-        assert "--epsilon applies only to the perturbed variant" in err
     code, _, err = run_cli(capsys, "mirror", "--d", "3", "--order", "1")
     assert code == EXIT_USAGE
     assert "--order must be at least 2" in err

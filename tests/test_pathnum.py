@@ -18,6 +18,7 @@ from dpmirror.pathnum import (
     NumericsError,
     PathPolyline,
     TrackedRoots,
+    _branch_signs,
     all_roots,
     continue_roots,
     elliptic_integral,
@@ -536,6 +537,56 @@ def test_elliptic_integral_matches_node_by_node_oracle(case) -> None:
         assert oracle is None and value is None
     else:
         assert abs(value - oracle) <= 1e-12 * (1 + abs(oracle))
+
+
+def test_elliptic_integral_returns_a_python_complex() -> None:
+    cubic = CPoly((0j, 0.01 + 0j, 0j, 1 + 0j))
+    value = elliptic_integral(cubic, PathPolyline((-0.1j, 0j)))
+    assert type(value) is complex
+
+
+def _scalar_signs(values, anchor):
+    """Oracle: the node-by-node branch rule -- flip a node when it is farther
+    from the signed node before it than from that node's negation."""
+    signs, previous = [], anchor
+    for v in values:
+        sign = -1.0 if abs(v - previous) > abs(v + previous) else 1.0
+        signs.append(sign)
+        previous = sign * v
+    return signs
+
+
+@pytest.mark.parametrize(
+    "values, anchor, expected",
+    [
+        # a tie at the first node: 1j is as far from 1 as from -1
+        ([1j, -1j, 1j], 1, [1, -1, 1]),
+        # a flip, then a tie against the flipped node, then a flip again
+        ([1, -1, 1j, -1j, 1j], 1, [1, -1, 1, -1, 1]),
+        # a tie after a negative sign, then a flip
+        ([-1, 2j, -2j, -2j], 1, [-1, 1, -1, -1]),
+        # two ties in a row
+        ([1j, 1, 1j], 1, [1, 1, 1]),
+    ],
+)
+def test_branch_signs_restart_at_exact_ties(values, anchor, expected) -> None:
+    assert _scalar_signs(values, anchor) == expected
+    signs = _branch_signs(np.array(values, dtype=complex), complex(anchor))
+    assert signs.tolist() == expected
+
+
+# Gaussian integers: a tie |v - u| == |v + u| happens exactly when
+# Re(v conj u) == 0, which is common among them and is computed exactly.
+_gaussian = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda z: z != 0
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_gaussian, min_size=1, max_size=30), _gaussian)
+def test_branch_signs_match_scalar_rule(values, anchor) -> None:
+    signs = _branch_signs(np.array(values, dtype=complex), anchor)
+    assert signs.tolist() == _scalar_signs(values, anchor)
 
 
 # ---------------------------------------------------------------------------
