@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from fractions import Fraction
 
 import sympy as sp
 
@@ -679,8 +678,6 @@ def section_numeric() -> None:
     print(f"|omega_a| = {mp.nstr(abs(omega_a), 15)}, |omega_b| = {mp.nstr(abs(omega_b), 15)}")
 
     # interpolation family finite-root counts
-    import numpy.polynomial.polynomial as npp
-
     def poly_coeffs(expr):
         return [complex(c) for c in reversed(sp.Poly(expr, LAM).all_coeffs())]
 

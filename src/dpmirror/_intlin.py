@@ -172,42 +172,6 @@ def complete_unimodular(column: Sequence[int]) -> IntMatrix:
     return inverse
 
 
-def solve_rational(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """A particular rational solution of ``matrix @ x = rhs``, or None.
-
-    Gauss-Jordan elimination with exact arithmetic; free variables are set
-    to zero.  The matrix may be rectangular or singular.
-    """
-    rows = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    m = len(rows)
-    n = len(rows[0]) - 1 if rows else 0
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = rows[r][c]
-        rows[r] = [x / scale for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    if any(rows[i][n] for i in range(r, m)):
-        return None
-    solution = [Fraction(0)] * n
-    for row, col in pivots:
-        solution[col] = rows[row][n]
-    return solution
-
-
 def solve_integer(
     matrix: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[IntVector]:

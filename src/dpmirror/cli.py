@@ -35,6 +35,7 @@ from .periods import mirror_check
 from .pseudolattice import (
     MutationWord,
     PseudolatticeError,
+    _matches_up_to_sign,
     from_boundaries,
     ghs_sequences,
     ghs_target,
@@ -120,9 +121,13 @@ def parse_rational(text: str) -> Fraction:
     num, slash, den = body.partition("/")
     if not num.isdecimal() or (slash and not den.isdecimal()):
         raise UsageError(f"not an exact rational: {text!r}")
-    if slash and int(den) == 0:
+    try:
+        numerator, denominator = int(num), int(den) if slash else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise UsageError(f"not an exact rational: {exc}") from exc
+    if denominator == 0:
         raise UsageError(f"zero denominator: {text!r}")
-    return Fraction(sign * int(num), int(den) if slash else 1)
+    return Fraction(sign * numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -186,14 +191,6 @@ def _json_text(payload: Dict[str, object]) -> str:
 
 def _pair(z: complex) -> List[float]:
     return [z.real, z.imag]
-
-
-def _matches_up_to_sign(
-    sequence: Sequence[HomologyClass], target: Sequence[HomologyClass]
-) -> bool:
-    return len(sequence) == len(target) and all(
-        s == t or s == -t for s, t in zip(sequence, target)
-    )
 
 
 def _model_for(config: RunConfig, default_variant: str):
@@ -296,7 +293,7 @@ def _cmd_ghs(config: RunConfig) -> Tuple[int, str]:
     ell = 9 - config.d
     sequence = ghs_sequences(ell)
     target = ghs_target(ell)
-    matches = _matches_up_to_sign(sequence, target)
+    matches = _matches_up_to_sign(sequence, target) is None
     payload = {
         "d": config.d,
         "ell": ell,
@@ -414,7 +411,8 @@ def _claims() -> List[Tuple[str, bool]]:
         ))
     for ell in (6, 7, 8):
         claims.append((f"torus-model sequence, rank {ell}",
-                       _matches_up_to_sign(ghs_sequences(ell), ghs_target(ell))))
+                       _matches_up_to_sign(ghs_sequences(ell), ghs_target(ell))
+                       is None))
     b = HomologyClass(0, 1)
     for d in (1, 2, 3):
         cycle = infinity_cycle(reference_vanishing_classes(d), d)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .pathnum import CPoly, NumericsError, all_roots
+from .pathnum import CPoly, NumericsError, all_roots, match_tracks
 from .pseudolattice import MutationMove, MutationWord
 from .weierstrass import WeierstrassModel, catalog
 
@@ -226,20 +225,6 @@ def _configuration(spec: FamilySpec, s: float) -> List[ProjectivePoint]:
     return points
 
 
-def _match(
-    previous: Sequence[ProjectivePoint], current: Sequence[ProjectivePoint]
-) -> List[ProjectivePoint]:
-    """Reorder ``current`` so entry i continues track i of ``previous``."""
-    if len(previous) != len(current):
-        raise NumericsError("track count changed between samples")
-    cost = np.array([[chordal(p, q) for q in current] for p in previous])
-    rows, cols = linear_sum_assignment(cost)
-    ordered: List[Optional[ProjectivePoint]] = [None] * len(current)
-    for r, c in zip(rows, cols):
-        ordered[r] = current[c]
-    return [point for point in ordered if point is not None]
-
-
 def _in_boundary_annulus(point: ProjectivePoint, boundary: float) -> bool:
     modulus = abs(point.coordinate)
     return boundary < modulus <= 1.0
@@ -288,7 +273,9 @@ def sweep(spec: FamilySpec, control: SweepControl = SweepControl()) -> Trajector
     while pending:
         target = pending[0]
         here = parameters[-1]
-        matched = _match(rows[-1], _configuration(spec, target))
+        points = _configuration(spec, target)
+        cost = np.array([[chordal(p, q) for q in points] for p in rows[-1]])
+        matched = [points[j] for j in match_tracks(cost)]
         verdict = _interval_verdict(rows[-1], matched, control)
         if verdict is not None and target - here > control.width_floor:
             pending.insert(0, here + (target - here) / 2)

@@ -24,7 +24,7 @@ __all__ = [
     "PathPolyline",
     "TrackedRoots",
     "all_roots",
-    "root_clusters",
+    "match_tracks",
     "residual",
     "continue_roots",
     "elliptic_integral",
@@ -144,8 +144,8 @@ def all_roots(
 
     Starts from a perturbed circle of Cauchy-bound radius; the returned list
     has exactly ``degree`` entries sorted by (re, im), every one satisfying
-    ``residual(p, root) < tol``.  Multiple roots come out as nearby clusters
-    (see :func:`root_clusters` for the multiplicity estimate).
+    ``residual(p, root) < tol``.  A root of multiplicity m comes out as m
+    nearby roots, spread about tol**(1/m) relative to the scale of p.
     """
     n = p.degree
     if n < 1:
@@ -188,31 +188,6 @@ def all_roots(
                 best, best_res = current, res
         polished.append(best)
     return sorted(polished, key=lambda w: (w.real, w.imag))
-
-
-def root_clusters(
-    roots: Sequence[complex], radius: float = 1e-5
-) -> List[Tuple[complex, int]]:
-    """Greedy clustering of near-coincident roots: (center, multiplicity).
-
-    Two roots join one cluster when they sit within ``radius * (1 + |center|)``
-    of its running mean; clusters are reported sorted by (re, im).
-    """
-    centers: List[complex] = []
-    members: List[List[complex]] = []
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        placed = False
-        for i, center in enumerate(centers):
-            if abs(z - center) <= radius * (1 + abs(center)):
-                members[i].append(z)
-                centers[i] = sum(members[i]) / len(members[i])
-                placed = True
-                break
-        if not placed:
-            centers.append(z)
-            members.append([z])
-    pairs = [(c, len(m)) for c, m in zip(centers, members)]
-    return sorted(pairs, key=lambda cm: (cm[0].real, cm[0].imag))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +314,17 @@ def _min_pairwise(values: Sequence[complex]) -> float:
     )
 
 
-def _match(old: Sequence[complex], raw: Sequence[complex]) -> Tuple[int, ...]:
-    """A bijective matching track -> raw index: nearest-neighbor, then optimal."""
-    nearest = [
-        min(range(len(raw)), key=lambda j: abs(z - raw[j])) for z in old
-    ]
-    if len(set(nearest)) == len(raw):
-        return tuple(nearest)
-    cost = np.array(
-        [[abs(z - w) for w in raw] for z in old], dtype=float
-    )
+def match_tracks(cost: np.ndarray) -> Tuple[int, ...]:
+    """A bijection track -> candidate for a square cost matrix.
+
+    Entry i is the column that continues row i: each row's nearest column
+    when those are already distinct, else the assignment of least total cost.
+    """
+    if cost.shape[0] != cost.shape[1]:
+        raise NumericsError("track count changed between samples")
+    nearest = cost.argmin(axis=1)
+    if len(set(nearest.tolist())) == cost.shape[1]:
+        return tuple(int(j) for j in nearest)
     _, columns = linear_sum_assignment(cost)
     return tuple(int(c) for c in columns)
 
@@ -415,7 +391,9 @@ def continue_roots(
             if raw is None:
                 aligned = None
             else:
-                matching = _match(current, raw)
+                matching = match_tracks(
+                    np.array([[abs(z - w) for w in raw] for z in current])
+                )
                 aligned = tuple(raw[j] for j in matching)
         displacement = (
             max(abs(a - b) for a, b in zip(aligned, current))
@@ -439,7 +417,9 @@ def continue_roots(
             # terminal closure: collisions are allowed at the final node
             poly_end = family(path.point(1.0))
             raw = all_roots(poly_end, tol)
-            matching = _match(current, raw)
+            matching = match_tracks(
+                np.array([[abs(z - w) for w in raw] for z in current])
+            )
             aligned = tuple(raw[j] for j in matching)
             steps.append(
                 (1.0, aligned, tuple(residual(poly_end, z) for z in aligned),

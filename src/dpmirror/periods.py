@@ -31,7 +31,7 @@ from math import factorial, lcm
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .exactpoly import LaurentPoly, Rational, rational_from_string, rational_to_string
+from .exactpoly import LaurentPoly, rational_from_string, rational_to_string
 
 # The three catalog degrees and their weighted hypersurface data: the degree-d
 # surface is a hypersurface of degree ``d1`` in the weighted projective space

@@ -8,8 +8,8 @@ exceptional, and pairs of adjacent basis vectors can be mutated left or
 right.  The module verifies that the frozen mutation words carry the
 fibration bases onto bases whose Gram matrices match the reference
 surface-category Gram, computes the point-like vector and the induced
-quotient lattice, and derives the restricted kernel data used by the root
-system analysis.
+quotient lattice that the root system analysis starts from, and builds the
+vanishing-cycle sequences compared with the torus models.
 
 All vectors stay in ambient coordinates of the fixed ambient Gram; boundary
 (homology) classes of mutated vectors are always recovered through the
@@ -18,7 +18,6 @@ linear charge map, never tracked as mutable state.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -296,15 +295,6 @@ def point_like(lattice: Pseudolattice) -> IntVector:
     return p
 
 
-def rank_norm(
-    lattice: Pseudolattice, basis: ExceptionalBasis
-) -> Tuple[List[int], int]:
-    """Ranks <p, e_i> of the basis vectors and the sum of their squares."""
-    p = point_like(lattice)
-    ranks = [lattice.pairing(p, list(v)) for v in basis.vectors]
-    return ranks, sum(r * r for r in ranks)
-
-
 @dataclass(frozen=True)
 class QuotientLattice:
     """The symmetric lattice carried by (orthogonal of p) / p."""
@@ -365,15 +355,6 @@ def neron_severi(lattice: Pseudolattice) -> QuotientLattice:
         tuple(p),
         tuple(tuple(r) for r in reps),
     )
-
-
-def charge_kernel(lattice: Pseudolattice, charge: ChargeMap) -> List[IntVector]:
-    """Saturated basis of the charge-zero sublattice; contains the point."""
-    kernel = integer_kernel(charge.matrix())
-    p = point_like(lattice)
-    if not charge.charge(p).is_zero():
-        raise PseudolatticeError("point-like vector carries nonzero charge")
-    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +521,17 @@ class MutationVerificationReport:
 
 
 def _matches_up_to_sign(
-    got: Sequence[HomologyClass], expected: Sequence[Tuple[int, int]]
+    got: Sequence[HomologyClass], expected: Sequence[HomologyClass]
 ) -> Optional[int]:
-    """Index of the first class differing beyond an overall sign, else None."""
+    """Index of the first class differing beyond an overall sign, else None.
+
+    When one sequence is longer, its first extra position differs.
+    """
     for i, (g, e) in enumerate(zip(got, expected)):
-        if (g.m, g.n) != e and (-g.m, -g.n) != e:
+        if g != e and g != -e:
             return i
+    if len(got) != len(expected):
+        return min(len(got), len(expected))
     return None
 
 
@@ -573,16 +559,17 @@ def verify_mutation_equivalence(d: int) -> MutationVerificationReport:
         position = 0
         ok_flags: List[bool] = []
         exact_flags: List[bool] = []
-        for row_index, (length, expected) in enumerate(
+        for row_index, (length, row) in enumerate(
             zip(_D3_ROW_LENGTHS, _D3_ROWS)
         ):
             for move in moves[position : position + length]:
                 _apply_move(lattice, vectors, move)
             position += length
             got = [charge.charge(v) for v in vectors[:9]]
+            expected = [HomologyClass(m, n) for m, n in row]
             mismatch = _matches_up_to_sign(got, expected)
             ok_flags.append(mismatch is None)
-            exact_flags.append(all((g.m, g.n) == e for g, e in zip(got, expected)))
+            exact_flags.append(got == expected)
             if mismatch is not None and failure is None:
                 failure = (
                     f"intermediate row {row_index} differs at class {mismatch}"
@@ -595,7 +582,7 @@ def verify_mutation_equivalence(d: int) -> MutationVerificationReport:
 
     boundaries = charge.charges(final)
     target = target_boundary_classes(d)
-    mismatch = _matches_up_to_sign(boundaries[: 3 + ell], [c.to_pair() for c in target])
+    mismatch = _matches_up_to_sign(boundaries[: 3 + ell], target)
     boundary_ok = mismatch is None
     if not boundary_ok and failure is None:
         failure = f"final boundary class {mismatch} differs from the target"
@@ -674,76 +661,3 @@ def ghs_target(ell: int) -> List[HomologyClass]:
     if ell == 6:
         return [A, -(A + B)] * 4
     raise ValueError(f"no target for rank {ell}")
-
-
-def drop_zero(lattice: Pseudolattice) -> Pseudolattice:
-    """Delete the first basis vector (row and column 0 of the Gram)."""
-    if lattice.rank < 2:
-        raise PseudolatticeError("rank must be at least 2 to drop a vector")
-    gram = [row[1:] for row in lattice.gram[1:]]
-    return Pseudolattice(tuple(tuple(row) for row in gram))
-
-
-# ---------------------------------------------------------------------------
-# best-effort search
-
-
-def norm_guided_search(
-    lattice: Pseudolattice,
-    basis: ExceptionalBasis,
-    target: Sequence[Sequence[int]],
-    budget: int,
-) -> Optional[MutationWord]:
-    """Best-first search for a word whose output Gram sign-normalizes to target.
-
-    Nodes are scored by (norm, entrywise absolute Gram distance, length);
-    expansion stops after ``budget`` nodes.  Best-effort: None means no word
-    was found within budget, not that none exists.
-    """
-    n = lattice.rank
-    if len(target) != n:
-        raise PseudolatticeError("target Gram must match the ambient rank")
-    p = point_like(lattice)
-
-    def score(vectors: Tuple[Tuple[int, ...], ...]) -> Tuple[int, int]:
-        ranks = [lattice.pairing(p, v) for v in vectors]
-        gram = lattice.basis_gram(vectors)
-        distance = sum(
-            abs(abs(gram[i][j]) - abs(target[i][j]))
-            for i in range(n)
-            for j in range(n)
-        )
-        return sum(r * r for r in ranks), distance
-
-    start = basis.vectors
-    if sign_normalize(lattice.basis_gram(start), target) is not None:
-        return MutationWord(())
-    if budget <= 0:
-        return None
-
-    counter = 0
-    heap: List[Tuple[int, int, int, int, Tuple[Tuple[int, ...], ...], Tuple[MutationMove, ...]]] = []
-    norm0, dist0 = score(start)
-    heapq.heappush(heap, (norm0, dist0, 0, counter, start, ()))
-    seen = {start}
-    expanded = 0
-    while heap and expanded < budget:
-        _norm, _dist, length, _tie, vectors, applied = heapq.heappop(heap)
-        expanded += 1
-        for side in ("L", "R"):
-            for slot in range(n - 1):
-                child = [list(v) for v in vectors]
-                move = MutationMove(side, slot)
-                _apply_move(lattice, child, move)
-                frozen = tuple(tuple(v) for v in child)
-                if frozen in seen:
-                    continue
-                seen.add(frozen)
-                if sign_normalize(lattice.basis_gram(frozen), target) is not None:
-                    return MutationWord(tuple(reversed(applied + (move,))))
-                counter += 1
-                norm, dist = score(frozen)
-                heapq.heappush(
-                    heap, (norm, dist, length + 1, counter, frozen, applied + (move,))
-                )
-    return None

@@ -25,7 +25,6 @@ from ._intlin import (
     primitive_vector,
     rank_integer,
     solve_integer,
-    solve_rational,
     symmetric_signature,
     transpose,
 )
@@ -743,131 +742,4 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
         corner_checks=corner_checks,
         cross_zero=cross,
         passed=passed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# rational splitting
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    """A rational complement of the charge kernel, orthogonal modulo the point."""
-
-    kernel_rank: int
-    complement: Tuple[FracVector, FracVector]  # spans a section of the charge map
-    coefficients: Tuple[Fraction, ...]  # point multiple aligning each kernel vector
-    passed: bool
-    witness: Optional[int]  # kernel index of the first failing vector
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "kernel_rank": self.kernel_rank,
-            "complement": [
-                list(map(rational_to_num_den, row)) for row in self.complement
-            ],
-            "coefficients": list(map(rational_to_num_den, self.coefficients)),
-            "passed": self.passed,
-            "witness": self.witness,
-        }
-
-
-def rational_splitting(
-    lattice: Pseudolattice, charge: ChargeMap
-) -> SplittingReport:
-    """Split the rational lattice as charge kernel plus a two-dimensional
-    section, orthogonal modulo the point-like vector.
-
-    The first complement generator is a coordinate vector with nonzero rank
-    and nonzero charge; the second is a coordinate vector of independent
-    charge corrected by a rational kernel combination so that every kernel
-    vector w satisfies <w, u> = c_w <p, u> and <u, w> = c_w <u, p> for one
-    coefficient c_w and both generators u.  Then w - c_w p is honestly
-    orthogonal to the complement on both sides, which is the precise sense
-    in which the splitting is orthogonal modulo p.
-    """
-    p = point_like(lattice)
-    if lattice.pairing(p, p) != 0:
-        raise PseudolatticeError("point-like vector has nonzero self-pairing")
-    n = lattice.rank
-    basis_vectors = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for v in basis_vectors:
-        if lattice.pairing(p, v) != lattice.pairing(v, p):
-            raise PseudolatticeError(
-                "pairings against the point-like vector disagree"
-            )
-    kernel = integer_kernel(charge.matrix())
-    gram_rows = [list(row) for row in lattice.gram]
-
-    unit = next(
-        (
-            v
-            for v in basis_vectors
-            if lattice.pairing(p, v) != 0 and not charge.charge(v).is_zero()
-        ),
-        None,
-    )
-    if unit is None:
-        raise PseudolatticeError("no coordinate vector has nonzero rank")
-    unit_charge = charge.charge(unit)
-    section = next(
-        (
-            v
-            for v in basis_vectors
-            if unit_charge.m * charge.charge(v).n
-            - unit_charge.n * charge.charge(v).m
-            != 0
-        ),
-        None,
-    )
-    if section is None:
-        raise PseudolatticeError("charge map has rank below 2")
-    if rank_integer(kernel + [unit, section]) != n:
-        raise PseudolatticeError("kernel and complement do not span")
-
-    rank_unit = lattice.pairing(p, unit)
-    coefficients = [Fraction(lattice.pairing(w, unit), rank_unit) for w in kernel]
-    # correct the section by a kernel combination killing the defects
-    defects = [
-        Fraction(lattice.pairing(w, section)) - c * lattice.pairing(p, section)
-        for w, c in zip(kernel, coefficients)
-    ]
-    restricted = [
-        [Fraction(lattice.pairing(u, v)) for v in kernel] for u in kernel
-    ]
-    correction = solve_rational(restricted, [-delta for delta in defects])
-    if correction is None:
-        raise PseudolatticeError("section defects escape the restricted form")
-    corrected = [
-        Fraction(x)
-        + sum(
-            (a * kernel[j][i] for j, a in enumerate(correction)), Fraction(0)
-        )
-        for i, x in enumerate(section)
-    ]
-
-    frac_p = [Fraction(x) for x in p]
-    generators = (
-        tuple(Fraction(x) for x in unit),
-        tuple(corrected),
-    )
-    witness: Optional[int] = None
-    for index, (w, c) in enumerate(zip(kernel, coefficients)):
-        frac_w = [Fraction(x) for x in w]
-        for u in generators:
-            left = _fraction_pairing(gram_rows, frac_w, u)
-            right = _fraction_pairing(gram_rows, list(u), frac_w)
-            if left != c * _fraction_pairing(gram_rows, frac_p, list(u)) or (
-                right != c * _fraction_pairing(gram_rows, list(u), frac_p)
-            ):
-                witness = index
-                break
-        if witness is not None:
-            break
-    return SplittingReport(
-        kernel_rank=len(kernel),
-        complement=generators,
-        coefficients=tuple(coefficients),
-        passed=witness is None,
-        witness=witness,
     )

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .exactpoly import UniPoly, poly_gcd, rational_to_num_den
+from .exactpoly import poly_gcd, rational_to_num_den
 from .homology import (
     HomologyClass,
     SL2Matrix,

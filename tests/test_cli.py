@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpmirror import cli
 from dpmirror.cli import (
@@ -72,6 +74,21 @@ def test_parse_rational_rejects_inexact_forms():
     for bad in ("0.01", "1e-2", "1/0", "a/b", "", "1//2", "--3", "²", "1/²"):
         with pytest.raises(UsageError):
             parse_rational(bad)
+
+
+_RATIONAL_CHARS = "0123456789+-/ .e\u00b2\u0663\u0664"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=_RATIONAL_CHARS, max_size=12)))
+@example("9" * 5000)
+@example("1/" + "7" * 5000)
+def test_parse_rational_returns_fraction_or_usage_error(text):
+    try:
+        value = parse_rational(text)
+    except UsageError:
+        return
+    assert isinstance(value, Fraction)
 
 
 def test_parse_args_defaults():

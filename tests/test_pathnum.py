@@ -9,7 +9,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpmirror.exactpoly import UniPoly
@@ -24,7 +24,6 @@ from dpmirror.pathnum import (
     elliptic_integral,
     period_lattice,
     residual,
-    root_clusters,
 )
 from dpmirror.weierstrass import catalog
 
@@ -101,16 +100,8 @@ def test_all_roots_rejects_constants() -> None:
 
 def test_all_roots_triple_root_cluster() -> None:
     roots = all_roots(CPoly((0, 0, 0, 1)))
-    clusters = root_clusters(roots)
-    assert len(clusters) == 1
-    center, multiplicity = clusters[0]
-    assert multiplicity == 3
-    assert abs(center) < 1e-5
-
-
-def test_root_clusters_keep_separated_roots_apart() -> None:
-    clusters = root_clusters([0j, 1 + 0j, 1 + 1e-9j])
-    assert [m for _, m in clusters] == [1, 2]
+    assert len(roots) == 3
+    assert max(abs(z) for z in roots) < 1e-5
 
 
 def test_all_roots_discriminant_fingerprints() -> None:
@@ -138,6 +129,32 @@ def test_all_roots_product_reconstruction() -> None:
         assert abs(product - direct) <= 1e-8 * max(abs(product), abs(direct))
 
 
+def _conditioned_groups(
+    roots: List[complex], tol: float
+) -> List[List[complex]]:
+    """Split roots into groups where a group of m roots is linked by steps
+    shorter than tol**(1/m) times (1 + |root|): the spread a backward error
+    tol allows an m-fold root."""
+    pending, groups = [list(roots)], []
+    while pending:
+        block = pending.pop()
+        reach = tol ** (1 / len(block))
+        parts: List[List[complex]] = []
+        for z in block:
+            near = [
+                g for g in parts
+                if any(abs(z - w) < reach * (1 + abs(w)) for w in g)
+            ]
+            for g in near:
+                parts.remove(g)
+            parts.append([z] + [w for g in near for w in g])
+        if len(parts) == 1:
+            groups.append(block)
+        else:
+            pending.extend(parts)
+    return groups
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -148,24 +165,34 @@ def test_all_roots_product_reconstruction() -> None:
         max_size=6,
     )
 )
+@example([0j] * 6)
 def test_all_roots_random_polynomials(coeffs: list) -> None:
     poly = CPoly(tuple(coeffs) + (1 + 0j,))  # monic
-    roots = all_roots(poly)
+    tol = 1e-10
+    roots = all_roots(poly, tol)
     assert len(roots) == poly.degree
-    assert max(residual(poly, z) for z in roots) < 1e-10
-    # product reconstruction is asserted only for well-separated roots
-    separation = min(
-        (abs(roots[i] - roots[j]) for i in range(len(roots)) for j in range(i)),
-        default=math.inf,
-    )
-    if separation > 1e-3:
-        for k in range(10):
-            z = 7.0 * cmath.exp(2j * math.pi * (k + 0.3) / 10)
-            product = poly.leading
-            for r in roots:
-                product *= z - r
-            direct = poly(z)
-            assert abs(product - direct) <= 1e-8 * max(abs(product), abs(direct), 1.0)
+    assert max(residual(poly, z) for z in roots) < tol
+    # A simple root is accurate to about tol; the m members of a cluster only
+    # to its radius tol**(1/m), which bounds both the spread of the cluster
+    # and the error it adds to the product reconstruction.
+    clusters = []
+    for group in _conditioned_groups(roots, tol):
+        if len(group) > 1:
+            center = sum(group) / len(group)
+            radius = tol ** (1 / len(group)) * (1 + abs(center))
+            assert max(abs(z - center) for z in group) <= radius
+            clusters.append((center, radius, len(group)))
+    for k in range(10):
+        z = 7.0 * cmath.exp(2j * math.pi * (k + 0.3) / 10)
+        product = poly.leading
+        for r in roots:
+            product *= z - r
+        direct = poly(z)
+        bound = 1e-8 + sum(
+            (1 + 2 * radius / abs(z - center)) ** m - 1
+            for center, radius, m in clusters
+        )
+        assert abs(product - direct) <= bound * max(abs(product), abs(direct), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,30 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmirror._intlin import determinant_integer, matrix_vector
+from dpmirror._intlin import determinant_integer, integer_kernel, matrix_vector
 from dpmirror.homology import (
     HomologyClass,
     extended_vanishing_classes,
     reference_vanishing_classes,
 )
 from dpmirror.pseudolattice import (
-    ChargeMap,
     ExceptionalBasis,
     MutationMove,
     MutationWord,
     Pseudolattice,
     PseudolatticeError,
-    charge_kernel,
+    _matches_up_to_sign,
     del_pezzo_gram,
-    drop_zero,
     from_boundaries,
     ghs_sequences,
     ghs_target,
     mutate,
     neron_severi,
-    norm_guided_search,
     point_like,
-    rank_norm,
     reduction_word,
     serre,
     sign_normalize,
@@ -64,20 +60,12 @@ D2_INTERMEDIATE = [
 ]
 
 FIBRATION_POINT = [1, 1, -1, 0, -1, -1, 0, -1, 1]
-FIBRATION_RANKS = [1, 0, 1, 0, 1, 0, 1, 0, 1]
 M6_POINT = [1, -1, 1, 0, 0, 0, 0, 0, 0]
-M6_RANKS = [1, 2, 1, 0, 0, 0, 0, 0, 0]
 D3_SIGN_DIAGONAL = (1, -1, 1, 1, 1, -1, -1, -1, -1)
 
 
 def classes(pairs):
     return [HomologyClass(m, n) for m, n in pairs]
-
-
-def identity_basis(n):
-    return ExceptionalBasis(
-        tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    )
 
 
 def m6_lattice():
@@ -273,17 +261,9 @@ def test_serre_identity_on_fibration_lattice():
 
 
 def test_point_like_fibration_and_reference_models():
-    lattice, basis, _ = from_boundaries(reference_vanishing_classes(3))
+    lattice, _, _ = from_boundaries(reference_vanishing_classes(3))
     assert point_like(lattice) == FIBRATION_POINT
-    ranks, norm = rank_norm(lattice, basis)
-    assert ranks == FIBRATION_RANKS
-    assert norm == 5
-
-    m6 = m6_lattice()
-    assert point_like(m6) == M6_POINT
-    m6_ranks, m6_norm = rank_norm(m6, identity_basis(9))
-    assert m6_ranks == M6_RANKS
-    assert m6_norm == 6
+    assert point_like(m6_lattice()) == M6_POINT
 
 
 def test_serre_fixes_the_point_like_vector():
@@ -317,10 +297,11 @@ def test_neron_severi_of_reference_model_is_diagonal():
 
 @pytest.mark.parametrize("d,expected_rank", [(3, 7), (2, 8), (1, 9)])
 def test_charge_kernel_ranks(d, expected_rank):
+    # the charge kernel that rootlattice.kernel_decomposition splits
     lattice, _, charge = from_boundaries(reference_vanishing_classes(d))
-    kernel = charge_kernel(lattice, charge)
+    kernel = integer_kernel(charge.matrix())
     assert len(kernel) == expected_rank
-    for v in kernel:
+    for v in kernel + [point_like(lattice)]:
         assert charge.charge(v).is_zero()
 
 
@@ -348,7 +329,7 @@ def test_sign_normalize_handles_disconnected_blocks():
 
 
 # ---------------------------------------------------------------------------
-# reference Grams, zero-slot removal, torus sequences
+# reference Grams, torus sequences
 
 
 def test_del_pezzo_gram_shape():
@@ -359,14 +340,6 @@ def test_del_pezzo_gram_shape():
     assert gram[1][3:] == [2] * 6
     assert gram[2][3:] == [1] * 6
     assert determinant_integer(gram) == 1
-
-
-def test_drop_zero_of_reference_model():
-    smaller = drop_zero(m6_lattice())
-    assert smaller.rank == 8
-    assert [row[:2] for row in smaller.to_json()[:2]] == [[1, 3], [0, 1]]
-    with pytest.raises(PseudolatticeError):
-        drop_zero(Pseudolattice(((1,),)))
 
 
 @pytest.mark.parametrize("ell", [6, 7, 8])
@@ -387,35 +360,14 @@ def test_ghs_rejects_unknown_rank():
         ghs_target(9)
 
 
-# ---------------------------------------------------------------------------
-# search
-
-
-def test_norm_guided_search_trivial_cases():
-    lattice, basis, _ = from_boundaries(reference_vanishing_classes(3))
-    gram = lattice.basis_gram(basis.vectors)
-    assert norm_guided_search(lattice, basis, gram, budget=10) == MutationWord(())
-    moved = mutate(lattice, basis, MutationWord.parse("L1"))
-    assert norm_guided_search(lattice, moved, gram, budget=0) is None
-
-
-def test_norm_guided_search_recovers_single_mutation():
-    lattice, basis, _ = from_boundaries(reference_vanishing_classes(3))
-    gram = lattice.basis_gram(basis.vectors)
-    moved = mutate(lattice, basis, MutationWord.parse("L1"))
-    word = norm_guided_search(lattice, moved, gram, budget=50)
-    assert word is not None
-    recovered = mutate(lattice, moved, word)
-    assert sign_normalize(lattice.basis_gram(recovered.vectors), gram) is not None
-
-
-def test_norm_guided_search_reports_failure_within_budget():
-    lattice, basis, _ = from_boundaries(reference_vanishing_classes(3))
-    target = [list(row) for row in del_pezzo_gram(6)]
-    word = norm_guided_search(lattice, basis, target, budget=40)
-    if word is not None:
-        final = mutate(lattice, basis, word)
-        assert sign_normalize(lattice.basis_gram(final.vectors), target) is not None
+def test_matches_up_to_sign_reports_first_difference():
+    got = classes([(1, 0), (0, -1), (2, 1)])
+    assert _matches_up_to_sign(got, classes([(-1, 0), (0, 1), (2, 1)])) is None
+    assert _matches_up_to_sign(got, classes([(1, 0), (0, 1), (2, -1)])) == 2
+    assert _matches_up_to_sign(got, classes([(1, 1), (0, 1), (3, 3)])) == 0
+    assert _matches_up_to_sign(got, got[:2]) == 2
+    assert _matches_up_to_sign(got[:1], got) == 1
+    assert _matches_up_to_sign([], []) is None
 
 
 # ---------------------------------------------------------------------------

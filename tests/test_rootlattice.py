@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmirror._intlin import determinant_integer, matrix_multiply, transpose
-from dpmirror.homology import HomologyClass, reference_vanishing_classes
+from dpmirror.homology import reference_vanishing_classes
 from dpmirror.pseudolattice import ChargeMap, PseudolatticeError, from_boundaries
 from dpmirror.rootlattice import (
     IntLattice,
@@ -21,7 +21,6 @@ from dpmirror.rootlattice import (
     hyperbolic_model,
     kernel_decomposition,
     kuznetsov_basis,
-    rational_splitting,
     root_system_identify,
     short_vectors,
 )
@@ -381,66 +380,3 @@ def test_surface_basis_json_fractions() -> None:
 def test_surface_basis_rejects_unknown_degree() -> None:
     with pytest.raises(ValueError):
         kuznetsov_basis(4)
-
-
-# ---------------------------------------------------------------------------
-# rational splitting
-
-
-def test_rational_splitting_passes_all_degrees() -> None:
-    for d, (rank, _, _, _) in KERNEL_FINGERPRINTS.items():
-        lattice, charge = _lattice_and_charge(d)
-        report = rational_splitting(lattice, charge)
-        assert report.passed
-        assert report.witness is None
-        assert report.kernel_rank == rank
-        # the first complement generator is the first coordinate vector
-        unit = report.complement[0]
-        assert unit[0] == 1 and not any(unit[1:])
-
-
-def test_rational_splitting_orthogonality_witnessed() -> None:
-    from dpmirror._intlin import integer_kernel
-    from dpmirror.pseudolattice import point_like
-
-    lattice, charge = _lattice_and_charge(3)
-    report = rational_splitting(lattice, charge)
-    kernel = integer_kernel(charge.matrix())
-    p = point_like(lattice)
-    gram = [list(r) for r in lattice.gram]
-
-    def pairing(u, v) -> Fraction:
-        return sum(
-            (Fraction(u[i]) * gram[i][j] * Fraction(v[j])
-             for i in range(len(u)) for j in range(len(v))),
-            Fraction(0),
-        )
-
-    for w, c in zip(kernel, report.coefficients):
-        shifted = [Fraction(x) - c * y for x, y in zip(w, p)]
-        for u in report.complement:
-            assert pairing(shifted, u) == 0
-            assert pairing(u, shifted) == 0
-
-
-def test_rational_splitting_json() -> None:
-    lattice, charge = _lattice_and_charge(3)
-    data = rational_splitting(lattice, charge).to_json()
-    assert data["passed"] is True
-    assert data["witness"] is None
-    assert len(data["coefficients"]) == 7
-
-
-def test_rational_splitting_rejects_degenerate_inputs() -> None:
-    lattice, _, charge = from_boundaries(
-        [HomologyClass(1, -1), HomologyClass(0, 1)]
-    )
-    with pytest.raises(PseudolatticeError):
-        rational_splitting(lattice, charge)
-
-
-def test_rational_splitting_rejects_rank_one_charge() -> None:
-    lattice, charge = _lattice_and_charge(3)
-    rows = (charge.rows[0], charge.rows[0])
-    with pytest.raises(PseudolatticeError, match="rank below 2"):
-        rational_splitting(lattice, ChargeMap(rows))
