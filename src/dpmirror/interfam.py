@@ -82,6 +82,25 @@ def chordal(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return cross / norm
 
 
+def _homogeneous(points: Sequence[ProjectivePoint]) -> Tuple[np.ndarray, np.ndarray]:
+    """The homogeneous coordinates (a : b) that ``chordal`` uses, per point."""
+    coordinate = np.array([p.coordinate for p in points], dtype=complex)
+    finite = np.array([p.chart == FINITE for p in points], dtype=bool)
+    return np.where(finite, coordinate, 1), np.where(finite, 1, coordinate)
+
+
+def _chordal_matrix(
+    rows: Sequence[ProjectivePoint], columns: Sequence[ProjectivePoint]
+) -> np.ndarray:
+    """``chordal`` from every point of ``rows`` to every one of ``columns``."""
+    (a, b), (c, d) = _homogeneous(rows), _homogeneous(columns)
+    a, b = a[:, None], b[:, None]
+    cross = np.abs(a * d - b * c)
+    return cross / np.sqrt(
+        (np.abs(a) ** 2 + np.abs(b) ** 2) * (np.abs(c) ** 2 + np.abs(d) ** 2)
+    )
+
+
 # ---------------------------------------------------------------------------
 # the family
 
@@ -208,8 +227,14 @@ class TrajectorySet:
         return "\n".join(lines) + "\n"
 
 
-def _configuration(spec: FamilySpec, s: float) -> List[ProjectivePoint]:
-    """All sphere positions of the invariant roots at time ``s``."""
+def _configuration(
+    spec: FamilySpec, s: float, previous: Sequence[ProjectivePoint] = ()
+) -> List[ProjectivePoint]:
+    """All sphere positions of the invariant roots at time ``s``.
+
+    The finite points of ``previous``, the configuration at a nearby time,
+    warm-start the root solve when there is one per invariant root.
+    """
     model = family_at(spec, s)
     bound = model.sphere_degree()
     invariant = model.invariant_scale().trimmed()
@@ -218,7 +243,11 @@ def _configuration(spec: FamilySpec, s: float) -> List[ProjectivePoint]:
     tallest = max(abs(c) for c in invariant.coeffs)
     if abs(invariant(0j)) <= 1e-12 * tallest:
         raise NumericsError(f"a critical value hits the base point at time {s}")
-    points = [ProjectivePoint.from_affine(z) for z in all_roots(invariant)]
+    start = [p.affine() for p in previous if not p.parked]
+    roots = all_roots(
+        invariant, start=start if len(start) == invariant.degree else None
+    )
+    points = [ProjectivePoint.from_affine(z) for z in roots]
     points.extend(
         ProjectivePoint(INFINITE, 0j) for _ in range(bound - invariant.degree)
     )
@@ -239,15 +268,12 @@ def _interval_verdict(
     motion = max(chordal(p, q) for p, q in zip(before, after))
     if motion > control.max_motion:
         return "motion"
-    n = len(after)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if before[i].parked and before[j].parked:
-                continue
-            now = chordal(after[i], after[j])
-            was = chordal(before[i], before[j])
-            if now < control.proximity and now < was:
-                return "proximity"
+    now = _chordal_matrix(after, after)
+    was = _chordal_matrix(before, before)
+    parked = np.array([p.parked for p in before], dtype=bool)
+    pairs = np.triu(~(parked[:, None] & parked[None, :]), k=1)
+    if (pairs & (now < control.proximity) & (now < was)).any():
+        return "proximity"
     for p, q in zip(before, after):
         if _in_boundary_annulus(q, control.boundary) and not _in_boundary_annulus(
             p, control.boundary
@@ -259,6 +285,7 @@ def _interval_verdict(
 def sweep(spec: FamilySpec, control: SweepControl = SweepControl()) -> TrajectorySet:
     """Track all critical values of the family across the interval.
 
+    Each sample's root solve is warm-started from the last accepted row.
     Tracks are matched between samples by minimal total chordal motion.
     Intervals showing a large step, an approaching pair, or a fresh entry
     into the chart-boundary annulus are bisected down to the width floor;
@@ -273,9 +300,8 @@ def sweep(spec: FamilySpec, control: SweepControl = SweepControl()) -> Trajector
     while pending:
         target = pending[0]
         here = parameters[-1]
-        points = _configuration(spec, target)
-        cost = np.array([[chordal(p, q) for q in points] for p in rows[-1]])
-        matched = [points[j] for j in match_tracks(cost)]
+        points = _configuration(spec, target, rows[-1])
+        matched = [points[j] for j in match_tracks(_chordal_matrix(rows[-1], points))]
         verdict = _interval_verdict(rows[-1], matched, control)
         if verdict is not None and target - here > control.width_floor:
             pending.insert(0, here + (target - here) / 2)

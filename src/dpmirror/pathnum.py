@@ -1,9 +1,16 @@
 """Certified floating-point numerics for the fibration pipeline.
 
-Three kernels: complete complex root finding with backward-error
-certificates, root continuation along polyline paths with a separation
-criterion that guarantees the track matching, and elliptic integrals
-``dx / sqrt(cubic)`` whose endpoints are allowed to sit on branch points.
+Three kernels:
+
+- complete complex root finding: a numpy Aberth-Ehrlich iteration (Bini
+  1996, as in MPSolve) that starts cold from the circles of the Newton
+  polygon or warm from the roots of a nearby polynomial, and certifies each
+  root by its componentwise backward error |p(z)| / sum_i |c_i| |z|^i,
+  which means the same at every scale of |z|;
+- root continuation along polyline paths, with a separation criterion that
+  guarantees the track matching;
+- elliptic integrals ``dx / sqrt(cubic)`` whose endpoints are allowed to
+  sit on branch points.
 """
 
 from __future__ import annotations
@@ -136,58 +143,167 @@ def residual(p: CPoly, z: complex) -> float:
 # ---------------------------------------------------------------------------
 # complete root finding
 
+# Angle offset of the starting circles (Bini 1996 uses 0.7).
+_START_TWIST = 0.7
+# Most Aberth polish steps after the certificate holds.
+_POLISH_STEPS = 4
+
+
+def _newton_polygon_start(coeffs: np.ndarray) -> np.ndarray:
+    """Bini's starting points: one circle per edge of the Newton polygon.
+
+    The upper convex hull of the points (i, log|c_i|) has an edge from i to
+    j for each group of j - i roots of modulus about (|c_i| / |c_j|)^(1/(j-i));
+    that many points go on the circle of that radius, evenly spaced and
+    twisted so that no two circles line up.  ``coeffs`` is ascending, with
+    nonzero first and last entries.
+    """
+    n = len(coeffs) - 1
+    hull: List[Tuple[int, float]] = []
+    for i, c in enumerate(coeffs.tolist()):
+        if c == 0:
+            continue
+        point = (i, math.log(abs(c)))
+        while len(hull) >= 2:
+            (i0, h0), (i1, h1) = hull[-2], hull[-1]
+            if (h1 - h0) * (i - i0) > (point[1] - h0) * (i1 - i0):
+                break
+            hull.pop()
+        hull.append(point)
+    points = []
+    for (i, hi), (j, hj) in zip(hull, hull[1:]):
+        count = j - i
+        radius = math.exp((hi - hj) / count)
+        points += [
+            cmath.rect(radius, 2 * math.pi * (k / count + i / n) + _START_TWIST)
+            for k in range(count)
+        ]
+    return np.array(points)
+
+
+def _aberth(
+    coeffs: np.ndarray, z: np.ndarray, tol: float, max_iterations: int
+) -> Optional[np.ndarray]:
+    """Aberth-Ehrlich iteration from ``z`` until every componentwise backward
+    error is below ``tol``; None when it does not get there.
+
+    Each step evaluates p, p' and sum_i |c_i| |z|^i at all iterates at once
+    and corrects each by p / (p' - p sum_{j != k} 1 / (z_k - z_j)).  An
+    iterate stops moving once its own certificate holds, and the others keep
+    being repelled by it.  Then up to ``_POLISH_STEPS`` steps polish the
+    iterates above the rounding floor; a step is kept only where it lowers
+    the backward error and stays within half the distance to the nearest
+    other iterate, so the polished points lie in disjoint discs and never
+    merge.
+    """
+    n = len(coeffs) - 1
+    powers = np.arange(n + 1)
+    # columns: the coefficients of p, and those of p' (shifted down a power)
+    weights = np.zeros((n + 1, 2), dtype=complex)
+    weights[:, 0] = coeffs
+    weights[:-1, 1] = powers[1:] * coeffs[1:]
+    magnitudes = np.abs(coeffs)
+    # Rounding into the subnormal range is absolute, not relative: charge
+    # each power, product and sum the most it can lose there.
+    underflow = (
+        4 * (n + 1) ** 2 * max(1.0, magnitudes.max())
+        * np.finfo(float).smallest_subnormal
+    )
+    off_diagonal = ~np.eye(n, dtype=bool)
+    inverse = np.zeros((n, n), dtype=complex)  # the diagonal stays zero
+
+    def evaluate(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p(z), p'(z) and the backward error |p(z)| / sum_i |c_i| |z|^i."""
+        table = z[:, None] ** powers
+        value, slope = (table @ weights).T
+        error = (np.abs(value) + underflow) / (np.abs(table) @ magnitudes)
+        return value, slope, error
+
+    def step(z: np.ndarray, value: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        np.divide(1.0, z[:, None] - z, out=inverse, where=off_diagonal)
+        return z - value / (slope - value * inverse.sum(axis=1))
+
+    with np.errstate(all="ignore"):
+        value, slope, error = evaluate(z)
+        for _ in range(max_iterations):
+            active = ~(error < tol)  # NaN counts as not converged
+            if not active.any():
+                break
+            z = np.where(active, step(z, value, slope), z)
+            value, slope, error = evaluate(z)
+        else:
+            return None
+        gaps = np.abs(z[:, None] - z)
+        np.fill_diagonal(gaps, np.inf)
+        reach = gaps.min(axis=1) / 2
+        center = z
+        floor = np.finfo(float).eps
+        for _ in range(_POLISH_STEPS):
+            rough = error > floor
+            if not rough.any():
+                break
+            moved = step(z, value, slope)
+            new_value, new_slope, new_error = evaluate(moved)
+            better = rough & (new_error < error) & (np.abs(moved - center) < reach)
+            if not better.any():
+                break
+            z = np.where(better, moved, z)
+            value = np.where(better, new_value, value)
+            slope = np.where(better, new_slope, slope)
+            error = np.where(better, new_error, error)
+    return z
+
 
 def all_roots(
-    p: CPoly, tol: float = 1e-10, max_iterations: int = 200
+    p: CPoly,
+    tol: float = 1e-10,
+    max_iterations: int = 200,
+    start: Optional[Sequence[complex]] = None,
 ) -> List[complex]:
-    """All roots of ``p`` by Aberth-Ehrlich iteration with Newton polish.
+    """All roots of ``p`` by Aberth-Ehrlich iteration (Bini 1996).
 
-    Starts from a perturbed circle of Cauchy-bound radius; the returned list
-    has exactly ``degree`` entries sorted by (re, im), every one satisfying
-    ``residual(p, root) < tol``.  A root of multiplicity m comes out as m
-    nearby roots, spread about tol**(1/m) relative to the scale of p.
+    Returns exactly ``degree`` roots sorted by (re, im).  Each one is
+    certified by its componentwise backward error
+    |p(z)| / sum_i |c_i| |z|^i < ``tol``: it is an exact root of a
+    polynomial whose coefficients are within relative ``tol`` of p's, at
+    every scale of |z|.  A root of multiplicity m comes out as m nearby
+    roots, spread about tol**(1/m) times its modulus.
+
+    Exact zero coefficients at the bottom are exact zero roots and are
+    returned as such.  The other roots start from ``start`` when it is a
+    warm start of ``degree`` distinct finite points (the roots of a nearby
+    polynomial, say); the ones nearest zero give way to exact zero roots.
+    When there is no usable warm start, or it does not converge, the roots
+    start cold from the circles of the Newton polygon of |c_i|, which put
+    roots of every modulus near their own scale.  Both runs answer to the
+    same certificate; a cold run that does not meet it within
+    ``max_iterations`` steps raises ``NumericsError``.  So does a root so
+    deep in the subnormal range that no double meets it.
     """
     n = p.degree
     if n < 1:
         raise NumericsError("root finding needs degree at least 1")
-    lead = p.leading
-    monic = CPoly(tuple(c / lead for c in p.coeffs))
-    deriv = monic.derivative()
-    radius = 1.0 + max(abs(c) for c in monic.coeffs[:-1])
-    z = [
-        radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)
-    ]
-    for _ in range(max_iterations):
-        if all(residual(monic, zk) < tol for zk in z):
-            break
-        for k in range(n):
-            value = monic(z[k])
-            slope = deriv(z[k])
-            if slope == 0:
-                z[k] += (1 + 1j) * 1e-8 * (1 + abs(z[k]))
-                continue
-            w = value / slope
-            others = sum(1 / (z[k] - z[j]) for j in range(n) if j != k and z[k] != z[j])
-            denom = 1 - w * others
-            z[k] -= w if denom == 0 else w / denom
-    else:
-        raise NumericsError(
-            f"root iteration failed to converge in {max_iterations} steps"
-        )
-    polished: List[complex] = []
-    for zk in z:
-        best, best_res = zk, residual(monic, zk)
-        current = zk
-        for _ in range(12):
-            slope = deriv(current)
-            if slope == 0:
-                break
-            current = current - monic(current) / slope
-            res = residual(monic, current)
-            if res < best_res:
-                best, best_res = current, res
-        polished.append(best)
-    return sorted(polished, key=lambda w: (w.real, w.imag))
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    coeffs = np.array(p.coeffs[zeros:], dtype=complex)
+    roots = np.zeros(0, dtype=complex)
+    if zeros < n:
+        roots = None
+        if start is not None and len(start) == n:
+            warm = np.array(start, dtype=complex)
+            warm = warm[np.argsort(np.abs(warm), kind="stable")[zeros:]]
+            if np.isfinite(warm).all() and len(set(warm.tolist())) == len(warm):
+                roots = _aberth(coeffs, warm, tol, max_iterations)
+        if roots is None:
+            roots = _aberth(
+                coeffs, _newton_polygon_start(coeffs), tol, max_iterations
+            )
+        if roots is None:
+            raise NumericsError(
+                f"root iteration failed to converge in {max_iterations} steps"
+            )
+    return sorted(
+        [0j] * zeros + [complex(z) for z in roots], key=lambda w: (w.real, w.imag)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +433,11 @@ def _min_pairwise(values: Sequence[complex]) -> float:
 def match_tracks(cost: np.ndarray) -> Tuple[int, ...]:
     """A bijection track -> candidate for a square cost matrix.
 
-    Entry i is the column that continues row i: each row's nearest column
-    when those are already distinct, else the assignment of least total cost.
+    Entry i is the column that continues row i, in the assignment of least
+    total cost.
     """
     if cost.shape[0] != cost.shape[1]:
         raise NumericsError("track count changed between samples")
-    nearest = cost.argmin(axis=1)
-    if len(set(nearest.tolist())) == cost.shape[1]:
-        return tuple(int(j) for j in nearest)
     _, columns = linear_sum_assignment(cost)
     return tuple(int(c) for c in columns)
 

@@ -19,6 +19,9 @@ from dpmirror.interfam import (
     RenderStyle,
     SweepControl,
     TrajectorySet,
+    _chordal_matrix,
+    _in_boundary_annulus,
+    _interval_verdict,
     chordal,
     family_at,
     render_svg,
@@ -378,3 +381,70 @@ def test_chordal_is_symmetric_and_bounded(a: complex, b: complex):
     assert 0.0 <= d <= 1.0 + 1e-12
     assert math.isclose(d, chordal(q, p), rel_tol=0, abs_tol=1e-12)
     assert chordal(p, p) <= 1e-12
+
+
+_sphere_points = st.one_of(
+    st.just(ProjectivePoint("infinite", 0j)),
+    st.complex_numbers(max_magnitude=1e4, allow_nan=False, allow_infinity=False).map(
+        ProjectivePoint.from_affine
+    ),
+)
+
+
+@given(st.lists(_sphere_points, min_size=1, max_size=6), st.lists(_sphere_points, min_size=1, max_size=6))
+def test_chordal_matrix_is_chordal_entrywise(rows, columns):
+    matrix = _chordal_matrix(rows, columns)
+    assert matrix.shape == (len(rows), len(columns))
+    for i, p in enumerate(rows):
+        for j, q in enumerate(columns):
+            assert abs(matrix[i, j] - chordal(p, q)) <= 1e-15
+
+
+def _scalar_verdict(before, after, control):
+    """Oracle: the interval verdict one chordal distance at a time."""
+    if max(chordal(p, q) for p, q in zip(before, after)) > control.max_motion:
+        return "motion"
+    n = len(after)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if before[i].parked and before[j].parked:
+                continue
+            now = chordal(after[i], after[j])
+            if now < control.proximity and now < chordal(before[i], before[j]):
+                return "proximity"
+    for p, q in zip(before, after):
+        if _in_boundary_annulus(q, control.boundary) and not _in_boundary_annulus(
+            p, control.boundary
+        ):
+            return "boundary"
+    return None
+
+
+@st.composite
+def _intervals(draw):
+    """A row of points and a nearby row, some tracks parked at infinity,
+    some pairs closing in on each other."""
+    n = draw(st.integers(2, 8))
+    before = draw(st.lists(_sphere_points, min_size=n, max_size=n))
+    after = []
+    for p in before:
+        if p.parked and draw(st.booleans()):
+            after.append(p)
+            continue
+        z = p.coordinate if p.chart == "finite" else (1 / p.coordinate if not p.parked else 50.0)
+        step = cmath.rect(10 ** draw(st.floats(-5, -1)), draw(st.floats(0, 6.3)))
+        after.append(ProjectivePoint.from_affine(z + step))
+    if draw(st.booleans()):  # bring one pair within the proximity distance
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+        if not after[i].parked:
+            after[j] = ProjectivePoint.from_affine(after[i].affine() + 1e-4)
+    return before, after
+
+
+@given(_intervals())
+def test_interval_verdict_matches_the_scalar_reading(interval):
+    before, after = interval
+    control = SweepControl()
+    assert _interval_verdict(before, after, control) == _scalar_verdict(
+        before, after, control
+    )

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpmirror.exactpoly import UniPoly
+from dpmirror.interfam import FamilySpec, family_at
 from dpmirror.pathnum import (
     CPoly,
     NumericsError,
@@ -22,6 +25,7 @@ from dpmirror.pathnum import (
     all_roots,
     continue_roots,
     elliptic_integral,
+    match_tracks,
     period_lattice,
     residual,
 )
@@ -193,6 +197,236 @@ def test_all_roots_random_polynomials(coeffs: list) -> None:
             for center, radius, m in clusters
         )
         assert abs(product - direct) <= bound * max(abs(product), abs(direct), 1.0)
+
+
+def _perfect_match(candidates: List[List[int]], width: int) -> bool:
+    """Whether every row can take a distinct column from its candidate list
+    (Kuhn's augmenting paths)."""
+    owner = [-1] * width
+
+    def claim(row: int, seen: set) -> bool:
+        for col in candidates[row]:
+            if col not in seen:
+                seen.add(col)
+                if owner[col] < 0 or claim(owner[col], seen):
+                    owner[col] = row
+                    return True
+        return False
+
+    return all(claim(row, set()) for row in range(len(candidates)))
+
+
+def _roots_within_conditioning(
+    poly: CPoly, prescribed: List[complex], roots: List[complex], tol: float
+) -> bool:
+    """Whether each prescribed root has its own computed root within the
+    distance a backward error ``tol`` allows.
+
+    The prescribed roots are grouped with ``_conditioned_groups``.  A group
+    of m roots around c, with q the product of the other factors, may move
+    by 4 (eta S(c) / |q(c)|)^(1/m) beyond its own spread, where S is
+    sum_i |c_i| |z|^i and eta adds to ``tol`` the rounding of the
+    coefficients built from the roots, 4 (n + 1) u prod_j (|c| + |r_j|) / S.
+    """
+    n = len(prescribed)
+    unit = np.finfo(float).eps / 2
+    reach = {}
+    for group in _conditioned_groups(prescribed, tol):
+        center = sum(group) / len(group)
+        others = list(prescribed)
+        for z in group:
+            others.remove(z)
+        spread = max(abs(z - center) for z in group)
+        scale = sum(abs(c) * abs(center) ** i for i, c in enumerate(poly.coeffs))
+        rounding = 4 * (n + 1) * unit * math.prod(abs(center) + abs(r) for r in prescribed)
+        factor = math.prod(abs(center - r) for r in others)
+        radius = 2 * spread + 4 * ((tol * scale + rounding) / factor) ** (1 / len(group))
+        for z in group:
+            reach[z] = radius
+    candidates = [
+        [j for j, w in enumerate(roots) if abs(w - z) <= reach[z]] for z in prescribed
+    ]
+    return _perfect_match(candidates, len(roots))
+
+
+def _from_roots(roots: List[complex]) -> CPoly:
+    poly = CPoly((1 + 0j,))
+    for r in roots:
+        poly = poly * CPoly((-r, 1))
+    return poly
+
+
+@st.composite
+def prescribed_roots(draw) -> List[complex]:
+    """One to four parts, each a root of modulus 1e-6 to 1e3, a tight
+    cluster of two or three roots about such a point, or an exact zero."""
+    roots: List[complex] = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["single", "single", "cluster", "zero"]))
+        modulus = draw(st.floats(1, 10)) * 10.0 ** draw(st.integers(-6, 2))
+        center = cmath.rect(modulus, draw(st.floats(0, 6.3)))
+        if kind == "zero":
+            roots.append(0j)
+        elif kind == "single":
+            roots.append(center)
+        else:
+            spread = abs(center) * 10 ** draw(st.floats(-9, -3))
+            twist = draw(st.floats(0, 6.3))
+            count = draw(st.integers(2, 3))
+            roots += [
+                center + cmath.rect(spread, twist + 2 * math.pi * k / count)
+                for k in range(count)
+            ]
+    return roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(prescribed_roots())
+@example([1j * math.sqrt(5.920174901936161e-204), -1j * math.sqrt(5.920174901936161e-204)])
+def test_all_roots_recovers_prescribed_roots(prescribed: List[complex]) -> None:
+    poly = _from_roots(prescribed)
+    tol = 1e-10
+    roots = all_roots(poly, tol)
+    assert len(roots) == poly.degree
+    assert roots == sorted(roots, key=lambda w: (w.real, w.imag))
+    for z in roots:
+        scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(poly.coeffs))
+        assert abs(poly(z)) < tol * scale or (z == 0 and poly.coeffs[0] == 0)
+    assert _roots_within_conditioning(poly, prescribed, roots, tol)
+
+
+def test_all_roots_tiny_quadratic_from_its_newton_polygon() -> None:
+    c = 5.920174901936161e-204
+    roots = all_roots(CPoly((c, 0, 1)))
+    r = math.sqrt(c)
+    assert abs(roots[0] + 1j * r) <= 1e-15 * r
+    assert abs(roots[1] - 1j * r) <= 1e-15 * r
+
+
+def test_all_roots_refuses_roots_no_double_certifies() -> None:
+    """The roots of z^2 + 2^-1074 have modulus 2^-537, so their squares
+    fall in the subnormal range, where rounding is absolute.  Counting that
+    loss, no double meets the certificate, and all_roots raises instead of
+    returning points whose residual merely rounds to zero."""
+    with pytest.raises(NumericsError):
+        all_roots(CPoly((5e-324, 0, 1)))
+
+
+def test_all_roots_exact_zero_roots() -> None:
+    roots = all_roots(CPoly((0, 0, -4, 0, 1)))
+    assert roots[1:3] == [0j, 0j]
+    assert abs(roots[0] + 2) < 1e-15 and abs(roots[3] - 2) < 1e-15
+    assert all_roots(CPoly((0, 0, 3))) == [0j, 0j]
+
+
+def _invariant_3_to_2(s: float) -> CPoly:
+    spec = FamilySpec.between_degrees(3, 2, Fraction(1, 100))
+    return family_at(spec, s).invariant_scale().trimmed()
+
+
+def test_all_roots_misses_no_root_of_the_sweep_invariant() -> None:
+    """At s = 0.995 the 3 -> 2 invariant has nine roots of modulus about
+    0.08; a floored residual gate once returned one of them twice and
+    missed its neighbour.  Each mpmath root needs exactly one computed root
+    within 1e-12 (1 + |r|)."""
+    poly = _invariant_3_to_2(0.995)
+    roots = all_roots(poly)
+    mpmath.mp.dps = 40
+    exact = mpmath.polyroots(
+        [mpmath.mpc(c) for c in reversed(poly.coeffs)], maxsteps=200, extraprec=200
+    )
+    assert len(exact) == len(roots) == poly.degree
+    for r in (complex(e) for e in exact):
+        near = [z for z in roots if abs(z - r) <= 1e-12 * (1 + abs(r))]
+        assert len(near) == 1, (r, near)
+
+
+def test_all_roots_polish_never_merges_iterates() -> None:
+    """A loose gate lets iterates stop well short of their roots; an
+    unconstrained Newton polish then pulls some pairs onto one root (at
+    s = 0.93 and 0.95 among these).  The polish keeps them apart."""
+    for s in np.linspace(0.01, 0.99, 50):
+        roots = all_roots(_invariant_3_to_2(float(s)), tol=0.1)
+        gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
+        assert min(gaps) > 1e-6, s
+
+
+def _cold_starts(monkeypatch) -> List[int]:
+    """Count the cold starts ``all_roots`` makes from now on."""
+    from dpmirror import pathnum
+
+    calls: List[int] = []
+    original = pathnum._newton_polygon_start
+
+    def counted(coeffs):
+        calls.append(len(coeffs) - 1)
+        return original(coeffs)
+
+    monkeypatch.setattr(pathnum, "_newton_polygon_start", counted)
+    return calls
+
+
+def test_all_roots_warm_starts(monkeypatch) -> None:
+    poly = _invariant_3_to_2(0.995)
+    cold = all_roots(poly)
+    nearby = all_roots(_invariant_3_to_2(0.99))
+    n = poly.degree
+    cases = {
+        "nearby": (nearby, False),
+        "permuted": (nearby[::-1], False),
+        "perturbed": ([z * (1 + 1e-3j) + 1e-4 for z in cold], False),
+        "far off": ([1e3 * cmath.rect(1, k) for k in range(n)], None),
+        "duplicated": (nearby[:-1] + nearby[:1], True),
+        "too short": (nearby[:-1], True),
+        "too long": (nearby + [1 + 0j], True),
+        "not finite": (nearby[:-1] + [complex("nan")], True),
+    }
+    for name, (start, falls_back) in cases.items():
+        cold_starts = _cold_starts(monkeypatch)
+        warm = all_roots(poly, start=start)
+        assert len(warm) == n, name
+        for z, w in zip(cold, warm):
+            assert abs(z - w) <= 1e-12 * (1 + abs(z)), name
+        if falls_back is not None:
+            assert len(cold_starts) == int(falls_back), name
+        monkeypatch.undo()
+
+
+def test_all_roots_warm_start_gives_way_to_exact_zeros(monkeypatch) -> None:
+    poly = CPoly((0, -1, 0, 1))
+    cold_starts = _cold_starts(monkeypatch)
+    roots = all_roots(poly, start=[0.9 + 0.1j, -1.1, 1e-3])
+    assert roots[1] == 0
+    assert abs(roots[0] + 1) < 1e-15 and abs(roots[2] - 1) < 1e-15
+    assert cold_starts == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 6), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    )
+)
+def test_match_tracks_is_an_optimal_assignment(rows: List[List[int]]) -> None:
+    """Brute force over every permutation: small integer costs make exact
+    ties common, and integer sums compare exactly."""
+    cost = np.array(rows, dtype=float)
+    n = len(rows)
+    matching = match_tracks(cost)
+    assert sorted(matching) == list(range(n))
+    best = min(
+        sum(rows[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(n))
+    )
+    assert sum(rows[i][j] for i, j in enumerate(matching)) == best
+
+
+def test_match_tracks_rejects_a_changed_track_count() -> None:
+    with pytest.raises(NumericsError, match="track count"):
+        match_tracks(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
