@@ -233,7 +233,8 @@ def _configuration(
     """All sphere positions of the invariant roots at time ``s``.
 
     The finite points of ``previous``, the configuration at a nearby time,
-    warm-start the root solve when there is one per invariant root.
+    warm-start the root solve (``all_roots`` starts cold when their count
+    is not the invariant's degree).
     """
     model = family_at(spec, s)
     bound = model.sphere_degree()
@@ -244,10 +245,9 @@ def _configuration(
     if abs(invariant(0j)) <= 1e-12 * tallest:
         raise NumericsError(f"a critical value hits the base point at time {s}")
     start = [p.affine() for p in previous if not p.parked]
-    roots = all_roots(
-        invariant, start=start if len(start) == invariant.degree else None
-    )
-    points = [ProjectivePoint.from_affine(z) for z in roots]
+    points = [
+        ProjectivePoint.from_affine(z) for z in all_roots(invariant, start=start)
+    ]
     points.extend(
         ProjectivePoint(INFINITE, 0j) for _ in range(bound - invariant.degree)
     )
@@ -301,7 +301,8 @@ def sweep(spec: FamilySpec, control: SweepControl = SweepControl()) -> Trajector
         target = pending[0]
         here = parameters[-1]
         points = _configuration(spec, target, rows[-1])
-        matched = [points[j] for j in match_tracks(_chordal_matrix(rows[-1], points))]
+        cost = _chordal_matrix(rows[-1], points)
+        matched = [points[j] for j in match_tracks(cost)]
         verdict = _interval_verdict(rows[-1], matched, control)
         if verdict is not None and target - here > control.width_floor:
             pending.insert(0, here + (target - here) / 2)

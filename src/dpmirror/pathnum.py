@@ -284,26 +284,25 @@ def all_roots(
     if n < 1:
         raise NumericsError("root finding needs degree at least 1")
     zeros = next(i for i, c in enumerate(p.coeffs) if c)
-    coeffs = np.array(p.coeffs[zeros:], dtype=complex)
-    roots = np.zeros(0, dtype=complex)
+    roots = [0j] * zeros
     if zeros < n:
-        roots = None
+        coeffs = np.array(p.coeffs[zeros:], dtype=complex)
+        found = None
         if start is not None and len(start) == n:
             warm = np.array(start, dtype=complex)
             warm = warm[np.argsort(np.abs(warm), kind="stable")[zeros:]]
             if np.isfinite(warm).all() and len(set(warm.tolist())) == len(warm):
-                roots = _aberth(coeffs, warm, tol, max_iterations)
-        if roots is None:
-            roots = _aberth(
+                found = _aberth(coeffs, warm, tol, max_iterations)
+        if found is None:
+            found = _aberth(
                 coeffs, _newton_polygon_start(coeffs), tol, max_iterations
             )
-        if roots is None:
+        if found is None:
             raise NumericsError(
                 f"root iteration failed to converge in {max_iterations} steps"
             )
-    return sorted(
-        [0j] * zeros + [complex(z) for z in roots], key=lambda w: (w.real, w.imag)
-    )
+        roots += [complex(z) for z in found]
+    return sorted(roots, key=lambda w: (w.real, w.imag))
 
 
 # ---------------------------------------------------------------------------

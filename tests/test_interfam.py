@@ -391,7 +391,10 @@ _sphere_points = st.one_of(
 )
 
 
-@given(st.lists(_sphere_points, min_size=1, max_size=6), st.lists(_sphere_points, min_size=1, max_size=6))
+@given(
+    st.lists(_sphere_points, min_size=1, max_size=6),
+    st.lists(_sphere_points, min_size=1, max_size=6),
+)
 def test_chordal_matrix_is_chordal_entrywise(rows, columns):
     matrix = _chordal_matrix(rows, columns)
     assert matrix.shape == (len(rows), len(columns))
@@ -431,11 +434,12 @@ def _intervals(draw):
         if p.parked and draw(st.booleans()):
             after.append(p)
             continue
-        z = p.coordinate if p.chart == "finite" else (1 / p.coordinate if not p.parked else 50.0)
+        z = 50.0 if p.parked else p.affine()
         step = cmath.rect(10 ** draw(st.floats(-5, -1)), draw(st.floats(0, 6.3)))
         after.append(ProjectivePoint.from_affine(z + step))
     if draw(st.booleans()):  # bring one pair within the proximity distance
-        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        i, j = draw(st.sampled_from(pairs))
         if not after[i].parked:
             after[j] = ProjectivePoint.from_affine(after[i].affine() + 1e-4)
     return before, after

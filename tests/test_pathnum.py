@@ -224,7 +224,7 @@ def _roots_within_conditioning(
 
     The prescribed roots are grouped with ``_conditioned_groups``.  A group
     of m roots around c, with q the product of the other factors, may move
-    by 4 (eta S(c) / |q(c)|)^(1/m) beyond its own spread, where S is
+    by 4 (eta S(c) / |q(c)|)^(1/m) beyond twice its own spread, where S is
     sum_i |c_i| |z|^i and eta adds to ``tol`` the rounding of the
     coefficients built from the roots, 4 (n + 1) u prod_j (|c| + |r_j|) / S.
     """
@@ -238,9 +238,12 @@ def _roots_within_conditioning(
             others.remove(z)
         spread = max(abs(z - center) for z in group)
         scale = sum(abs(c) * abs(center) ** i for i, c in enumerate(poly.coeffs))
-        rounding = 4 * (n + 1) * unit * math.prod(abs(center) + abs(r) for r in prescribed)
+        rounding = (
+            4 * (n + 1) * unit * math.prod(abs(center) + abs(r) for r in prescribed)
+        )
         factor = math.prod(abs(center - r) for r in others)
-        radius = 2 * spread + 4 * ((tol * scale + rounding) / factor) ** (1 / len(group))
+        conditioned = ((tol * scale + rounding) / factor) ** (1 / len(group))
+        radius = 2 * spread + 4 * conditioned
         for z in group:
             reach[z] = radius
     candidates = [
@@ -282,7 +285,7 @@ def prescribed_roots(draw) -> List[complex]:
 
 @settings(max_examples=150, deadline=None)
 @given(prescribed_roots())
-@example([1j * math.sqrt(5.920174901936161e-204), -1j * math.sqrt(5.920174901936161e-204)])
+@example([r * math.sqrt(5.920174901936161e-204) for r in (1j, -1j)])
 def test_all_roots_recovers_prescribed_roots(prescribed: List[complex]) -> None:
     poly = _from_roots(prescribed)
     tol = 1e-10
@@ -331,10 +334,12 @@ def test_all_roots_misses_no_root_of_the_sweep_invariant() -> None:
     within 1e-12 (1 + |r|)."""
     poly = _invariant_3_to_2(0.995)
     roots = all_roots(poly)
-    mpmath.mp.dps = 40
-    exact = mpmath.polyroots(
-        [mpmath.mpc(c) for c in reversed(poly.coeffs)], maxsteps=200, extraprec=200
-    )
+    with mpmath.workdps(40):
+        exact = mpmath.polyroots(
+            [mpmath.mpc(c) for c in reversed(poly.coeffs)],
+            maxsteps=200,
+            extraprec=200,
+        )
     assert len(exact) == len(roots) == poly.degree
     for r in (complex(e) for e in exact):
         near = [z for z in roots if abs(z - r) <= 1e-12 * (1 + abs(r))]
