@@ -1,34 +1,31 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
-Three representations are provided, all backed by dictionaries with
+Two representations are provided, both backed by dictionaries with
 :class:`fractions.Fraction` coefficients and with zero coefficients never
 stored:
 
 * :class:`UniPoly` — univariate polynomials, keyed by integer exponent.
   Each polynomial carries a variable tag (``"lam"`` for the base coordinate,
   ``"mu"`` for the coordinate at infinity) so that chart mix-ups fail loudly.
-* :class:`BiPoly` — polynomials in the base coordinate and one fibre
-  coordinate, keyed by exponent pairs.
 * :class:`LaurentPoly` — Laurent polynomials in several variables, keyed by
-  integer exponent vectors (negative exponents allowed).
+  integer exponent vectors (negative exponents allowed).  The curve
+  presentations are 2- and 3-variable ones.
 
-The JSON interchange format stores a polynomial as a sorted list of
-``[exponent(s), "num/den"]`` pairs; parsing is exact and round-trips
-losslessly.
+JSON artifacts store a univariate polynomial as a sorted list of
+``[exponent, "num/den"]`` pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 # Sparse coefficient maps. Values are always nonzero.
 UniTerms = Dict[int, Fraction]
-BiTerms = Dict[Tuple[int, int], Fraction]
 LaurentTerms = Dict[Tuple[int, ...], Fraction]
 
 
@@ -75,21 +72,8 @@ class UniPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, var: str = "lam") -> "UniPoly":
-        return cls({}, var)
-
-    @classmethod
     def constant(cls, value: RationalLike, var: str = "lam") -> "UniPoly":
         return cls({0: value}, var)
-
-    @classmethod
-    def variable(cls, var: str = "lam") -> "UniPoly":
-        return cls({1: 1}, var)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[RationalLike], var: str = "lam") -> "UniPoly":
-        """Build from ascending coefficients ``[c0, c1, ...]``."""
-        return cls({i: c for i, c in enumerate(coeffs)}, var)
 
     # -- basic queries -------------------------------------------------------
 
@@ -180,23 +164,6 @@ class UniPoly:
         return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
                        self.var)
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Return self(inner) by Horner evaluation on sorted exponents."""
-        result = UniPoly.zero(inner.var)
-        prev_exp = None
-        for exp in sorted(self.terms, reverse=True):
-            if prev_exp is not None:
-                result = result * inner ** (prev_exp - exp)
-            result = result + UniPoly.constant(self.terms[exp], inner.var)
-            prev_exp = exp
-        if prev_exp is not None and prev_exp > 0:
-            result = result * inner ** prev_exp
-        return result
-
-    def shift(self, offset: RationalLike) -> "UniPoly":
-        """Return p(x + offset)."""
-        return self.compose(UniPoly({1: 1, 0: offset}, self.var))
-
     def evaluate(self, point: RationalLike) -> Fraction:
         x = _coerce(point)
         acc = Fraction(0)
@@ -249,128 +216,6 @@ class UniPoly:
     def to_pairs(self) -> List[List[object]]:
         return [[e, rational_to_string(c)] for e, c in sorted(self.terms.items())]
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[object]], var: str = "lam") -> "UniPoly":
-        return cls({int(e): rational_from_string(str(c)) for e, c in pairs}, var)
-
-
-class BiPoly:
-    """A sparse polynomial in the base coordinate and one fibre coordinate."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Tuple[int, int], RationalLike] | None = None) -> None:
-        clean: BiTerms = {}
-        for key, coeff in (terms or {}).items():
-            c = _coerce(coeff)
-            if c:
-                el, ex = key
-                if el < 0 or ex < 0:
-                    raise ValueError("BiPoly exponents must be non-negative")
-                clean[(int(el), int(ex))] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls({})
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "BiPoly":
-        return cls({(0, 0): value})
-
-    @classmethod
-    def from_unipoly(cls, p: UniPoly) -> "BiPoly":
-        return cls({(e, 0): c for e, c in p.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "BiPoly(0)"
-        parts = [f"{rational_to_string(c)}*lam^{el}*x^{ex}"
-                 for (el, ex), c in sorted(self.terms.items())]
-        return f"BiPoly({' + '.join(parts)})"
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            c = terms.get(key, Fraction(0)) + coeff
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-        return BiPoly(terms)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BiPoly | RationalLike") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            scalar = _coerce(other)
-            return BiPoly({k: c * scalar for k, c in self.terms.items()})
-        terms: BiTerms = {}
-        for (l1, x1), c1 in self.terms.items():
-            for (l2, x2), c2 in other.terms.items():
-                key = (l1 + l2, x1 + x2)
-                c = terms.get(key, Fraction(0)) + c1 * c2
-                if c:
-                    terms[key] = c
-                else:
-                    terms.pop(key, None)
-        return BiPoly(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def x_degree(self) -> int:
-        return max((ex for (_, ex) in self.terms), default=-1)
-
-    def x_coefficient(self, k: int, var: str = "lam") -> UniPoly:
-        """Coefficient of the k-th fibre-coordinate power, as a UniPoly."""
-        return UniPoly({el: c for (el, ex), c in self.terms.items() if ex == k},
-                       var)
-
-    def divide_by_x_power(self, k: int) -> "BiPoly":
-        """Exact division by x^k; raises if any term has x-degree below k."""
-        terms: BiTerms = {}
-        for (el, ex), c in self.terms.items():
-            if ex < k:
-                raise ValueError(f"term with x-exponent {ex} not divisible by x^{k}")
-            terms[(el, ex - k)] = c
-        return BiPoly(terms)
-
-    def to_pairs(self) -> List[List[object]]:
-        return [[el, ex, rational_to_string(c)]
-                for (el, ex), c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[object]]) -> "BiPoly":
-        return cls({(int(el), int(ex)): rational_from_string(str(c))
-                    for el, ex, c in pairs})
-
 
 class LaurentPoly:
     """A sparse Laurent polynomial in ``nvars`` variables."""
@@ -388,10 +233,6 @@ class LaurentPoly:
                 clean[tuple(int(e) for e in key)] = c
         self.terms = clean
         self.nvars = nvars
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls({}, nvars)
 
     @classmethod
     def constant(cls, value: RationalLike, nvars: int) -> "LaurentPoly":
@@ -475,36 +316,6 @@ class LaurentPoly:
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(int(e) for e in exponents), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.nvars)
-
-    def substitute_monomials(self, images: Sequence[Sequence[int]]) -> "LaurentPoly":
-        """Apply the monomial substitution y_i -> prod_j z_j^images[i][j]."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image exponent vector per variable")
-        mvars = len(images[0])
-        if any(len(img) != mvars for img in images):
-            raise ValueError("image exponent vectors must share a length")
-        terms: LaurentTerms = {}
-        for exps, coeff in self.terms.items():
-            key = tuple(sum(e * img[j] for e, img in zip(exps, images))
-                        for j in range(mvars))
-            c = terms.get(key, Fraction(0)) + coeff
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-        return LaurentPoly(terms, mvars)
-
-    def to_pairs(self) -> List[List[object]]:
-        return [[list(e), rational_to_string(c)]
-                for e, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[object]], nvars: int) -> "LaurentPoly":
-        return cls({tuple(int(x) for x in e): rational_from_string(str(c))
-                    for e, c in pairs}, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +455,7 @@ def disc_cubic(a: UniPoly, b: UniPoly) -> UniPoly:
     return a ** 3 * 4 + b ** 2 * 27
 
 
-def disc_quadratic_in_y(A: BiPoly, B: BiPoly, C: BiPoly) -> BiPoly:
+def disc_quadratic_in_y(A: LaurentPoly, B: LaurentPoly, C: LaurentPoly) -> LaurentPoly:
     """Discriminant B^2 - 4AC of the quadratic A y^2 + B y + C."""
     return B ** 2 - A * C * 4
 

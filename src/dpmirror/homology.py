@@ -104,10 +104,6 @@ class SL2Matrix:
         (a, b), (c, d) = self.rows
         return SL2Matrix(((d, -b), (-c, a)))
 
-    def apply(self, v: HomologyClass) -> HomologyClass:
-        (a, b), (c, d) = self.rows
-        return HomologyClass(a * v.m + b * v.n, c * v.m + d * v.n)
-
     def is_identity(self) -> bool:
         return self.rows == ((1, 0), (0, 1))
 

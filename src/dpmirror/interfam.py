@@ -20,6 +20,7 @@ import numpy as np
 
 from .pathnum import CPoly, NumericsError, all_roots, match_tracks
 from .pseudolattice import MutationMove, MutationWord
+from .vancycles import svg_preamble, sweep_key
 from .weierstrass import WeierstrassModel, catalog
 
 __all__ = [
@@ -335,24 +336,15 @@ def _angular_slots(
     """Finite tracks in sweep order around the basepoint, anchor first.
 
     Mirrors the critical-value ordering: the anchor track opens the list
-    and the remaining finite tracks follow by strictly decreasing angle
-    taken in the length-2pi window below the anchor's angle.
+    and the remaining finite tracks follow in the clockwise sweep from it.
     """
     finite = [i for i, p in enumerate(row) if not p.parked]
     offsets = {i: row[i].affine() - basepoint for i in finite}
     for i, z in offsets.items():
         if abs(z) < 1e-9:
             raise NumericsError("a track passes through the base point")
-    theta = math.atan2(offsets[anchor].imag, offsets[anchor].real)
-
-    def sweep_angle(i: int) -> float:
-        z = offsets[i]
-        return theta - ((theta - math.atan2(z.imag, z.real)) % (2 * math.pi))
-
-    rest = sorted(
-        (i for i in finite if i != anchor),
-        key=lambda i: (-sweep_angle(i), abs(offsets[i])),
-    )
+    key = sweep_key(offsets[anchor])
+    rest = sorted((i for i in finite if i != anchor), key=lambda i: key(offsets[i]))
     return [anchor] + rest
 
 
@@ -583,10 +575,7 @@ def render_svg(
     def place(z: complex) -> Tuple[float, float]:
         return ((z.real + half) * scale, (half - z.imag) * scale)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+    parts = svg_preamble(size) + [
         f'<line x1="0" y1="{size / 2:.2f}" x2="{size}" y2="{size / 2:.2f}" '
         'stroke="#bbbbbb" stroke-width="1"/>',
         f'<line x1="{size / 2:.2f}" y1="0" x2="{size / 2:.2f}" y2="{size}" '

@@ -11,6 +11,11 @@ Three kernels:
   guarantees the track matching;
 - elliptic integrals ``dx / sqrt(cubic)`` whose endpoints are allowed to
   sit on branch points.
+
+Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
+``_horner``, gives p(z), p'(z) and the floored residual
+|p(z)| / max(1, sum_i |c_i| |z|^i) that certifies each continuation step;
+``CPoly.__call__``, ``residual`` and the Newton corrector all read it.
 """
 
 from __future__ import annotations
@@ -78,25 +83,13 @@ class CPoly:
         return cls(tuple(coeffs))
 
     def __call__(self, z: complex) -> complex:
-        value = 0j
-        for c in reversed(self.coeffs):
-            value = value * z + c
-        return value
-
-    def derivative(self) -> "CPoly":
-        return CPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _horner(self.coeffs, z)[0]
 
     def __add__(self, other: "CPoly") -> "CPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         mine = list(self.coeffs) + [0j] * (n - len(self.coeffs))
         theirs = list(other.coeffs) + [0j] * (n - len(other.coeffs))
         return CPoly(tuple(a + b for a, b in zip(mine, theirs)))
-
-    def __neg__(self) -> "CPoly":
-        return CPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + (-other)
 
     def __mul__(self, other: "CPoly | complex | float | int") -> "CPoly":
         if isinstance(other, CPoly):
@@ -111,14 +104,6 @@ class CPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "CPoly":
-        if n < 0:
-            raise NumericsError("negative polynomial power")
-        result = CPoly((1 + 0j,))
-        for _ in range(n):
-            result = result * self
-        return result
-
     def trimmed(self, rel_tol: float = 1e-12) -> "CPoly":
         """Drop leading coefficients below ``rel_tol`` times the largest."""
         if not self.coeffs:
@@ -130,14 +115,31 @@ class CPoly:
         return CPoly(tuple(values))
 
 
-def residual(p: CPoly, z: complex) -> float:
-    """Backward-error residual: |p(z)| over max(1, sum_i |c_i| |z|^i)."""
+def _horner(
+    coeffs: Sequence[complex], z: complex
+) -> Tuple[complex, complex, float]:
+    """p(z), p'(z) and the residual of ``z``, for ascending ``coeffs``.
+
+    p and p' come from one Horner pass, p' over the coefficients i c_i; the
+    residual divides |p(z)| by max(1, sum_i |c_i| |z|^i), summed in
+    ascending powers.
+    """
+    value = slope = 0j
+    for i in range(len(coeffs) - 1, -1, -1):
+        value = value * z + coeffs[i]
+        if i:
+            slope = slope * z + i * coeffs[i]
     magnitude = abs(z)
     denom, power = 0.0, 1.0
-    for c in p.coeffs:
+    for c in coeffs:
         denom += abs(c) * power
         power *= magnitude
-    return abs(p(z)) / max(1.0, denom)
+    return value, slope, abs(value) / max(1.0, denom)
+
+
+def residual(p: CPoly, z: complex) -> float:
+    """Backward-error residual: |p(z)| over max(1, sum_i |c_i| |z|^i)."""
+    return _horner(p.coeffs, z)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +279,10 @@ def all_roots(
     start cold from the circles of the Newton polygon of |c_i|, which put
     roots of every modulus near their own scale.  Both runs answer to the
     same certificate; a cold run that does not meet it within
-    ``max_iterations`` steps raises ``NumericsError``.  So does a root so
-    deep in the subnormal range that no double meets it.
+    ``max_iterations`` steps raises ``NumericsError``.  So may a polynomial
+    with a nonzero coefficient below ``np.finfo(float).tiny``: rounding in
+    the subnormal range is absolute, so a root there may have no double
+    that meets the certificate.
     """
     n = p.degree
     if n < 1:
@@ -339,9 +343,6 @@ class PathPolyline:
             target -= step
         return self.nodes[-1]
 
-    def reversed(self) -> "PathPolyline":
-        return PathPolyline(tuple(reversed(self.nodes)))
-
 
 # ---------------------------------------------------------------------------
 # root continuation
@@ -392,31 +393,24 @@ class TrackedRoots:
             f"next {runner_up:.3g})"
         )
 
-    def to_csv(self) -> str:
-        lines = ["step,track_id,re,im,residual"]
-        for step, (row, res) in enumerate(zip(self.roots, self.residuals)):
-            for track, (z, r) in enumerate(zip(row, res)):
-                lines.append(
-                    f"{step},{track},{z.real:.16e},{z.imag:.16e},{r:.16e}"
-                )
-        return "\n".join(lines) + "\n"
 
-
-def _newton(p: CPoly, start: complex, tol: float, max_iter: int = 30) -> complex:
-    deriv = p.derivative()
-    current = start
-    best, best_res = start, residual(p, start)
+def _newton(
+    p: CPoly, start: complex, tol: float, max_iter: int = 30
+) -> Tuple[complex, float]:
+    """The Newton iterate of least residual from ``start``, with its residual."""
+    value, slope, res = _horner(p.coeffs, start)
+    current = best = start
+    best_res = res
     for _ in range(max_iter):
-        slope = deriv(current)
         if slope == 0:
             break
-        current = current - p(current) / slope
-        res = residual(p, current)
+        current = current - value / slope
+        value, slope, res = _horner(p.coeffs, current)
         if res < best_res:
             best, best_res = current, res
         if res < tol * 1e-2:
             break
-    return best
+    return best, best_res
 
 
 def _min_pairwise(values: Sequence[complex]) -> float:
@@ -487,13 +481,16 @@ def continue_roots(
             ]
         else:
             predicted = list(current)
-        corrected = [_newton(poly_next, z, tol) for z in predicted]
+        corrected, corrected_res = zip(
+            *(_newton(poly_next, z, tol) for z in predicted)
+        )
         duplicate_floor = max(1e-13, 1e-6 * separation)
         if (
-            all(residual(poly_next, z) < tol for z in corrected)
+            all(r < tol for r in corrected_res)
             and _min_pairwise(corrected) > duplicate_floor
         ):
-            aligned = tuple(corrected)
+            aligned = corrected
+            aligned_res = corrected_res
             matching = tuple(range(degree))
         else:
             try:
@@ -507,6 +504,7 @@ def continue_roots(
                     np.array([[abs(z - w) for w in raw] for z in current])
                 )
                 aligned = tuple(raw[j] for j in matching)
+                aligned_res = tuple(residual(poly_next, z) for z in aligned)
         displacement = (
             max(abs(a - b) for a, b in zip(aligned, current))
             if aligned is not None
@@ -516,10 +514,7 @@ def continue_roots(
             previous_step = (t, current)
             current = aligned
             t = t_next
-            steps.append(
-                (t, aligned, tuple(residual(poly_next, z) for z in aligned),
-                 matching)
-            )
+            steps.append((t, aligned, aligned_res, matching))
             dt = min(initial_step, dt * 1.6)
             continue
         dt /= 2

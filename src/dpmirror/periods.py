@@ -31,7 +31,7 @@ from math import factorial, lcm
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .exactpoly import LaurentPoly, rational_from_string, rational_to_string
+from .exactpoly import LaurentPoly, rational_to_string
 
 # The three catalog degrees and their weighted hypersurface data: the degree-d
 # surface is a hypersurface of degree ``d1`` in the weighted projective space
@@ -65,17 +65,8 @@ class PowerSeries:
             raise IndexError(f"coefficient {j} beyond truncation order {self.order}")
         return self.coefficients[j]
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return PowerSeries(self.coefficients[: order + 1])
-
     def to_json(self) -> List[str]:
         return [rational_to_string(c) for c in self.coefficients]
-
-    @classmethod
-    def from_json(cls, data: List[str]) -> "PowerSeries":
-        return cls(tuple(rational_from_string(c) for c in data))
 
 
 @dataclass(frozen=True)

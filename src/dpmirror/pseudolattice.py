@@ -366,9 +366,12 @@ def sign_normalize(
 ) -> Optional[Tuple[int, ...]]:
     """A diagonal D of signs with D G D = target, or None.
 
-    Signs propagate from the first basis vector along nonzero entries; a
-    final full verification guards against inconsistent assignments, with an
-    exhaustive fallback for ranks up to 12 as a safety net.
+    Signs propagate from the first basis vector of each connected component
+    along nonzero entries, and a final full verification rejects
+    inconsistent assignments.  Propagation forces every sign of a component
+    up to one overall flip, which leaves D G D unchanged because entries
+    between components are 0; so when verification fails, no sign vector
+    satisfies the target.
     """
     n = len(gram)
     if len(target) != n or any(len(r) != n for r in gram) or any(
@@ -379,13 +382,6 @@ def sign_normalize(
         for j in range(n):
             if abs(gram[i][j]) != abs(target[i][j]):
                 return None
-
-    def verify(signs: Sequence[int]) -> bool:
-        return all(
-            signs[i] * gram[i][j] * signs[j] == target[i][j]
-            for i in range(n)
-            for j in range(n)
-        )
 
     signs = [0] * n
     for root in range(n):
@@ -404,13 +400,12 @@ def sign_normalize(
                 goal = target[i][j] if gram[i][j] else target[j][i]
                 signs[j] = 1 if goal == signs[i] * entry else -1
                 stack.append(j)
-    if verify(signs):
+    if all(
+        signs[i] * gram[i][j] * signs[j] == target[i][j]
+        for i in range(n)
+        for j in range(n)
+    ):
         return tuple(signs)
-    if n <= 12:
-        for bits in range(1 << (n - 1)):
-            candidate = [1] + [1 - 2 * ((bits >> k) & 1) for k in range(n - 1)]
-            if verify(candidate):
-                return tuple(candidate)
     return None
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +83,31 @@ def _fiber_family(model: WeierstrassModel):
     return family
 
 
+def sweep_key(first: complex) -> Callable[[complex], Tuple[float, float]]:
+    """Sort key of the clockwise sweep that starts at ``first``.
+
+    Points sort by strictly decreasing argument taken in the half-open
+    length-2pi interval below the argument of ``first``, with ties broken by
+    increasing modulus.
+    """
+    theta = math.atan2(first.imag, first.real)
+
+    def key(z: complex) -> Tuple[float, float]:
+        turn = (theta - math.atan2(z.imag, z.real)) % (2 * math.pi)
+        return (-(theta - turn), abs(z))
+
+    return key
+
+
+def svg_preamble(size: int) -> List[str]:
+    """The opening ``<svg>`` tag and white background of a square figure."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+
+
 def critical_values_ordered(
     model: WeierstrassModel, anchor: Optional[complex] = None
 ) -> List[complex]:
@@ -90,9 +115,7 @@ def critical_values_ordered(
 
     The values are the roots of the separable invariant 4a^3 + 27b^2.  The
     root nearest ``anchor`` (largest modulus when no anchor is given) comes
-    first; the rest follow by strictly decreasing argument taken in the
-    half-open length-2pi interval below the first root's argument, with
-    ties broken by increasing modulus.
+    first; the rest follow in the clockwise sweep from it (``sweep_key``).
     """
     disc = model.discriminant_scale()
     if disc.degree() < 1:
@@ -104,14 +127,8 @@ def critical_values_ordered(
         first = max(roots, key=abs)
     else:
         first = min(roots, key=lambda z: abs(z - complex(anchor)))
-    theta = math.atan2(first.imag, first.real)
     rest = [z for z in roots if z != first]
-
-    def sweep_angle(z: complex) -> float:
-        turn = (theta - math.atan2(z.imag, z.real)) % (2 * math.pi)
-        return theta - turn
-
-    rest.sort(key=lambda z: (-sweep_angle(z), abs(z)))
+    rest.sort(key=sweep_key(first))
     return [first] + rest
 
 
@@ -334,11 +351,7 @@ def render_delta_svg(data: VanishingData, size: int = 640) -> str:
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
               "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#ff7f0e", "#393b79"]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    parts = svg_preamble(size)
     for index, delta in enumerate(data.deltas):
         color = colors[index % len(colors)]
         coords = " ".join(

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .exactpoly import (
-    BiPoly,
     LaurentPoly,
     Rational,
     UniPoly,
@@ -88,10 +87,6 @@ class WeierstrassModel:
     def to_json(self) -> Dict[str, object]:
         return {"a": self.a.to_pairs(), "b": self.b.to_pairs()}
 
-    @classmethod
-    def from_json(cls, data: Dict[str, object], var: str = "lam") -> "WeierstrassModel":
-        return cls(UniPoly.from_pairs(data["a"], var), UniPoly.from_pairs(data["b"], var))
-
 
 @dataclass(frozen=True)
 class KodairaFiber:
@@ -151,9 +146,6 @@ class FiberConfiguration:
     def euler_total(self) -> int:
         return sum(p.count * p.fiber.euler_number for p in self.placements)
 
-    def labels(self) -> List[str]:
-        return [p.fiber.label for p in self.placements for _ in range(p.count)]
-
     def to_json(self) -> Dict[str, object]:
         return {
             "model": self.model.to_json(),
@@ -211,8 +203,9 @@ def reference_nodal_place(d: int) -> Fraction:
 class HVReduction:
     """Intermediates of the curve-presentation to Weierstrass reduction."""
 
-    quadratic: Tuple[BiPoly, BiPoly, BiPoly]  # (A, B, C) with A y^2 + B y + C
-    y_discriminant: BiPoly  # B^2 - 4AC, after clearing excess x powers
+    # (A, B, C) with A y^2 + B y + C, each a polynomial in (lam, x)
+    quadratic: Tuple[LaurentPoly, LaurentPoly, LaurentPoly]
+    y_discriminant: LaurentPoly  # B^2 - 4AC, after clearing excess x powers
     model: WeierstrassModel
 
 
@@ -240,18 +233,25 @@ def hv_to_weierstrass(d: int) -> HVReduction:
         raise FiberClassificationError(
             f"curve presentation for d={d} is not quadratic in y (degree {y_deg})"
         )
-    coeffs: List[BiPoly] = []
+    coeffs: List[LaurentPoly] = []
     for k in (2, 1, 0):
         terms = {(el, ex): c for (el, ex, ey), c in curve.terms.items() if ey == k}
         if any(el < 0 or ex < 0 for el, ex in terms):
             raise FiberClassificationError("unexpected pole after clearing")
-        coeffs.append(BiPoly(terms))
+        coeffs.append(LaurentPoly(terms, 2))
     A, B, C = coeffs
     disc = disc_quadratic_in_y(A, B, C)
-    xdeg = disc.x_degree()
-    if xdeg > 3:
-        disc = disc.divide_by_x_power(xdeg - 3)
-    unis = [disc.x_coefficient(k) for k in (3, 2, 1, 0)]
+    excess = max((ex for _, ex in disc.terms), default=-1) - 3
+    if excess > 0:
+        if any(ex < excess for _, ex in disc.terms):
+            raise FiberClassificationError(
+                f"the y-discriminant is not divisible by x^{excess}"
+            )
+        disc = disc * LaurentPoly.monomial((0, -excess))
+    unis = [
+        UniPoly({el: c for (el, ex), c in disc.terms.items() if ex == k})
+        for k in (3, 2, 1, 0)
+    ]
     a_out, b_out = depress_cubic(*unis)
     return HVReduction((A, B, C), disc, WeierstrassModel(a_out, b_out))
 

@@ -92,10 +92,15 @@ def test_dehn_twist_calibration():
     assert dehn_twist(B).rows == ((1, 0), (1, 1))
 
 
+def _act(matrix: SL2Matrix, v: HomologyClass) -> HomologyClass:
+    (a, b), (c, d) = matrix.rows
+    return HomologyClass(a * v.m + b * v.n, c * v.m + d * v.n)
+
+
 def test_dehn_twist_fixes_its_class_and_ignores_sign():
     for cls in (A, B, HomologyClass(2, -3)):
         twist = dehn_twist(cls)
-        assert twist.apply(cls) == cls
+        assert _act(twist, cls) == cls
         assert dehn_twist(-cls).rows == twist.rows
 
 
@@ -103,7 +108,7 @@ def test_dehn_twist_fixes_its_class_and_ignores_sign():
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
 def test_dehn_twist_action_formula(m1, n1, m2, n2):
     cls, other = HomologyClass(m1, n1), HomologyClass(m2, n2)
-    moved = dehn_twist(cls).apply(other)
+    moved = _act(dehn_twist(cls), other)
     assert moved == other + cls.scaled(h1_pair(cls, other))
 
 

@@ -22,6 +22,7 @@ from dpmirror.pathnum import (
     PathPolyline,
     TrackedRoots,
     _branch_signs,
+    _horner,
     all_roots,
     continue_roots,
     elliptic_integral,
@@ -69,16 +70,64 @@ def test_cpoly_arithmetic() -> None:
     q = CPoly((0, 1))  # x
     assert (p * q).coeffs == (0j, 1 + 0j, 2 + 0j)
     assert (p + q).coeffs == (1 + 0j, 3 + 0j)
-    assert (p - p).degree == -1
-    assert (q**3).coeffs == (0j, 0j, 0j, 1 + 0j)
+    assert (p + -1 * p).degree == -1
+    assert (q * q * q).coeffs == (0j, 0j, 0j, 1 + 0j)
     assert (2 * q).coeffs == (0j, 2 + 0j)
 
 
 def test_cpoly_from_unipoly() -> None:
-    p = UniPoly.from_coeffs([Fraction(1, 2), 0, 3])
+    p = UniPoly({0: Fraction(1, 2), 2: 3})
     cp = CPoly.from_unipoly(p)
     assert cp.degree == 2
     assert cp(2.0) == pytest.approx(0.5 + 12.0)
+
+
+def _bits(x: complex) -> Tuple[str, str]:
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def _separate_evaluations(p: CPoly, z: complex) -> Tuple[complex, complex, float]:
+    """p(z), p'(z) and the residual as three separate passes: p by Horner,
+    p' by Horner over the trimmed coefficients i c_i, and the residual's
+    denominator as an ascending power sum."""
+    value = 0j
+    for c in reversed(p.coeffs):
+        value = value * z + c
+    deriv = [i * c for i, c in enumerate(p.coeffs) if i]
+    while deriv and deriv[-1] == 0:
+        deriv.pop()
+    slope = 0j
+    for c in reversed(deriv):
+        slope = slope * z + c
+    magnitude = abs(z)
+    denom, power = 0.0, 1.0
+    for c in p.coeffs:
+        denom += abs(c) * power
+        power *= magnitude
+    return value, slope, abs(value) / max(1.0, denom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        max_size=8,
+    ),
+    st.one_of(
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        st.floats(-1e3, 1e3),
+    ),
+)
+def test_horner_matches_separate_evaluations_to_the_bit(coeffs, z) -> None:
+    p = CPoly(tuple(coeffs))
+    value, slope, res = _horner(p.coeffs, z)
+    expected_value, expected_slope, expected_res = _separate_evaluations(p, z)
+    assert _bits(value) == _bits(expected_value)
+    assert _bits(slope) == _bits(expected_slope)
+    assert res.hex() == expected_res.hex()
+    assert _bits(p(z)) == _bits(expected_value)
+    assert residual(p, z).hex() == expected_res.hex()
 
 
 def test_residual_vanishes_at_root() -> None:
@@ -170,10 +219,17 @@ def _conditioned_groups(
     )
 )
 @example([0j] * 6)
+@example([2.2250738585e-313 + 0j, 1 + 0j])
 def test_all_roots_random_polynomials(coeffs: list) -> None:
     poly = CPoly(tuple(coeffs) + (1 + 0j,))  # monic
     tol = 1e-10
-    roots = all_roots(poly, tol)
+    try:
+        roots = all_roots(poly, tol)
+    except NumericsError:
+        # all_roots may refuse only a polynomial with a subnormal coefficient
+        if any(0 < abs(c) < np.finfo(float).tiny for c in coeffs):
+            return
+        raise
     assert len(roots) == poly.degree
     assert max(residual(poly, z) for z in roots) < tol
     # A simple root is accurate to about tol; the m members of a cluster only
@@ -458,11 +514,6 @@ def test_path_arclength_parameterization() -> None:
         path.point(1.5)
 
 
-def test_path_reversed() -> None:
-    path = PathPolyline((0j, 1 + 0j, 2 + 2j))
-    assert path.reversed().nodes == (2 + 2j, 1 + 0j, 0j)
-
-
 # ---------------------------------------------------------------------------
 # tracked roots
 
@@ -497,15 +548,6 @@ def test_terminal_collision_detection() -> None:
     apart = _two_track_report((0j, 1 + 0j))
     with pytest.raises(NumericsError, match="collision"):
         apart.terminal_collision()
-
-
-def test_tracked_roots_csv() -> None:
-    report = _two_track_report((0j, 1 + 0j))
-    text = report.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "step,track_id,re,im,residual"
-    assert len(lines) == 5
-    assert text == report.to_csv()
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +610,25 @@ def test_continuation_collisions_at_critical_values() -> None:
     for lam_c, partner in partners.items():
         mirror = complex(lam_c.real, -lam_c.imag)
         assert abs(partners[mirror] - partner.conjugate()) < 1e-7
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_continuation_residuals_match_a_recomputation(monkeypatch, fallback) -> None:
+    """Each recorded residual is that of its root in the family at its step,
+    whether the Newton corrector carried it or the fallback solve produced
+    the row."""
+    from dpmirror import pathnum
+
+    if fallback:
+        monkeypatch.setattr(pathnum, "_newton", lambda p, z, tol: (z, math.inf))
+    model, family = _perturbed_family(3)
+    disc = CPoly.from_unipoly(model.discriminant_scale())
+    path = PathPolyline((0j, min(all_roots(disc), key=abs)))
+    tracked = continue_roots(family, path)
+    assert len(tracked.parameters) > 2
+    for t, row, res in zip(tracked.parameters, tracked.roots, tracked.residuals):
+        poly = family(path.point(t))
+        assert res == tuple(residual(poly, z) for z in row)
 
 
 def test_continuation_matchings_are_bijections() -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,6 +328,42 @@ def test_sign_normalize_detects_impossible_targets():
 def test_sign_normalize_handles_disconnected_blocks():
     gram = [[1, 0], [0, 1]]
     assert sign_normalize(gram, gram) == (1, 1)
+
+
+@st.composite
+def _sign_problems(draw):
+    """A square integer Gram (sparse, so it often splits into blocks) and a
+    target: the Gram conjugated by random signs, sometimes with one entry
+    negated or replaced."""
+    n = draw(st.integers(1, 6))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    gram = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    target = [[signs[i] * gram[i][j] * signs[j] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        target[i][j] = draw(st.sampled_from([-target[i][j], target[i][j] + 1]))
+    return gram, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sign_problems())
+def test_sign_normalize_agrees_with_every_sign_vector(problem):
+    gram, target = problem
+    n = len(gram)
+
+    def conjugates(signs):
+        return all(
+            signs[i] * gram[i][j] * signs[j] == target[i][j]
+            for i in range(n)
+            for j in range(n)
+        )
+
+    exists = any(conjugates(signs) for signs in itertools.product((1, -1), repeat=n))
+    found = sign_normalize(gram, target)
+    assert (found is not None) == exists
+    if found is not None:
+        assert conjugates(found)
 
 
 # ---------------------------------------------------------------------------

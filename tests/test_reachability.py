@@ -1,25 +1,37 @@
-"""Every module-level function and class of the library is reached by code.
+"""Every module-level function and class of the library, and every method
+of its classes, is reached by code.
 
 A definition that only tests call is dead weight: it can drift from the
 pipeline it claims to serve without any subcommand noticing.  This guard
 parses ``src/dpmirror`` and ``scripts/`` and requires, for each module-level
 ``def`` or ``class`` of the library, a name or attribute that refers to it
-from somewhere other than its own body.
+from somewhere other than its own body.  A non-dunder method ``C.m`` needs
+an attribute ``.m`` outside its own body.  Where the receiver's class is
+plain from the code (``self`` or ``cls`` in C's methods, a call of C, or a
+local assigned from one, or from a module-level function annotated to
+return C) the reference counts for that class only; any other receiver
+counts for every class that defines ``m``.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, Set
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "dpmirror"
 SCRIPTS = ROOT / "scripts"
+FILES = sorted(LIBRARY.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
 
 # The catalog models are written by hand; this conversion is kept as the
 # independent oracle that tests/test_acceptance.py checks them against.
 TEST_ONLY = {"hv_to_weierstrass"}
+
+TEST_ONLY_MEMBERS = {
+    ("_Parser", "error"),  # argparse calls it
+    ("MutationWord", "slots"),  # perfbench checks generated words with it
+}
 
 
 def _references(node: ast.AST) -> Iterator[str]:
@@ -33,8 +45,7 @@ def _references(node: ast.AST) -> Iterator[str]:
 def _unreferenced() -> Set[str]:
     definitions: Set[str] = set()
     referenced: Set[str] = set()
-    files = sorted(LIBRARY.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
-    for path in files:
+    for path in FILES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for statement in tree.body:
             own = None
@@ -47,5 +58,67 @@ def _unreferenced() -> Set[str]:
     return definitions - referenced
 
 
+def _unreferenced_members() -> Set[Tuple[str, str]]:
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in FILES]
+    members: Dict[str, Set[str]] = {}
+    returns: Dict[str, str] = {}
+    for path, tree in trees:
+        for statement in tree.body:
+            if path.parent == LIBRARY and isinstance(statement, ast.ClassDef):
+                members[statement.name] = {
+                    item.name
+                    for item in statement.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__")
+                }
+            elif isinstance(statement, ast.FunctionDef) and isinstance(
+                statement.returns, ast.Name
+            ):
+                returns[statement.name] = statement.returns.id
+
+    def class_of(expr: ast.AST, known: Dict[str, str]) -> Optional[str]:
+        if isinstance(expr, ast.Name):
+            return known.get(expr.id)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+            name = expr.func.id
+            return name if name in members else returns.get(name)
+        return None
+
+    def reached(node: ast.AST, known: Dict[str, str]) -> Set[Tuple[str, str]]:
+        for child in ast.walk(node):
+            if isinstance(child, ast.Assign) and len(child.targets) == 1:
+                target = child.targets[0]
+                owner = class_of(child.value, known)
+                if isinstance(target, ast.Name) and owner in members:
+                    known[target.id] = owner
+        found: Set[Tuple[str, str]] = set()
+        for child in ast.walk(node):
+            if isinstance(child, ast.Attribute):
+                owner = class_of(child.value, known)
+                owners = [owner] if owner in members else list(members)
+                found.update(
+                    (c, child.attr) for c in owners if child.attr in members[c]
+                )
+        return found
+
+    seen: Set[Tuple[str, str]] = set()
+    for _, tree in trees:
+        for statement in tree.body:
+            if not isinstance(statement, ast.ClassDef):
+                seen |= reached(statement, {})
+                continue
+            for item in statement.body:
+                known = {}
+                if isinstance(item, ast.FunctionDef) and item.args.args:
+                    known[item.args.args[0].arg] = statement.name
+                name = getattr(item, "name", None)
+                seen |= reached(item, known) - {(statement.name, name)}
+    return {(c, m) for c, names in members.items() for m in names} - seen
+
+
 def test_only_the_catalog_oracle_is_unreferenced() -> None:
     assert _unreferenced() == TEST_ONLY
+
+
+def test_every_method_is_reached_outside_its_own_body() -> None:
+    assert _unreferenced_members() == TEST_ONLY_MEMBERS
