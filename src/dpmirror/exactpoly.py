@@ -164,19 +164,6 @@ class UniPoly:
         return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
                        self.var)
 
-    def evaluate(self, point: RationalLike) -> Fraction:
-        x = _coerce(point)
-        acc = Fraction(0)
-        prev_exp = None
-        for exp in sorted(self.terms, reverse=True):
-            if prev_exp is not None:
-                acc *= x ** (prev_exp - exp)
-            acc += self.terms[exp]
-            prev_exp = exp
-        if prev_exp is not None and prev_exp > 0:
-            acc *= x ** prev_exp
-        return acc
-
     def evaluate_complex(self, point: complex) -> complex:
         acc = 0j
         prev_exp = None
@@ -417,9 +404,13 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
     """All rational roots of ``p``, each listed once, in ascending order.
 
     Candidates come from the rational-root bound applied to the primitive
-    integer form of ``p``; every candidate is confirmed by exact evaluation,
-    so the returned list is complete.  Raises ValueError for the zero
-    polynomial or when a coefficient resists factorization.
+    integer form f of ``p``; every candidate is confirmed by exact
+    evaluation, so the returned list is complete.  A root top/den in lowest
+    terms makes den*x - top a factor of f over the integers (Gauss's lemma),
+    so (den - top) | f(1) and (den + top) | f(-1); a candidate that fails
+    either test is skipped before f is evaluated, in integers, as
+    sum_k f_k top^k den^(n-k).  Raises ValueError for the zero polynomial or
+    when a coefficient resists factorization.
     """
     if p.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
@@ -438,15 +429,32 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
     content = 0
     for c in ints.values():
         content = gcd(content, c)
-    lead = ints[max(ints)] // content
-    trail = ints[min(ints)] // content
-    for num in _positive_divisors(trail):
-        for den in _positive_divisors(lead):
+    leading_first = [
+        ints.get(e, 0) // content for e in range(p.degree(), -1, -1)
+    ]
+    at_one = sum(leading_first)
+    at_minus_one = sum(
+        c if e % 2 == 0 else -c for e, c in enumerate(reversed(leading_first))
+    )
+
+    def divides(m: int, n: int) -> bool:
+        return n == 0 if m == 0 else n % m == 0
+
+    def vanishes(top: int, den: int) -> bool:
+        acc, den_power = 0, 1
+        for c in leading_first:
+            acc = acc * top + c * den_power
+            den_power *= den
+        return acc == 0
+
+    for num in _positive_divisors(leading_first[-1]):
+        for den in _positive_divisors(leading_first[0]):
             if gcd(num, den) != 1:
                 continue
-            for candidate in (Fraction(num, den), Fraction(-num, den)):
-                if p.evaluate(candidate) == 0:
-                    roots.append(candidate)
+            for top in (num, -num):
+                if (divides(den - top, at_one) and divides(den + top, at_minus_one)
+                        and vanishes(top, den)):
+                    roots.append(Fraction(top, den))
     return sorted(set(roots))
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -338,3 +341,19 @@ def test_check_fails_when_a_claim_fails(capsys, monkeypatch):
     assert code == EXIT_FAIL
     assert "infinity cycle is +/-b, degree 2        FAIL" in out
     assert out.endswith("\n14/17 checks passed\n")
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """A fresh interpreter imports ``dpmirror.cli`` without any scipy module."""
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    code = ("import sys, dpmirror.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

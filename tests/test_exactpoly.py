@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpmirror.exactpoly import (
     LaurentPoly,
     UniPoly,
+    _positive_divisors,
     depress_cubic,
     disc_cubic,
     disc_quadratic_in_y,
     poly_gcd,
+    rational_roots,
     rational_from_string,
     rational_to_string,
     squarefree_factorization,
@@ -32,6 +35,11 @@ def unipoly_strategy(max_degree: int = 6) -> st.SearchStrategy[UniPoly]:
     return st.lists(rationals, min_size=0, max_size=max_degree + 1).map(
         lambda coeffs: UniPoly(dict(enumerate(coeffs)))
     )
+
+
+def value_at(p: UniPoly, x: Fraction) -> Fraction:
+    """p(x) in exact ``Fraction`` arithmetic, term by term."""
+    return sum((c * x ** e for e, c in p.terms.items()), Fraction(0))
 
 
 def to_sympy(p: UniPoly, symbol: sp.Symbol) -> sp.Expr:
@@ -93,7 +101,7 @@ def shifted(p: UniPoly, c: Fraction) -> UniPoly:
 def test_shift_then_evaluate_agrees(p, c):
     moved = shifted(p, c)
     for x in (Fraction(0), Fraction(1), Fraction(-2, 3)):
-        assert moved.evaluate(x) == p.evaluate(x + c)
+        assert value_at(moved, x) == value_at(p, x + c)
 
 
 @given(unipoly_strategy(5), unipoly_strategy(3))
@@ -335,3 +343,64 @@ def test_unipoly_json_round_trip(p):
     pairs = p.to_pairs()
     assert [e for e, _ in pairs] == sorted(p.terms)
     assert UniPoly({e: rational_from_string(c) for e, c in pairs}) == p
+
+
+# ---------------------------------------------------------------------------
+# rational roots
+
+
+def rational_roots_by_fraction_evaluation(p: UniPoly) -> list:
+    """The candidate loop of ``rational_roots`` with each candidate tested by
+    ``Fraction`` evaluation, as it was before the integer tests; the oracle."""
+    roots = []
+    shift = min(p.terms)
+    if shift > 0:
+        roots.append(Fraction(0))
+        p = UniPoly({e - shift: c for e, c in p.terms.items()}, p.var)
+    if p.degree() == 0:
+        return roots
+    lcm = 1
+    for c in p.terms.values():
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    ints = {e: int(c * lcm) for e, c in p.terms.items()}
+    content = 0
+    for c in ints.values():
+        content = gcd(content, c)
+    for num in _positive_divisors(ints[min(ints)] // content):
+        for den in _positive_divisors(ints[max(ints)] // content):
+            if gcd(num, den) == 1:
+                for candidate in (Fraction(num, den), Fraction(-num, den)):
+                    if value_at(p, candidate) == 0:
+                        roots.append(candidate)
+    return sorted(set(roots))
+
+
+# Roots 0, 1 and -1 (top = +-den) drawn often, beside general small rationals.
+root_choices = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-8, max_value=8, max_denominator=8),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(root_choices, max_size=5),
+    st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=3),
+    st.integers(-20, 20).filter(lambda c: c != 0),
+    st.integers(-20, 20).filter(lambda c: c != 0),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+)
+@example([Fraction(0), Fraction(0)], [], 1, 1, Fraction(1))
+@example([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)], [], 6, -5,
+         Fraction(7, 3))
+@example([], [10 ** 30, -10 ** 30], 3, 1, Fraction(1))
+def test_rational_roots_match_fraction_evaluation(roots, middle, trail, lead, scale):
+    """Linear factors times a cofactor with small end coefficients (so its
+    divisors are cheap) and middle coefficients up to 10^30."""
+    cofactor_coeffs = [trail, *middle, lead]
+    p = UniPoly({k: scale * c for k, c in enumerate(cofactor_coeffs) if c})
+    for r in roots:
+        p = p * UniPoly({1: r.denominator, 0: -r.numerator})
+    expected = rational_roots_by_fraction_evaluation(p)
+    assert rational_roots(p) == expected
+    assert set(roots) <= set(expected)

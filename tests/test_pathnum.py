@@ -7,6 +7,7 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dpmirror import pathnum
 from dpmirror.exactpoly import UniPoly
 from dpmirror.interfam import FamilySpec, family_at
 from dpmirror.pathnum import (
@@ -462,27 +464,106 @@ def test_all_roots_warm_start_gives_way_to_exact_zeros(monkeypatch) -> None:
     assert cold_starts == []
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(0, 6), min_size=n, max_size=n),
-            min_size=n, max_size=n,
-        )
+def _square(n: int, entries: st.SearchStrategy[int]) -> st.SearchStrategy:
+    return st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
     )
+
+
+# Small integer costs: exact ties are common and sums compare exactly.
+small_integer_costs = st.integers(1, 7).flatmap(
+    lambda n: _square(n, st.integers(0, 6))
 )
-def test_match_tracks_is_an_optimal_assignment(rows: List[List[int]]) -> None:
-    """Brute force over every permutation: small integer costs make exact
-    ties common, and integer sums compare exactly."""
-    cost = np.array(rows, dtype=float)
-    n = len(rows)
-    matching = match_tracks(cost)
-    assert sorted(matching) == list(range(n))
-    best = min(
-        sum(rows[i][j] for i, j in enumerate(perm))
-        for perm in itertools.permutations(range(n))
+
+
+@st.composite
+def certified_costs(draw) -> Tuple[List[List[int]], List[int]]:
+    """Costs whose row minima sit, each strictly, on a permutation."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    lows = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    rows = draw(_square(n, st.integers(1, 6)))
+    return [
+        [lows[i] if j == perm[i] else lows[i] + rows[i][j] for j in range(n)]
+        for i in range(n)
+    ], list(perm)
+
+
+@st.composite
+def contested_costs(draw) -> List[List[int]]:
+    """Costs where rows 0 and 1 have their only minimum in the same column."""
+    n = draw(st.integers(2, 7))
+    rows = draw(_square(n, st.integers(1, 6)))
+    column = draw(st.integers(0, n - 1))
+    for i in (0, 1):
+        rows[i][column] = 0
+    return rows
+
+
+def _least_total(rows: List[List[int]]) -> int:
+    return min(
+        sum(row[j] for row, j in zip(rows, perm))
+        for perm in itertools.permutations(range(len(rows)))
     )
-    assert sum(rows[i][j] for i, j in enumerate(matching)) == best
+
+
+def _assert_optimal(rows: List[List[int]], matching: Tuple[int, ...]) -> None:
+    assert sorted(matching) == list(range(len(rows)))
+    assert sum(row[j] for row, j in zip(rows, matching)) == _least_total(rows)
+
+
+def _spy_on_solver():
+    return mock.patch.object(
+        pathnum, "_shortest_augmenting_paths",
+        wraps=pathnum._shortest_augmenting_paths,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_integer_costs, certified_costs().map(lambda c: c[0]),
+                 contested_costs()))
+def test_match_tracks_is_an_optimal_assignment(rows: List[List[int]]) -> None:
+    """Brute force over every permutation, n <= 7."""
+    _assert_optimal(rows, match_tracks(np.array(rows, dtype=float)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(certified_costs())
+def test_match_tracks_certificate_settles_strict_row_minima(case) -> None:
+    rows, perm = case
+    with _spy_on_solver() as solver:
+        matching = match_tracks(np.array(rows, dtype=float))
+    assert not solver.called
+    assert list(matching) == perm
+    _assert_optimal(rows, matching)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contested_costs())
+def test_match_tracks_solver_runs_when_row_minima_collide(rows) -> None:
+    with _spy_on_solver() as solver:
+        matching = match_tracks(np.array(rows, dtype=float))
+    assert solver.call_count == 1
+    _assert_optimal(rows, matching)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: _square(n, st.integers(0, 3))))
+def test_match_tracks_breaks_ties_as_scipy_does(rows: List[List[int]]) -> None:
+    """Pins the tie rule the artifacts depend on to scipy's, where installed."""
+    optimize = pytest.importorskip("scipy.optimize")
+    cost = np.array(rows, dtype=float)
+    expected = tuple(int(j) for j in optimize.linear_sum_assignment(cost)[1])
+    assert match_tracks(cost) == expected
+    assert pathnum._shortest_augmenting_paths(rows) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_match_tracks_rejects_a_non_finite_cost(bad: float) -> None:
+    cost = np.ones((3, 3))
+    cost[1, 2] = bad
+    with pytest.raises(NumericsError, match="NaN or infinite"):
+        match_tracks(cost)
 
 
 def test_match_tracks_rejects_a_changed_track_count() -> None:
