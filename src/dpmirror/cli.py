@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactpoly import rational_to_num_den
 from .homology import (
@@ -46,42 +46,20 @@ from .pseudolattice import (
 )
 from .rootlattice import (
     IntLattice,
+    RootLatticeError,
     fundamental_weights,
     hyperbolic_model,
     kernel_decomposition,
     kuznetsov_basis,
 )
 from .vancycles import critical_values_ordered, render_delta_svg, vanishing_classes
-from .weierstrass import catalog, fiber_configuration
+from .weierstrass import FiberClassificationError, catalog, fiber_configuration
 
 __all__ = ["RunConfig", "main", "parse_args", "run"]
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
-
-# The flags each subcommand reads, besides --out.
-COMMANDS: Dict[str, Tuple[str, ...]] = {
-    "fibers": ("d", "epsilon", "variant"),
-    "mirror": ("d", "order"),
-    "critvals": ("d", "epsilon", "variant"),
-    "cycles": ("d", "epsilon"),
-    "verify": ("d",),
-    "junction": ("d",),
-    "ghs": ("d",),
-    "interpolate": ("d", "epsilon"),
-    "mutate": ("d", "word"),
-    "check": (),
-}
-
-# Output formats of the subcommands that write more than JSON; the others
-# take no --format flag.
-FORMATS: Dict[str, Tuple[str, ...]] = {
-    "fibers": ("json", "csv"),
-    "critvals": ("json", "csv"),
-    "cycles": ("json", "csv", "svg"),
-    "interpolate": ("json", "csv", "svg"),
-}
 
 _FLAGS: Dict[str, Dict[str, object]] = {
     "d": dict(type=int, required=True,
@@ -163,12 +141,12 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     """Parse an argument vector into an exact configuration."""
     parser = _Parser(prog="dpmirror", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in COMMANDS.items():
+    for name, command in COMMANDS.items():
         cmd = sub.add_parser(name)
-        for flag in flags:
+        for flag in command.flags:
             cmd.add_argument(f"--{flag}", **_FLAGS[flag])
-        if name in FORMATS:
-            cmd.add_argument("--format", dest="fmt", choices=FORMATS[name],
+        if command.formats:
+            cmd.add_argument("--format", dest="fmt", choices=command.formats,
                              help="artifact format (default json)")
         cmd.add_argument("--out", help="output path (default: stdout)")
     given = {
@@ -355,7 +333,7 @@ def _cmd_mutate(config: RunConfig) -> Tuple[int, str]:
         raise UsageError("mutate requires --word")
     try:
         word = MutationWord.parse(config.word)
-    except (PseudolatticeError, ValueError) as exc:
+    except PseudolatticeError as exc:
         raise UsageError(f"unparseable word {config.word!r}: {exc}") from exc
     lattice, basis, charge = from_boundaries(
         extended_vanishing_classes(config.d)
@@ -431,23 +409,32 @@ def _cmd_check(config: RunConfig) -> Tuple[int, str]:
     return code, "\n".join(lines) + "\n"
 
 
-_DISPATCH = {
-    "fibers": _cmd_fibers,
-    "mirror": _cmd_mirror,
-    "critvals": _cmd_critvals,
-    "cycles": _cmd_cycles,
-    "verify": _cmd_verify,
-    "junction": _cmd_junction,
-    "ghs": _cmd_ghs,
-    "interpolate": _cmd_interpolate,
-    "mutate": _cmd_mutate,
-    "check": _cmd_check,
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], Tuple[int, str]]
+    flags: Tuple[str, ...]  # the flags it reads, besides --out
+    formats: Tuple[str, ...]  # --format choices; empty when it writes JSON only
+
+
+# One entry per subcommand, in the order the help text lists them.
+COMMANDS: Dict[str, _Command] = {
+    "fibers": _Command(_cmd_fibers, ("d", "epsilon", "variant"), ("json", "csv")),
+    "mirror": _Command(_cmd_mirror, ("d", "order"), ()),
+    "critvals": _Command(_cmd_critvals, ("d", "epsilon", "variant"),
+                         ("json", "csv")),
+    "cycles": _Command(_cmd_cycles, ("d", "epsilon"), ("json", "csv", "svg")),
+    "verify": _Command(_cmd_verify, ("d",), ()),
+    "junction": _Command(_cmd_junction, ("d",), ()),
+    "ghs": _Command(_cmd_ghs, ("d",), ()),
+    "interpolate": _Command(_cmd_interpolate, ("d", "epsilon"),
+                            ("json", "csv", "svg")),
+    "mutate": _Command(_cmd_mutate, ("d", "word"), ()),
+    "check": _Command(_cmd_check, (), ()),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one configuration and emit its artifact; returns exit code."""
-    code, artifact = _DISPATCH[config.command](config)
+    code, artifact = COMMANDS[config.command].handler(config)
     if config.out is None:
         sys.stdout.write(artifact)
     else:
@@ -457,12 +444,16 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point; maps errors onto the exit-code contract."""
+    """Console entry point; maps the typed errors onto exit code 1.
+
+    Any other exception, a bare ``ValueError`` included, is a bug and
+    propagates with its traceback.
+    """
     try:
         config = parse_args(list(sys.argv[1:] if argv is None else argv))
         return run(config)
-    except (UsageError, NumericsError, PseudolatticeError, ValueError,
-            OSError) as exc:
+    except (UsageError, NumericsError, PseudolatticeError, RootLatticeError,
+            FiberClassificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

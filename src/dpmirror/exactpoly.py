@@ -226,10 +226,9 @@ class LaurentPoly:
         return cls({(0,) * nvars: value}, nvars)
 
     @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff: RationalLike = 1,
-                 nvars: int | None = None) -> "LaurentPoly":
+    def monomial(cls, exponents: Sequence[int]) -> "LaurentPoly":
         exps = tuple(int(e) for e in exponents)
-        return cls({exps: coeff}, nvars if nvars is not None else len(exps))
+        return cls({exps: 1}, len(exps))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -373,11 +372,15 @@ def squarefree_factorization(p: UniPoly) -> Tuple[Fraction, List[Tuple[UniPoly, 
     return unit, factors
 
 
-def _positive_divisors(n: int, trial_bound: int = 10 ** 6) -> List[int]:
+# Largest trial divisor of ``_positive_divisors``.
+_TRIAL_BOUND = 10 ** 6
+
+
+def _positive_divisors(n: int) -> List[int]:
     """All positive divisors of ``|n|`` by trial division.
 
-    Raises ValueError when ``n`` has two prime factors above the trial
-    bound, in which case the divisor list cannot be certified complete.
+    Raises ValueError when ``n`` has two prime factors above ``_TRIAL_BOUND``,
+    in which case the divisor list cannot be certified complete.
     """
     n = abs(n)
     if n == 0:
@@ -386,7 +389,7 @@ def _positive_divisors(n: int, trial_bound: int = 10 ** 6) -> List[int]:
     m = n
     p = 2
     while p * p <= m:
-        if p > trial_bound:
+        if p > _TRIAL_BOUND:
             raise ValueError(f"cannot certify the divisors of {n} by trial division")
         while m % p == 0:
             prime_powers[p] = prime_powers.get(p, 0) + 1

@@ -126,20 +126,24 @@ def total_monodromy(classes: Sequence[HomologyClass]) -> SL2Matrix:
     return total
 
 
+# Coordinate bound of the search in ``infinity_cycle``.
+_SEARCH_BOUND = 3
+
+
 def infinity_cycle(
-    classes: Sequence[HomologyClass], multiplicity: int, bound: int = 3
+    classes: Sequence[HomologyClass], multiplicity: int
 ) -> HomologyClass:
     """The cycle whose ``multiplicity``-fold twist cancels the finite monodromy.
 
-    Searches coordinates up to the given bound for a class ``c`` with
+    Searches coordinates up to ``_SEARCH_BOUND`` for a class ``c`` with
     ``twist(c)^multiplicity @ total == identity`` and returns the
     sign-normalized representative; raises if none or several (beyond the
     unavoidable sign pair) exist.
     """
     total = total_monodromy(classes)
     found: List[HomologyClass] = []
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
+    for m in range(-_SEARCH_BOUND, _SEARCH_BOUND + 1):
+        for n in range(-_SEARCH_BOUND, _SEARCH_BOUND + 1):
             if m == 0 and n == 0:
                 continue
             candidate = HomologyClass(m, n)

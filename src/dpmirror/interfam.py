@@ -27,8 +27,6 @@ __all__ = [
     "ComplexModel",
     "FamilySpec",
     "ProjectivePoint",
-    "RenderStyle",
-    "SweepControl",
     "TrajectorySet",
     "chordal",
     "family_at",
@@ -171,21 +169,11 @@ def family_at(spec: FamilySpec, s: float) -> ComplexModel:
 # the sweep
 
 
-@dataclass(frozen=True)
-class SweepControl:
-    """Grid control for the trajectory sweep."""
-
-    samples: int = 400  # uniform grid intervals over [0, 1]
-    proximity: float = 1e-3  # chordal distance that triggers refinement
-    max_motion: float = 0.02  # largest accepted chordal step per track
-    width_floor: float = 1e-6  # refinement stops below this interval width
-    boundary: float = 0.9  # chart-boundary annulus is (boundary, 1/boundary)
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("at least one grid interval is required")
-        if not 0 < self.boundary < 1:
-            raise ValueError("the boundary parameter must sit inside (0, 1)")
+SAMPLES = 400  # uniform grid intervals over [0, 1]
+PROXIMITY = 1e-3  # chordal distance that triggers refinement
+MAX_MOTION = 0.02  # largest accepted chordal step per track
+WIDTH_FLOOR = 1e-6  # refinement stops below this interval width
+BOUNDARY = 0.9  # chart-boundary annulus is (BOUNDARY, 1/BOUNDARY)
 
 
 @dataclass(frozen=True)
@@ -255,57 +243,53 @@ def _configuration(
     return points
 
 
-def _in_boundary_annulus(point: ProjectivePoint, boundary: float) -> bool:
-    modulus = abs(point.coordinate)
-    return boundary < modulus <= 1.0
+def _in_boundary_annulus(point: ProjectivePoint) -> bool:
+    return BOUNDARY < abs(point.coordinate) <= 1.0
 
 
 def _interval_verdict(
-    before: Sequence[ProjectivePoint],
-    after: Sequence[ProjectivePoint],
-    control: SweepControl,
+    before: Sequence[ProjectivePoint], after: Sequence[ProjectivePoint]
 ) -> Optional[str]:
     """The reason the interval needs refinement, or None to accept."""
     motion = max(chordal(p, q) for p, q in zip(before, after))
-    if motion > control.max_motion:
+    if motion > MAX_MOTION:
         return "motion"
     now = _chordal_matrix(after, after)
     was = _chordal_matrix(before, before)
     parked = np.array([p.parked for p in before], dtype=bool)
     pairs = np.triu(~(parked[:, None] & parked[None, :]), k=1)
-    if (pairs & (now < control.proximity) & (now < was)).any():
+    if (pairs & (now < PROXIMITY) & (now < was)).any():
         return "proximity"
     for p, q in zip(before, after):
-        if _in_boundary_annulus(q, control.boundary) and not _in_boundary_annulus(
-            p, control.boundary
-        ):
+        if _in_boundary_annulus(q) and not _in_boundary_annulus(p):
             return "boundary"
     return None
 
 
-def sweep(spec: FamilySpec, control: SweepControl = SweepControl()) -> TrajectorySet:
+def sweep(spec: FamilySpec) -> TrajectorySet:
     """Track all critical values of the family across the interval.
 
-    Each sample's root solve is warm-started from the last accepted row.
-    Tracks are matched between samples by minimal total chordal motion.
-    Intervals showing a large step, an approaching pair, or a fresh entry
-    into the chart-boundary annulus are bisected down to the width floor;
-    a step that still moves tracks too far at the floor is reported as an
-    unresolved crossing.
+    The grid has ``SAMPLES`` equal intervals, and each sample's root solve
+    is warm-started from the last accepted row.  Tracks are matched between
+    samples by minimal total chordal motion.  An interval is bisected, down
+    to ``WIDTH_FLOOR``, when a track moves more than ``MAX_MOTION``, a pair
+    closes in below ``PROXIMITY``, or a track newly enters the annulus
+    ``BOUNDARY < |z| <= 1`` of its chart.  A step that still moves tracks
+    too far at the floor is reported as an unresolved crossing.
     """
     start = _configuration(spec, 0.0)
     parameters = [0.0]
     rows: List[List[ProjectivePoint]] = [start]
     switches: List[Tuple[int, float]] = []
-    pending = [k / control.samples for k in range(1, control.samples + 1)]
+    pending = [k / SAMPLES for k in range(1, SAMPLES + 1)]
     while pending:
         target = pending[0]
         here = parameters[-1]
         points = _configuration(spec, target, rows[-1])
         cost = _chordal_matrix(rows[-1], points)
         matched = [points[j] for j in match_tracks(cost)]
-        verdict = _interval_verdict(rows[-1], matched, control)
-        if verdict is not None and target - here > control.width_floor:
+        verdict = _interval_verdict(rows[-1], matched)
+        if verdict is not None and target - here > WIDTH_FLOOR:
             pending.insert(0, here + (target - here) / 2)
             continue
         if verdict == "motion":
@@ -330,16 +314,14 @@ def sweep(spec: FamilySpec, control: SweepControl = SweepControl()) -> Trajector
 # the braiding heuristic
 
 
-def _angular_slots(
-    row: Sequence[ProjectivePoint], anchor: int, basepoint: complex
-) -> List[int]:
-    """Finite tracks in sweep order around the basepoint, anchor first.
+def _angular_slots(row: Sequence[ProjectivePoint], anchor: int) -> List[int]:
+    """Finite tracks in sweep order around the base point 0, anchor first.
 
     Mirrors the critical-value ordering: the anchor track opens the list
     and the remaining finite tracks follow in the clockwise sweep from it.
     """
     finite = [i for i, p in enumerate(row) if not p.parked]
-    offsets = {i: row[i].affine() - basepoint for i in finite}
+    offsets = {i: row[i].affine() for i in finite}
     for i, z in offsets.items():
         if abs(z) < 1e-9:
             raise NumericsError("a track passes through the base point")
@@ -404,13 +386,11 @@ def _is_cut_rotation(old: Sequence[int], new: Sequence[int]) -> bool:
     return shifted == body[1:] + body[:1] or shifted == body[-1:] + body[:-1]
 
 
-def transposition_word(
-    trajectories: TrajectorySet, basepoint: complex = 0j
-) -> MutationWord:
+def transposition_word(trajectories: TrajectorySet) -> MutationWord:
     """A candidate mutation word read off the braiding of the tracks.
 
     Slots order the finite tracks by the clockwise sweep around the base
-    point, anchored at the track that starts farthest out.  Moves are
+    point 0, anchored at the track that starts farthest out.  Moves are
     listed in event order, so the word composes from its right end just
     as the mutation algebra applies it backward along the family.  A
     swap of neighboring slots emits one move at that slot: a left move
@@ -432,16 +412,16 @@ def transposition_word(
     finite0 = [i for i, p in enumerate(first_row) if not p.parked]
     if not finite0:
         raise NumericsError("no finite tracks to order at the first sample")
-    anchor = max(finite0, key=lambda i: abs(first_row[i].affine() - basepoint))
+    anchor = max(finite0, key=lambda i: abs(first_row[i].affine()))
     events: List[MutationMove] = []
     tangles = _TangleLedger()
-    slots = _angular_slots(first_row, anchor, basepoint)
+    slots = _angular_slots(first_row, anchor)
     for k in range(1, len(trajectories.parameters)):
         row = trajectories.positions[k]
         finite = [i for i, p in enumerate(row) if not p.parked]
         if anchor not in finite:
             raise NumericsError("the anchor track left the finite chart")
-        new_slots = _angular_slots(row, anchor, basepoint)
+        new_slots = _angular_slots(row, anchor)
         if new_slots == slots:
             continue
         arrivals = [i for i in new_slots if i not in slots]
@@ -479,7 +459,7 @@ def transposition_word(
             continue
         # Decompose the reordering into adjacent swaps, innermost first.
         time = trajectories.parameters[k]
-        position = {i: row[i].affine() - basepoint for i in new_slots}
+        position = {i: row[i].affine() for i in new_slots}
         rank = {track: index for index, track in enumerate(new_slots)}
         work = list(slots)
         rounds = 0
@@ -514,16 +494,7 @@ def transposition_word(
 # rendering
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    """Deterministic styling for the trajectory figure."""
-
-    size: int = 800  # square canvas edge in pixels
-    start_color: str = "#1f77b4"  # markers at the first sample
-    end_color: str = "#d62728"  # markers at the last sample
-    track_color: str = "#666666"  # trajectory strokes
-    track_width: float = 1.2  # stroke width
-    window: float = 1.3  # viewport padding around the endpoint markers
+_WINDOW = 1.3  # viewport padding around the endpoint markers
 
 
 def _spline_path(points: Sequence[Tuple[float, float]]) -> str:
@@ -544,30 +515,29 @@ def _spline_path(points: Sequence[Tuple[float, float]]) -> str:
     return " ".join(parts)
 
 
-def render_svg(
-    trajectories: TrajectorySet, style: RenderStyle = RenderStyle()
-) -> str:
-    """A deterministic figure of the finite-chart trajectories.
+def render_svg(trajectories: TrajectorySet) -> str:
+    """A deterministic 800-pixel figure of the finite-chart trajectories.
 
-    The viewport frames the endpoint markers; excursions toward infinity
-    run off the canvas.  Tracks are drawn as cubic splines, endpoint
-    positions as two marker colors, and the axes cross at the base point.
+    The viewport frames the endpoint markers with padding ``_WINDOW``;
+    excursions toward infinity run off the canvas.  Tracks are drawn as grey
+    cubic splines, the first sample's positions as blue markers and the
+    last sample's as red ones, and the axes cross at the base point.
     """
-    size = style.size
+    size = 800
     markers: List[Tuple[complex, str]] = []
     if trajectories.positions:
         for point in trajectories.positions[0]:
             if not point.parked:
-                markers.append((point.affine(), style.start_color))
+                markers.append((point.affine(), "#1f77b4"))
         for point in trajectories.positions[-1]:
             if not point.parked:
-                markers.append((point.affine(), style.end_color))
+                markers.append((point.affine(), "#d62728"))
     if markers:
         extent = max(
             max(abs(z.real) for z, _ in markers),
             max(abs(z.imag) for z, _ in markers),
         )
-        half = style.window * max(extent, 1e-9)
+        half = _WINDOW * max(extent, 1e-9)
     else:
         half = 1.0
     scale = size / (2 * half)
@@ -596,8 +566,7 @@ def render_svg(
         for segment in runs:
             parts.append(
                 f'<path d="{_spline_path(segment)}" fill="none" '
-                f'stroke="{style.track_color}" '
-                f'stroke-width="{style.track_width}"/>'
+                'stroke="#666666" stroke-width="1.2"/>'
             )
     for z, color in markers:
         x, y = place(z)

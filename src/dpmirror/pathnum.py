@@ -50,6 +50,9 @@ class NumericsError(ValueError):
 # ---------------------------------------------------------------------------
 # dense complex polynomials
 
+# Leading coefficients at most this fraction of the largest are dropped.
+_TRIM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CPoly:
@@ -78,7 +81,10 @@ class CPoly:
     def from_unipoly(cls, p: UniPoly) -> "CPoly":
         coeffs = [0j] * (p.degree() + 1)
         for exp, c in p.terms.items():
-            coeffs[exp] = complex(c)
+            try:
+                coeffs[exp] = complex(c)
+            except OverflowError as exc:
+                raise NumericsError("a coefficient exceeds the float range") from exc
         return cls(tuple(coeffs))
 
     def __call__(self, z: complex) -> complex:
@@ -103,11 +109,11 @@ class CPoly:
 
     __rmul__ = __mul__
 
-    def trimmed(self, rel_tol: float = 1e-12) -> "CPoly":
-        """Drop leading coefficients below ``rel_tol`` times the largest."""
+    def trimmed(self) -> "CPoly":
+        """Drop leading coefficients below ``_TRIM_TOL`` times the largest."""
         if not self.coeffs:
             return self
-        cutoff = rel_tol * max(abs(c) for c in self.coeffs)
+        cutoff = _TRIM_TOL * max(abs(c) for c in self.coeffs)
         values = list(self.coeffs)
         while values and abs(values[-1]) <= cutoff:
             values.pop()
@@ -144,6 +150,10 @@ def residual(p: CPoly, z: complex) -> float:
 # ---------------------------------------------------------------------------
 # complete root finding
 
+# Every root, and every continuation step, is certified to this backward error.
+_ROOT_TOL = 1e-10
+# Most Aberth steps before a run gives up.
+_MAX_ITERATIONS = 200
 # Angle offset of the starting circles (Bini 1996 uses 0.7).
 _START_TWIST = 0.7
 # Most Aberth polish steps after the certificate holds.
@@ -182,11 +192,10 @@ def _newton_polygon_start(coeffs: np.ndarray) -> np.ndarray:
     return np.array(points)
 
 
-def _aberth(
-    coeffs: np.ndarray, z: np.ndarray, tol: float, max_iterations: int
-) -> Optional[np.ndarray]:
+def _aberth(coeffs: np.ndarray, z: np.ndarray, tol: float) -> Optional[np.ndarray]:
     """Aberth-Ehrlich iteration from ``z`` until every componentwise backward
-    error is below ``tol``; None when it does not get there.
+    error is below ``tol``; None when ``_MAX_ITERATIONS`` steps do not get
+    there.
 
     Each step evaluates p, p' and sum_i |c_i| |z|^i at all iterates at once
     and corrects each by p / (p' - p sum_{j != k} 1 / (z_k - z_j)).  An
@@ -226,7 +235,7 @@ def _aberth(
 
     with np.errstate(all="ignore"):
         value, slope, error = evaluate(z)
-        for _ in range(max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             active = ~(error < tol)  # NaN counts as not converged
             if not active.any():
                 break
@@ -255,20 +264,15 @@ def _aberth(
     return z
 
 
-def all_roots(
-    p: CPoly,
-    tol: float = 1e-10,
-    max_iterations: int = 200,
-    start: Optional[Sequence[complex]] = None,
-) -> List[complex]:
+def all_roots(p: CPoly, start: Optional[Sequence[complex]] = None) -> List[complex]:
     """All roots of ``p`` by Aberth-Ehrlich iteration (Bini 1996).
 
     Returns exactly ``degree`` roots sorted by (re, im).  Each one is
     certified by its componentwise backward error
-    |p(z)| / sum_i |c_i| |z|^i < ``tol``: it is an exact root of a
-    polynomial whose coefficients are within relative ``tol`` of p's, at
-    every scale of |z|.  A root of multiplicity m comes out as m nearby
-    roots, spread about tol**(1/m) times its modulus.
+    |p(z)| / sum_i |c_i| |z|^i < ``_ROOT_TOL``: it is an exact root of a
+    polynomial whose coefficients are within relative ``_ROOT_TOL`` of p's,
+    at every scale of |z|.  A root of multiplicity m comes out as m nearby
+    roots, spread about _ROOT_TOL**(1/m) times its modulus.
 
     Exact zero coefficients at the bottom are exact zero roots and are
     returned as such.  The other roots start from ``start`` when it is a
@@ -278,7 +282,7 @@ def all_roots(
     start cold from the circles of the Newton polygon of |c_i|, which put
     roots of every modulus near their own scale.  Both runs answer to the
     same certificate; a cold run that does not meet it within
-    ``max_iterations`` steps raises ``NumericsError``.  So may a polynomial
+    ``_MAX_ITERATIONS`` steps raises ``NumericsError``.  So may a polynomial
     with a nonzero coefficient below ``np.finfo(float).tiny``: rounding in
     the subnormal range is absolute, so a root there may have no double
     that meets the certificate.
@@ -295,14 +299,12 @@ def all_roots(
             warm = np.array(start, dtype=complex)
             warm = warm[np.argsort(np.abs(warm), kind="stable")[zeros:]]
             if np.isfinite(warm).all() and len(set(warm.tolist())) == len(warm):
-                found = _aberth(coeffs, warm, tol, max_iterations)
+                found = _aberth(coeffs, warm, _ROOT_TOL)
         if found is None:
-            found = _aberth(
-                coeffs, _newton_polygon_start(coeffs), tol, max_iterations
-            )
+            found = _aberth(coeffs, _newton_polygon_start(coeffs), _ROOT_TOL)
         if found is None:
             raise NumericsError(
-                f"root iteration failed to converge in {max_iterations} steps"
+                f"root iteration failed to converge in {_MAX_ITERATIONS} steps"
             )
         roots += [complex(z) for z in found]
     return sorted(roots, key=lambda w: (w.real, w.imag))
@@ -346,6 +348,13 @@ class PathPolyline:
 # ---------------------------------------------------------------------------
 # root continuation
 
+# Most Newton steps of one corrector.
+_NEWTON_STEPS = 30
+# First and largest continuation step, as a fraction of the path.
+_INITIAL_STEP = 0.125
+# Step floor; below it the path is singular, or the endpoint is reached.
+_MIN_STEP = 1e-8
+
 
 @dataclass(frozen=True)
 class TrackedRoots:
@@ -374,10 +383,18 @@ class TrackedRoots:
 
         The closest terminal pair qualifies only when its distance is below
         1e-4 and below one tenth of the next-smallest pairwise distance.
+        Terminal roots beyond the unit disc are first divided by the power
+        of two just above their largest modulus, so the absolute gate reads
+        at unit scale; the division is exact in floating point, so the ratio
+        test is untouched.
         """
         final = self.roots[-1]
         if len(final) < 2:
             raise NumericsError("need at least two tracks for a collision")
+        top = max(abs(z) for z in final)
+        if top > 1.0:
+            sigma = 2.0 ** math.ceil(math.log2(top))
+            final = tuple(z / sigma for z in final)
         pairs = sorted(
             (abs(final[i] - final[j]), i, j)
             for i in range(len(final))
@@ -393,21 +410,23 @@ class TrackedRoots:
         )
 
 
-def _newton(
-    p: CPoly, start: complex, tol: float, max_iter: int = 30
-) -> Tuple[complex, float]:
-    """The Newton iterate of least residual from ``start``, with its residual."""
+def _newton(p: CPoly, start: complex) -> Tuple[complex, float]:
+    """The Newton iterate of least residual from ``start``, with its residual.
+
+    Stops after ``_NEWTON_STEPS`` steps or once the residual falls below
+    ``_ROOT_TOL / 100``.
+    """
     value, slope, res = _horner(p.coeffs, start)
     current = best = start
     best_res = res
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         if slope == 0:
             break
         current = current - value / slope
         value, slope, res = _horner(p.coeffs, current)
         if res < best_res:
             best, best_res = current, res
-        if res < tol * 1e-2:
+        if res < _ROOT_TOL * 1e-2:
             break
     return best, best_res
 
@@ -524,32 +543,31 @@ def _shortest_augmenting_paths(rows: List[List[float]]) -> Tuple[int, ...]:
 
 
 def continue_roots(
-    family: Callable[[complex], CPoly],
-    path: PathPolyline,
-    tol: float = 1e-10,
-    initial_step: float = 0.125,
-    min_step: float = 1e-8,
+    family: Callable[[complex], CPoly], path: PathPolyline
 ) -> TrackedRoots:
     """Continue the roots of ``family(path.point(t))`` from t = 0 to t = 1.
 
     Predictor-corrector continuation: tracks advance by Newton correction
     from an extrapolated prediction, with full recomputation and optimal
-    matching as fallback.  A step is accepted only when the previous roots'
-    minimal pairwise distance exceeds three times the matching displacement,
-    else the step halves.  The final node is exempt (roots are allowed to
-    collide there): once the step floor is reached inside a vanishing window
-    of the endpoint, the last step is closed with optimal matching.  A step
-    floor reached anywhere else reports a mid-path singularity.
+    matching as fallback.  Every accepted root has a residual below
+    ``_ROOT_TOL``.  Steps start at ``_INITIAL_STEP`` of the path, grow by
+    1.6 after an accepted step up to that size, and halve otherwise.  A step
+    is accepted only when the previous roots' minimal pairwise distance
+    exceeds three times the matching displacement.  The final node is exempt
+    (roots are allowed to collide there): once the step falls below
+    ``_MIN_STEP`` within 100 such steps of the endpoint, the last step is
+    closed with optimal matching.  A step floor reached anywhere else
+    reports a mid-path singularity.
     """
     poly = family(path.point(0.0))
     degree = poly.degree
     if degree < 1:
         raise NumericsError("family must have degree at least 1")
-    current = tuple(all_roots(poly, tol))
+    current = tuple(all_roots(poly))
     steps = [(0.0, current, tuple(residual(poly, z) for z in current),
               tuple(range(degree)))]
     t = 0.0
-    dt = initial_step
+    dt = _INITIAL_STEP
     previous_step: Optional[Tuple[float, Tuple[complex, ...]]] = None
     while t < 1.0:
         t_next = min(t + dt, 1.0)
@@ -570,11 +588,11 @@ def continue_roots(
         else:
             predicted = list(current)
         corrected, corrected_res = zip(
-            *(_newton(poly_next, z, tol) for z in predicted)
+            *(_newton(poly_next, z) for z in predicted)
         )
         duplicate_floor = max(1e-13, 1e-6 * separation)
         if (
-            all(r < tol for r in corrected_res)
+            all(r < _ROOT_TOL for r in corrected_res)
             and _min_pairwise(corrected) > duplicate_floor
         ):
             aligned = corrected
@@ -582,7 +600,7 @@ def continue_roots(
             matching = tuple(range(degree))
         else:
             try:
-                raw = all_roots(poly_next, tol)
+                raw = all_roots(poly_next)
             except NumericsError:
                 raw = None
             if raw is None:
@@ -603,15 +621,15 @@ def continue_roots(
             current = aligned
             t = t_next
             steps.append((t, aligned, aligned_res, matching))
-            dt = min(initial_step, dt * 1.6)
+            dt = min(_INITIAL_STEP, dt * 1.6)
             continue
         dt /= 2
-        if dt >= min_step:
+        if dt >= _MIN_STEP:
             continue
-        if 1.0 - t <= 100 * min_step:
+        if 1.0 - t <= 100 * _MIN_STEP:
             # terminal closure: collisions are allowed at the final node
             poly_end = family(path.point(1.0))
-            raw = all_roots(poly_end, tol)
+            raw = all_roots(poly_end)
             matching = match_tracks(
                 np.array([[abs(z - w) for w in raw] for z in current])
             )
@@ -637,6 +655,10 @@ def continue_roots(
 # elliptic integrals with branch-point endpoints
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Most panel doublings before the quadrature gives up.
+_MAX_LEVEL = 9
+# The accuracy of each of the two integrals of ``period_lattice``.
+_PERIOD_TOL = 5e-10
 
 
 def _branch_signs(values: np.ndarray, anchor: complex) -> np.ndarray:
@@ -660,13 +682,7 @@ def _branch_signs(values: np.ndarray, anchor: complex) -> np.ndarray:
     return signs
 
 
-def elliptic_integral(
-    cubic: CPoly,
-    path: PathPolyline,
-    branch_seed: Optional[complex] = None,
-    tol: float = 1e-9,
-    max_level: int = 9,
-) -> complex:
+def elliptic_integral(cubic: CPoly, path: PathPolyline, tol: float = 1e-9) -> complex:
     """The integral of dx / y along ``path``, with y^2 = cubic(x).
 
     Each quadrature level is one set of numpy arrays: a unit grid of 16
@@ -680,9 +696,8 @@ def elliptic_integral(
     signs: a node flips relative to its predecessor when it is nearer the
     negated value, and an exact tie keeps the raw value.  The branch at the
     anchor -- the first node of the level-0 grid -- is the principal square
-    root of the cubic there, or the choice nearest ``branch_seed`` when one
-    is given.  Panels double until the whole-path total moves by less than
-    ``tol``.
+    root of the cubic there.  Panels double until the whole-path total moves
+    by less than ``tol``, at most ``_MAX_LEVEL`` times.
     """
     if cubic.degree != 3:
         raise NumericsError("elliptic integrals need a cubic")
@@ -771,14 +786,12 @@ def elliptic_integral(
 
     first_x, first_weights, first_values = level_values(0)
     anchor_value = first_values[0]
-    reference = (
-        branch_seed if branch_seed is not None else cmath.sqrt(cubic(first_x))
-    )
+    reference = cmath.sqrt(cubic(first_x))
     if abs(anchor_value - reference) > abs(anchor_value + reference):
         anchor_value = -anchor_value
 
     previous = integrate(first_weights, first_values)
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         _, weights, values = level_values(level)
         current = integrate(weights, values)
         if abs(current - previous) < tol:
@@ -790,13 +803,13 @@ def elliptic_integral(
     )
 
 
-def period_lattice(epsilon: float, tol: float = 1e-9) -> Tuple[complex, complex]:
+def period_lattice(epsilon: float) -> Tuple[complex, complex]:
     """The period pair of y^2 = x^3 + epsilon x at positive real ``epsilon``.
 
     The first period doubles the integral over the segment from -i sqrt(eps)
     to 0, the second over the segment from 0 to +i sqrt(eps), both with the
-    principal-branch anchor convention; the pair is checked to be R-linearly
-    independent.
+    principal-branch anchor convention and to ``_PERIOD_TOL``; the pair is
+    checked to be R-linearly independent.
     """
     if not epsilon > 0:
         raise NumericsError("epsilon must be positive")
@@ -804,10 +817,10 @@ def period_lattice(epsilon: float, tol: float = 1e-9) -> Tuple[complex, complex]
     r = math.sqrt(eps)
     cubic = CPoly((0j, complex(eps), 0j, 1 + 0j))
     omega_a = 2 * elliptic_integral(
-        cubic, PathPolyline((complex(0, -r), 0j)), tol=tol / 2
+        cubic, PathPolyline((complex(0, -r), 0j)), tol=_PERIOD_TOL
     )
     omega_b = 2 * elliptic_integral(
-        cubic, PathPolyline((0j, complex(0, r))), tol=tol / 2
+        cubic, PathPolyline((0j, complex(0, r))), tol=_PERIOD_TOL
     )
     area = (omega_a.conjugate() * omega_b).imag
     if abs(area) < 1e-12 * abs(omega_a) * abs(omega_b):

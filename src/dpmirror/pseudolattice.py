@@ -169,9 +169,13 @@ class MutationWord:
         moves: List[MutationMove] = []
         for token in text.split():
             side, digits = token[0], token[1:]
-            if side not in ("L", "R") or not digits.isdigit():
+            if side not in ("L", "R") or not digits.isdecimal():
                 raise PseudolatticeError(f"cannot parse mutation token {token!r}")
-            moves.append(MutationMove(side, int(digits)))
+            try:
+                slot = int(digits)
+            except ValueError as exc:  # more digits than int() converts
+                raise PseudolatticeError(f"slot too long in {token[:20]!r}") from exc
+            moves.append(MutationMove(side, slot))
         return cls(tuple(moves))
 
     def __str__(self) -> str:

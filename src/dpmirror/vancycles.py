@@ -60,6 +60,7 @@ __all__ = [
 ARC_GUARD = 1e-3  # minimal distance of other critical values from an arc
 RESIDUAL_BOUND = 1e-6  # integer period solve must certify below this
 RETRY_FACTOR = Fraction(18, 17)  # epsilon bump when an arc guard trips
+MAX_RETRIES = 5  # epsilon bumps before the arc guard failure is final
 
 
 class ArcGuardError(NumericsError):
@@ -156,29 +157,6 @@ def _vanishing_arc(tracked: TrackedRoots, pair: Tuple[int, int]) -> PathPolyline
     return PathPolyline(tuple(nodes))
 
 
-def _collision_pair(tracked: TrackedRoots) -> Tuple[int, int]:
-    """The colliding pair, detected at the natural scale of the roots.
-
-    The terminal-collision gate is an absolute distance test; when the
-    terminal roots are numerically huge the configuration is first divided
-    by an exact power of two so the gate reads at unit scale.  Division by
-    a power of two is exact in floating point, so the relative geometry
-    (and the ratio test) is untouched.
-    """
-    final = tracked.roots[-1]
-    top = max(abs(z) for z in final)
-    if top <= 1.0:
-        return tracked.terminal_collision()
-    sigma = 2.0 ** math.ceil(math.log2(top))
-    scaled = TrackedRoots(
-        parameters=tracked.parameters,
-        roots=tuple(tuple(z / sigma for z in row) for row in tracked.roots),
-        residuals=tracked.residuals,
-        matchings=tracked.matchings,
-    )
-    return scaled.terminal_collision()
-
-
 @dataclass(frozen=True)
 class VanishingData:
     """Ordered critical values with their vanishing arcs and classes."""
@@ -232,11 +210,7 @@ def _solve_class(
     return HomologyClass(m, n), residual
 
 
-def vanishing_classes(
-    d: int,
-    epsilon: Fraction = Fraction(1, 100),
-    max_retries: int = 5,
-) -> VanishingData:
+def vanishing_classes(d: int, epsilon: Fraction = Fraction(1, 100)) -> VanishingData:
     """The ordered vanishing-cycle classes of the perturbed degree-d model.
 
     For every critical value in sweep order: roots are continued along the
@@ -246,7 +220,7 @@ def vanishing_classes(
     global orientation is calibrated so the first class is a + b; every
     other class is normalized to a positive first nonzero coordinate.  An
     arc passing within the guard distance of another critical value bumps
-    epsilon by 18/17 and retries.
+    epsilon by 18/17 and retries, at most ``MAX_RETRIES`` times.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"no reference model of degree {d}")
@@ -254,14 +228,14 @@ def vanishing_classes(
     if eps <= 0:
         raise NumericsError("epsilon must be positive")
     last_error: Optional[ArcGuardError] = None
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         try:
             return _vanishing_classes_once(d, eps)
         except ArcGuardError as error:
             last_error = error
             eps *= RETRY_FACTOR
     raise NumericsError(
-        f"arc guard kept failing after {max_retries} epsilon bumps: {last_error}"
+        f"arc guard kept failing after {MAX_RETRIES} epsilon bumps: {last_error}"
     )
 
 
@@ -296,7 +270,7 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
     for lam in critical:
         arc = PathPolyline((0j, lam))
         tracked = continue_roots(family, arc)
-        pair = _collision_pair(tracked)
+        pair = tracked.terminal_collision()
         delta = _vanishing_arc(tracked, pair)
         integral = 2 * elliptic_integral(base_cubic, delta)
         cls, residual = _solve_class(integral, basis)
@@ -331,8 +305,10 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
     )
 
 
-def render_delta_svg(data: VanishingData, size: int = 640) -> str:
-    """A deterministic SVG of the vanishing arcs over the branch points."""
+def render_delta_svg(data: VanishingData) -> str:
+    """A deterministic 640-pixel SVG of the vanishing arcs over the branch
+    points."""
+    size = 640
     points = [z for delta in data.deltas for z in delta.nodes]
     if not points:
         raise NumericsError("nothing to draw")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -332,6 +334,44 @@ def test_check_prints_one_verdict_per_claim(capsys):
     code, out, _ = run_cli(capsys, "check")
     assert code == EXIT_PASS
     assert out == CHECK_REPORT
+
+
+def test_library_value_error_propagates(capsys, monkeypatch):
+    """A bare ValueError from a library layer is a bug, not a usage error:
+    it leaves ``main`` with its traceback instead of printing ``error:``."""
+    def broken(d):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(cli, "verify_mutation_equivalence", broken)
+    with pytest.raises(ValueError, match="library bug"):
+        main(["verify", "--d", "3"])
+    assert "error:" not in capsys.readouterr().err
+
+
+_EPSILON_COMMANDS = (("fibers", "--variant", "perturbed"), ("critvals",))
+
+
+@st.composite
+def _epsilons(draw):
+    """An exact positive rational n/m * 10^k, as the --epsilon text."""
+    value = Fraction(draw(st.integers(1, 10 ** 4)), draw(st.integers(1, 10 ** 4)))
+    value *= Fraction(10) ** draw(st.integers(-12, 12))
+    return f"{value.numerator}/{value.denominator}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_EPSILON_COMMANDS), st.sampled_from("123"), _epsilons())
+@example(("critvals",), "1", "1" + "0" * 400)  # beyond the float range
+@example(("critvals",), "3", "1" + "0" * 300)  # the root solve cannot certify
+@example(("fibers", "--variant", "perturbed"), "1", "1/1234577")  # uncertified
+def test_epsilon_exits_zero_or_with_a_typed_error(command, d, epsilon):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command[0], "--d", d, "--epsilon", epsilon,
+                     "--out", os.devnull, *command[1:]])
+    assert code in (EXIT_PASS, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_check_fails_when_a_claim_fails(capsys, monkeypatch):

@@ -153,4 +153,4 @@ def test_total_monodromy_applies_first_class_first():
 
 def test_infinity_cycle_reports_when_nothing_cancels():
     with pytest.raises(ValueError):
-        infinity_cycle([A], multiplicity=5, bound=1)
+        infinity_cycle([A], multiplicity=5)

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from dpmirror.exactpoly import UniPoly
 from dpmirror.homology import extended_vanishing_classes
 from dpmirror.interfam import (
+    MAX_MOTION,
+    PROXIMITY,
     FamilySpec,
     ProjectivePoint,
-    RenderStyle,
-    SweepControl,
     TrajectorySet,
     _chordal_matrix,
     _in_boundary_annulus,
@@ -142,16 +142,15 @@ def test_sweep_exactly_one_track_leaves_infinity():
 
 
 def test_sweep_steps_stay_bounded():
-    control = SweepControl()
     traj = _swept(3, 2)
     for before, after in zip(traj.positions, traj.positions[1:]):
         worst = max(chordal(p, q) for p, q in zip(before, after))
-        assert worst <= control.max_motion + 1e-12
+        assert worst <= MAX_MOTION + 1e-12
 
 
 def test_sweep_constant_family_is_stationary():
     model = catalog(3, Fraction(1, 100))
-    traj = sweep(FamilySpec(model, model), SweepControl(samples=25))
+    traj = sweep(FamilySpec(model, model))
     start = traj.positions[0]
     for row in traj.positions:
         assert max(chordal(p, q) for p, q in zip(start, row)) < 1e-9
@@ -162,13 +161,6 @@ def test_sweep_is_deterministic():
     one = sweep(FamilySpec.between_degrees(3, 2))
     two = sweep(FamilySpec.between_degrees(3, 2))
     assert one.to_csv() == two.to_csv()
-
-
-def test_sweep_control_validation():
-    with pytest.raises(ValueError):
-        SweepControl(samples=0)
-    with pytest.raises(ValueError):
-        SweepControl(boundary=1.5)
 
 
 def test_trajectory_set_validation():
@@ -227,10 +219,13 @@ def test_word_is_deterministic():
 
 
 def test_word_rejects_basepoint_on_a_track():
-    traj = _swept(3, 2)
-    occupied = next(p.affine() for p in traj.positions[0] if not p.parked)
+    traj = TrajectorySet(
+        parameters=(0.0, 1.0),
+        positions=((_point(0.5), _point(0.5j)), (_point(0.5), _point(0j))),
+        chart_switches=(),
+    )
     with pytest.raises(NumericsError, match="base point"):
-        transposition_word(traj, basepoint=occupied)
+        transposition_word(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +347,6 @@ def test_render_empty_set_draws_axes_only():
     assert "<circle" not in drawing and "<path" not in drawing
 
 
-def test_render_style_is_respected():
-    traj = _swept(2, 1)
-    drawing = render_svg(traj, RenderStyle(size=400, track_color="#123456"))
-    assert 'width="400"' in drawing
-    assert "#123456" in drawing
-
-
 # ---------------------------------------------------------------------------
 # chart geometry
 
@@ -403,9 +391,9 @@ def test_chordal_matrix_is_chordal_entrywise(rows, columns):
             assert abs(matrix[i, j] - chordal(p, q)) <= 1e-15
 
 
-def _scalar_verdict(before, after, control):
+def _scalar_verdict(before, after):
     """Oracle: the interval verdict one chordal distance at a time."""
-    if max(chordal(p, q) for p, q in zip(before, after)) > control.max_motion:
+    if max(chordal(p, q) for p, q in zip(before, after)) > MAX_MOTION:
         return "motion"
     n = len(after)
     for i in range(n):
@@ -413,12 +401,10 @@ def _scalar_verdict(before, after, control):
             if before[i].parked and before[j].parked:
                 continue
             now = chordal(after[i], after[j])
-            if now < control.proximity and now < chordal(before[i], before[j]):
+            if now < PROXIMITY and now < chordal(before[i], before[j]):
                 return "proximity"
     for p, q in zip(before, after):
-        if _in_boundary_annulus(q, control.boundary) and not _in_boundary_annulus(
-            p, control.boundary
-        ):
+        if _in_boundary_annulus(q) and not _in_boundary_annulus(p):
             return "boundary"
     return None
 
@@ -448,7 +434,4 @@ def _intervals(draw):
 @given(_intervals())
 def test_interval_verdict_matches_the_scalar_reading(interval):
     before, after = interval
-    control = SweepControl()
-    assert _interval_verdict(before, after, control) == _scalar_verdict(
-        before, after, control
-    )
+    assert _interval_verdict(before, after) == _scalar_verdict(before, after)

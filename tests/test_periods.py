@@ -312,5 +312,5 @@ def test_classical_period_invariant_under_unimodular_substitution(d, shears):
     g = LaurentPoly({}, 2)
     for (e3, e4), c in f.terms.items():
         key = tuple(e3 * matrix[0][j] + e4 * matrix[1][j] for j in range(2))
-        g = g + LaurentPoly.monomial(key, c)
+        g = g + LaurentPoly({key: c}, 2)
     assert classical_period(g, 8) == classical_period(f, 8)

@@ -122,7 +122,11 @@ def test_word_concatenation_appends_display_order():
     assert str(word) == "L1 R2 R3"
 
 
-@pytest.mark.parametrize("bad", ["X1", "L", "1L", "Lx", "L-1"])
+@pytest.mark.parametrize(
+    "bad",
+    ["X1", "L", "1L", "Lx", "L-1", "L\u00b2",
+     pytest.param("L" + "9" * 5000, id="L-5000-digits")],
+)
 def test_word_parse_rejects_bad_tokens(bad):
     with pytest.raises(PseudolatticeError):
         MutationWord.parse(bad)

@@ -122,3 +122,84 @@ def test_only_the_catalog_oracle_is_unreferenced() -> None:
 
 def test_every_method_is_reached_outside_its_own_body() -> None:
     assert _unreferenced_members() == TEST_ONLY_MEMBERS
+
+
+# Every parameter default and dataclass field default of the library, keyed
+# (module, qualified owner, name), with the reason it is not a module
+# constant: two values in use, a CLI flag, or data.  A new setting needs an
+# entry here, and a constant needs none.
+SETTINGS = {
+    ("cli", "RunConfig", "d"): "CLI flag --d",
+    ("cli", "RunConfig", "epsilon"): "CLI flag --epsilon",
+    ("cli", "RunConfig", "order"): "CLI flag --order",
+    ("cli", "RunConfig", "out"): "CLI flag --out",
+    ("cli", "RunConfig", "fmt"): "CLI flag --format",
+    ("cli", "RunConfig", "word"): "CLI flag --word",
+    ("cli", "RunConfig", "variant"): "CLI flag --variant",
+    ("cli", "main", "argv"): "two values: none from the console script",
+    ("exactpoly", "UniPoly.__init__", "terms"): "data: the zero polynomial",
+    ("exactpoly", "UniPoly.__init__", "var"): "data: the variable name",
+    ("exactpoly", "UniPoly.constant", "var"): "data: the variable name",
+    ("exactpoly", "LaurentPoly.__init__", "terms"): "data: the zero polynomial",
+    ("exactpoly", "LaurentPoly.__init__", "nvars"): "data: the variable count",
+    ("interfam", "FamilySpec.between_degrees", "epsilon"): "CLI flag --epsilon",
+    ("interfam", "_configuration", "previous"): "two values: none at sample 0",
+    ("pathnum", "all_roots", "start"): "two values: the sweep's warm start",
+    ("pathnum", "elliptic_integral", "tol"): "two values: 1e-9, 5e-10 for periods",
+    ("pathnum", "elliptic_integral.branch_values", "ridx"): "two values: substituted",
+    ("pathnum", "elliptic_integral.branch_values", "factor"): "two values: substituted",
+    ("periods", "quantum_period", "order"): "CLI flag --order",
+    ("periods", "classical_period", "order"): "CLI flag --order",
+    ("periods", "mirror_check", "order"): "CLI flag --order",
+    ("vancycles", "critical_values_ordered", "anchor"): "two values: the nodal place",
+    ("vancycles", "vanishing_classes", "epsilon"): "CLI flag --epsilon",
+    ("weierstrass", "FiberPlacement", "count"): "data: fibers at the place",
+    ("weierstrass", "FiberPlacement", "factor"): "data: irrational places",
+    ("weierstrass", "catalog", "perturbation"): "two values: exact or perturbed",
+    ("weierstrass", "MinimalityReport", "violation"): "data: the failed condition",
+    ("weierstrass", "classify_fiber_at.fiber", "index"): "data: the Kodaira index",
+}
+
+
+def _has_default(value: ast.expr) -> bool:
+    """False for ``field(...)`` without a default, True for any other value."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def _settings() -> Set[Tuple[str, str, str]]:
+    found: Set[Tuple[str, str, str]] = set()
+
+    def visit(node: ast.AST, module: str, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = f"{owner}.{child.name}" if owner else child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
+                ]
+                found.update((module, name, a.arg) for a in defaulted)
+                visit(child, module, name)
+            elif isinstance(child, ast.ClassDef):
+                name = f"{owner}.{child.name}" if owner else child.name
+                found.update(
+                    (module, name, item.target.id)
+                    for item in child.body
+                    if isinstance(item, ast.AnnAssign)
+                    and item.value is not None
+                    and _has_default(item.value)
+                )
+                visit(child, module, name)
+            else:
+                visit(child, module, owner)
+
+    for path in sorted(LIBRARY.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def test_every_setting_is_listed_with_its_reason() -> None:
+    assert _settings() == set(SETTINGS)
