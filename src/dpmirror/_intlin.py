@@ -4,13 +4,13 @@ Matrices are plain lists of rows of Python ints (arbitrary precision);
 vectors are lists of ints.  Everything here is exact: Hermite column
 reduction with a recorded unimodular transform, saturated integer kernels,
 completion of a primitive vector to a unimodular matrix, Bareiss
-determinants, exact linear solves over the integers, and signatures of
-symmetric matrices by congruence diagonalization over the rationals.
+determinants, exact linear solves over the integers, inverses of unimodular
+matrices by integer row reduction, and signatures of symmetric matrices by
+fraction-free (Bareiss) symmetric elimination.  No step leaves the integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,8 +29,17 @@ def transpose(matrix: Sequence[Sequence[int]]) -> IntMatrix:
 def matrix_multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    width = len(b[0]) if b else 0
+    product: IntMatrix = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        product.append(acc)
+    return product
 
 
 def matrix_vector(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
@@ -222,52 +231,59 @@ def determinant_integer(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def inverse_exact(matrix: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    """Exact inverse over the rationals (raises on singular input)."""
+def unimodular_inverse(matrix: Sequence[Sequence[int]]) -> IntMatrix:
+    """Integer inverse of an integer matrix with determinant ±1.
+
+    Integer row operations of determinant one reduce ``[matrix | I]`` to
+    ``[I | inverse]``: an extended-gcd pair clears each column below its
+    pivot, leaving the gcd of the column there.  The determinant is the
+    product of these pivots up to sign, so a pivot other than ±1 means the
+    inverse is not integral.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(matrix)]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     for k in range(n):
-        pivot = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[k], work[pivot] = work[pivot], work[k]
-        scale = work[k][k]
-        work[k] = [x / scale for x in work[k]]
-        for i in range(n):
-            if i != k and work[i][k]:
-                factor = work[i][k]
+        for i in range(k + 1, n):
+            a, b = work[k][k], work[i][k]
+            if b == 0:
+                continue
+            g, s, t = extended_gcd(a, b)
+            top, low = work[k], work[i]
+            work[k] = [s * x + t * y for x, y in zip(top, low)]
+            work[i] = [(a // g) * y - (b // g) * x for x, y in zip(top, low)]
+        if work[k][k] not in (1, -1):
+            raise ValueError("matrix is not unimodular; inverse is not integral")
+        if work[k][k] == -1:
+            work[k] = [-x for x in work[k]]
+    for k in range(n - 1, 0, -1):
+        for i in range(k):
+            factor = work[i][k]
+            if factor:
                 work[i] = [x - factor * y for x, y in zip(work[i], work[k])]
     return [row[n:] for row in work]
-
-
-def unimodular_inverse(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    """Integer inverse of an integer matrix with determinant ±1."""
-    rational = inverse_exact(matrix)
-    out: IntMatrix = []
-    for row in rational:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular; inverse is not integral")
-        out.append([int(x) for x in row])
-    return out
 
 
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
     """Exact inertia ``(positive, negative, zero)`` of a symmetric matrix.
 
-    Diagonalizes by rational congruence (Sylvester's law); when the active
-    diagonal vanishes but an off-diagonal entry survives, a hyperbolic-pair
-    basis change ``e_i <- e_i + e_j`` restores a usable pivot.
+    Symmetric Bareiss elimination: after ``k`` steps the trailing block is
+    ``D_k`` times the Schur complement, where ``D_k`` is the leading k-by-k
+    minor, so every entry stays an integer minor and each division is
+    exact.  The k-th diagonal entry of the LDL^T form is ``D_(k+1) / D_k``;
+    its sign is that of the product of the two pivots (Sylvester's law).
+    When the trailing diagonal vanishes but an off-diagonal entry survives,
+    the integer basis change ``e_i <- e_i + e_j`` restores a usable pivot.
     """
     n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
+    m = [list(row) for row in matrix]
     for i in range(n):
         for j in range(n):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
     pos = neg = zero = 0
+    previous = 1
     k = 0
     while k < n:
         pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
@@ -285,26 +301,37 @@ def symmetric_signature(matrix: Sequence[Sequence[int]]) -> Tuple[int, int, int]
                 zero += n - k
                 break
             i, j = pair
-            for c in range(n):
+            for c in range(k, n):
                 m[i][c] += m[j][c]
-            for r in range(n):
+            for r in range(k, n):
                 m[r][i] += m[r][j]
             pivot = i
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
-            for r in range(n):
+            for r in range(k, n):
                 m[r][k], m[r][pivot] = m[r][pivot], m[r][k]
         d = m[k][k]
-        if d > 0:
+        if d * previous > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            factor = m[i][k] / d
-            if factor:
-                for c in range(n):
-                    m[i][c] -= factor * m[k][c]
-                for r in range(n):
-                    m[r][i] -= factor * m[k][r]
+        symmetric_bareiss_step(m, k, previous)
+        previous = d
         k += 1
     return pos, neg, zero
+
+
+def symmetric_bareiss_step(m: IntMatrix, k: int, previous: int) -> None:
+    """Eliminate column ``k`` of the symmetric matrix ``m`` below its pivot.
+
+    Updates the trailing block (rows and columns after ``k``) in place, by
+    ``(pivot * m_ij - m_ik * m_kj) / previous``, where ``previous`` is the
+    pivot of the step before (1 at the first).  When ``m`` is ``k`` steps
+    into a symmetric Bareiss elimination, every entry of the block is an
+    integer minor, so the division is exact.
+    """
+    pivot = m[k][k]
+    for i in range(k + 1, len(m)):
+        f = m[i][k]
+        for j in range(i, len(m)):
+            m[i][j] = m[j][i] = (pivot * m[i][j] - f * m[k][j]) // previous

@@ -18,8 +18,8 @@ JSON artifacts store a univariate polynomial as a sorted list of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from math import gcd, prod
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -164,17 +164,31 @@ class UniPoly:
         return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
                        self.var)
 
-    def evaluate_complex(self, point: complex) -> complex:
-        acc = 0j
-        prev_exp = None
-        for exp in sorted(self.terms, reverse=True):
-            if prev_exp is not None:
-                acc *= point ** (prev_exp - exp)
-            acc += complex(self.terms[exp])
-            prev_exp = exp
-        if prev_exp is not None and prev_exp > 0:
-            acc *= point ** prev_exp
-        return acc
+    def complex_evaluator(self) -> Callable[[complex], complex]:
+        """Evaluation at complex points by sparse Horner steps.
+
+        The coefficients are converted to complex and the exponent gaps
+        worked out once, here; each call then runs only the steps.  Raises
+        OverflowError when a coefficient exceeds the float range.
+        """
+        exps = sorted(self.terms, reverse=True)
+        steps = tuple(
+            (high - low, complex(self.terms[low]))
+            for high, low in zip(exps[:1] + exps, exps)
+        )
+        tail = exps[-1] if exps else 0
+
+        def evaluate(point: complex) -> complex:
+            acc = 0j
+            for gap, coeff in steps:
+                if gap:
+                    acc *= point ** gap
+                acc += coeff
+            if tail:
+                acc *= point ** tail
+            return acc
+
+        return evaluate
 
     def divmod_exact(self, divisor: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
         """Polynomial long division; returns (quotient, remainder)."""
@@ -372,15 +386,17 @@ def squarefree_factorization(p: UniPoly) -> Tuple[Fraction, List[Tuple[UniPoly, 
     return unit, factors
 
 
-# Largest trial divisor of ``_positive_divisors``.
+# Largest trial divisor of ``_prime_powers``.
 _TRIAL_BOUND = 10 ** 6
+# Most (numerator, denominator) candidate pairs ``rational_roots`` tries.
+_MAX_DIVISOR_PAIRS = 10 ** 5
 
 
-def _positive_divisors(n: int) -> List[int]:
-    """All positive divisors of ``|n|`` by trial division.
+def _prime_powers(n: int) -> Dict[int, int]:
+    """The prime factorization ``{prime: multiplicity}`` of ``|n|``.
 
-    Raises ValueError when ``n`` has two prime factors above ``_TRIAL_BOUND``,
-    in which case the divisor list cannot be certified complete.
+    Trial division; raises ValueError when ``n`` has two prime factors above
+    ``_TRIAL_BOUND``, in which case the factorization cannot be certified.
     """
     n = abs(n)
     if n == 0:
@@ -397,6 +413,11 @@ def _positive_divisors(n: int) -> List[int]:
         p += 1 if p == 2 else 2
     if m > 1:
         prime_powers[m] = prime_powers.get(m, 0) + 1
+    return prime_powers
+
+
+def _positive_divisors(prime_powers: Mapping[int, int]) -> List[int]:
+    """All positive divisors, ascending, of the number factored as given."""
     divisors = [1]
     for prime, mult in prime_powers.items():
         divisors = [d * prime ** k for d in divisors for k in range(mult + 1)]
@@ -412,8 +433,9 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
     terms makes den*x - top a factor of f over the integers (Gauss's lemma),
     so (den - top) | f(1) and (den + top) | f(-1); a candidate that fails
     either test is skipped before f is evaluated, in integers, as
-    sum_k f_k top^k den^(n-k).  Raises ValueError for the zero polynomial or
-    when a coefficient resists factorization.
+    sum_k f_k top^k den^(n-k).  Raises ValueError for the zero polynomial,
+    when a coefficient resists factorization, or when there are more than
+    ``_MAX_DIVISOR_PAIRS`` candidate pairs, which bounds the work.
     """
     if p.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
@@ -450,8 +472,16 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
             den_power *= den
         return acc == 0
 
-    for num in _positive_divisors(leading_first[-1]):
-        for den in _positive_divisors(leading_first[0]):
+    numerators = _prime_powers(leading_first[-1])
+    denominators = _prime_powers(leading_first[0])
+    pairs = prod(m + 1 for m in [*numerators.values(), *denominators.values()])
+    if pairs > _MAX_DIVISOR_PAIRS:
+        raise ValueError(
+            f"{pairs} candidate roots exceed the limit of {_MAX_DIVISOR_PAIRS}"
+        )
+    dens = _positive_divisors(denominators)
+    for num in _positive_divisors(numerators):
+        for den in dens:
             if gcd(num, den) != 1:
                 continue
             for top in (num, -num):

@@ -354,6 +354,8 @@ _NEWTON_STEPS = 30
 _INITIAL_STEP = 0.125
 # Step floor; below it the path is singular, or the endpoint is reached.
 _MIN_STEP = 1e-8
+# Most evaluations of the family in one continuation.
+_MAX_FAMILY_EVALUATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -543,7 +545,9 @@ def _shortest_augmenting_paths(rows: List[List[float]]) -> Tuple[int, ...]:
 
 
 def continue_roots(
-    family: Callable[[complex], CPoly], path: PathPolyline
+    family: Callable[[complex], CPoly],
+    path: PathPolyline,
+    roots: Optional[Sequence[complex]] = None,
 ) -> TrackedRoots:
     """Continue the roots of ``family(path.point(t))`` from t = 0 to t = 1.
 
@@ -557,13 +561,28 @@ def continue_roots(
     (roots are allowed to collide there): once the step falls below
     ``_MIN_STEP`` within 100 such steps of the endpoint, the last step is
     closed with optimal matching.  A step floor reached anywhere else
-    reports a mid-path singularity.
+    reports a mid-path singularity.  ``roots``, when given, are the roots of
+    ``family(path.point(0.0))`` as ``all_roots`` returns them, and save that
+    solve.  More than ``_MAX_FAMILY_EVALUATIONS`` evaluations of ``family``
+    raise ``NumericsError``.
     """
-    poly = family(path.point(0.0))
+    evaluations = 0
+
+    def family_at(t: float) -> CPoly:
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > _MAX_FAMILY_EVALUATIONS:
+            raise NumericsError(
+                f"continuation stopped at t = {t:.6g} after "
+                f"{_MAX_FAMILY_EVALUATIONS} family evaluations"
+            )
+        return family(path.point(t))
+
+    poly = family_at(0.0)
     degree = poly.degree
     if degree < 1:
         raise NumericsError("family must have degree at least 1")
-    current = tuple(all_roots(poly))
+    current = tuple(all_roots(poly) if roots is None else roots)
     steps = [(0.0, current, tuple(residual(poly, z) for z in current),
               tuple(range(degree)))]
     t = 0.0
@@ -571,7 +590,7 @@ def continue_roots(
     previous_step: Optional[Tuple[float, Tuple[complex, ...]]] = None
     while t < 1.0:
         t_next = min(t + dt, 1.0)
-        poly_next = family(path.point(t_next))
+        poly_next = family_at(t_next)
         if poly_next.degree != degree:
             raise NumericsError(
                 f"family degree changed from {degree} to {poly_next.degree} "
@@ -628,7 +647,7 @@ def continue_roots(
             continue
         if 1.0 - t <= 100 * _MIN_STEP:
             # terminal closure: collisions are allowed at the final node
-            poly_end = family(path.point(1.0))
+            poly_end = family_at(1.0)
             raw = all_roots(poly_end)
             matching = match_tracks(
                 np.array([[abs(z - w) for w in raw] for z in current])
@@ -682,7 +701,12 @@ def _branch_signs(values: np.ndarray, anchor: complex) -> np.ndarray:
     return signs
 
 
-def elliptic_integral(cubic: CPoly, path: PathPolyline, tol: float = 1e-9) -> complex:
+def elliptic_integral(
+    cubic: CPoly,
+    path: PathPolyline,
+    tol: float = 1e-9,
+    roots: Optional[Sequence[complex]] = None,
+) -> complex:
     """The integral of dx / y along ``path``, with y^2 = cubic(x).
 
     Each quadrature level is one set of numpy arrays: a unit grid of 16
@@ -697,11 +721,13 @@ def elliptic_integral(cubic: CPoly, path: PathPolyline, tol: float = 1e-9) -> co
     negated value, and an exact tie keeps the raw value.  The branch at the
     anchor -- the first node of the level-0 grid -- is the principal square
     root of the cubic there.  Panels double until the whole-path total moves
-    by less than ``tol``, at most ``_MAX_LEVEL`` times.
+    by less than ``tol``, at most ``_MAX_LEVEL`` times.  ``roots``, when
+    given, are the roots of ``cubic`` as ``all_roots`` returns them.
     """
     if cubic.degree != 3:
         raise NumericsError("elliptic integrals need a cubic")
-    roots = all_roots(cubic)
+    if roots is None:
+        roots = all_roots(cubic)
     sqrt_lead = np.sqrt(complex(cubic.leading))
     scale = 1.0 + max(abs(r) for r in roots)
     snap = 1e-9 * scale

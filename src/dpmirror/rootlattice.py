@@ -8,12 +8,18 @@ hyperbolic comparison model with its canonical vector, producing integral
 fundamental-weight witnesses, and assembling the rational surface basis
 whose Gram matrix exhibits the half-integer canonical-class entries and the
 Cartan block.
+
+All of it runs in integers.  Short vectors come from Fincke-Pohst
+enumeration over a fraction-free (Bareiss) LDL^T with an integer budget;
+the surface basis is half-integral, so its Gram is paired from the doubled
+basis and divided by 4 once, and only the reported basis and Gram are
+``Fraction``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +31,7 @@ from ._intlin import (
     primitive_vector,
     rank_integer,
     solve_integer,
+    symmetric_bareiss_step,
     symmetric_signature,
     transpose,
 )
@@ -53,6 +60,10 @@ class IntLattice:
     """A finite-rank lattice with a symmetric integer bilinear form."""
 
     gram: Tuple[Tuple[int, ...], ...]
+    # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads
+    entries: Tuple[Tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -64,6 +75,9 @@ class IntLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise RootLatticeError("Gram matrix must be symmetric")
+        object.__setattr__(self, "entries", tuple(
+            (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g
+        ))
 
     @property
     def rank(self) -> int:
@@ -73,12 +87,10 @@ class IntLattice:
         return len(integer_kernel([list(row) for row in self.gram]))
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(
-            u[i] * self.gram[i][j] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if self.gram[i][j]
-        )
+        total = 0
+        for i, j, g in self.entries:
+            total += u[i] * g * v[j]
+        return total
 
     def norm(self, v: Sequence[int]) -> int:
         return self.pairing(v, v)
@@ -94,62 +106,74 @@ class IntLattice:
 # short vectors
 
 
-def _ldl(gram: Sequence[Sequence[int]]) -> Optional[Tuple[List[List[Fraction]], List[Fraction]]]:
-    """Unit lower triangular L and positive diagonal D with G = L D L^T.
+def _bareiss_columns(
+    gram: Sequence[Sequence[int]],
+) -> Optional[Tuple[List[int], List[List[Tuple[int, int]]]]]:
+    """Leading principal minors and Bareiss columns of a positive definite Gram.
 
-    Returns None when the form is not positive definite.
+    Returns ``(minors, columns)`` with ``minors[k]`` the leading k-by-k minor
+    (``minors[0] = 1``) and ``columns[l]`` the nonzero entries ``(j, c)``,
+    j > l, of column l after l steps of fraction-free elimination.  Then
+    G = L D L^T with D[l] = minors[l + 1] / minors[l] and
+    L[j][l] = c / minors[l + 1].  Returns None when a minor is not positive,
+    that is, when the form is not positive definite (Sylvester's criterion).
     """
     n = len(gram)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        d = Fraction(gram[j][j]) - sum(diag[k] * lower[j][k] ** 2 for k in range(j))
-        if d <= 0:
+    work = [list(row) for row in gram]
+    minors = [1]
+    columns: List[List[Tuple[int, int]]] = []
+    for k in range(n):
+        if work[k][k] <= 0:
             return None
-        diag[j] = d
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            val = Fraction(gram[i][j]) - sum(
-                diag[k] * lower[i][k] * lower[j][k] for k in range(j)
-            )
-            lower[i][j] = val / d
-    return lower, diag
+        columns.append([(j, work[j][k]) for j in range(k + 1, n) if work[j][k]])
+        symmetric_bareiss_step(work, k, minors[-1])
+        minors.append(work[k][k])
+    return minors, columns
 
 
 def short_vectors(lattice: IntLattice, bound: int) -> List[IntVector]:
     """All nonzero vectors of absolute norm at most ``bound``, both signs.
 
-    The lattice must be definite (either sign); enumeration is the standard
-    exact triangular-decomposition sweep and is complete.  Vectors are
-    returned sorted lexicographically.
+    The lattice must be definite (either sign).  Fincke-Pohst enumeration
+    over a fraction-free LDL^T, all in integers: with Delta_l the leading
+    minors, c_l the Bareiss columns, s = sum_j c_l[j] v_j and
+    u = t Delta_(l+1) + s, the norm is sum_l u^2 / (Delta_l Delta_(l+1)).
+    Scaled by Q = lcm(Delta_l Delta_(l+1)), level l costs w_l u^2 with
+    w_l = Q / (Delta_l Delta_(l+1)), so the admissible t under a remaining
+    budget B are exactly those with |u| <= isqrt(floor(B / w_l)).  The
+    floor never rounds: the levels above l spend Q times a norm in
+    Z / Delta_(l+1), by Sylvester's determinant identity, so w_l divides B.
+    The enumeration is complete.  Vectors are returned sorted
+    lexicographically.
     """
-    decomposition = _ldl(lattice.gram)
+    decomposition = _bareiss_columns(lattice.gram)
     if decomposition is None:
-        decomposition = _ldl(lattice.negated().gram)
+        decomposition = _bareiss_columns(lattice.negated().gram)
         if decomposition is None:
             raise RootLatticeError("short vectors require a definite lattice")
-    lower, diag = decomposition
+    minors, columns = decomposition
     n = lattice.rank
+    products = [low * high for low, high in zip(minors, minors[1:])]
+    scale = math.lcm(*products)
+    weights = [scale // product for product in products]
     found: List[IntVector] = []
     vector = [0] * n
 
-    def sweep(level: int, remaining: Fraction) -> None:
+    def sweep(level: int, budget: int) -> None:
         if level < 0:
             if any(vector):
                 found.append(list(vector))
             return
-        center = -sum(lower[j][level] * vector[j] for j in range(level + 1, n))
-        spread = math.sqrt(float(remaining / diag[level])) + 1
-        low = math.ceil(float(center) - spread)
-        high = math.floor(float(center) + spread)
-        for t in range(low, high + 1):
-            used = diag[level] * (t - center) ** 2
-            if used <= remaining:
-                vector[level] = t
-                sweep(level - 1, remaining - used)
+        delta, weight = minors[level + 1], weights[level]
+        s = sum(c * vector[j] for j, c in columns[level])
+        reach = math.isqrt(budget // weight)
+        for t in range(-((reach + s) // delta), (reach - s) // delta + 1):
+            u = t * delta + s
+            vector[level] = t
+            sweep(level - 1, budget - weight * u * u)
         vector[level] = 0
 
-    sweep(n - 1, Fraction(bound))
+    sweep(n - 1, bound * scale)
     return sorted(found)
 
 
@@ -598,19 +622,6 @@ def kernel_decomposition(
 # the rational surface basis
 
 
-def _fraction_pairing(
-    gram: Sequence[Sequence[int]], u: Sequence[Fraction], v: Sequence[Fraction]
-) -> Fraction:
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if vj and gram[i][j]:
-                total += ui * gram[i][j] * vj
-    return total
-
-
 @dataclass(frozen=True)
 class SurfaceBasisReport:
     """The rational basis (unit, canonical, roots, point) and its Gram."""
@@ -693,16 +704,16 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
         shift = model.pairing(unit, ambient)  # <unit, p> = 1, so subtract
         roots_ambient.append([a - shift * b for a, b in zip(ambient, p)])
 
-    half = Fraction(d, 2)
-    canonical = tuple(Fraction(a) - half * b for a, b in zip(k, p))
-    basis: List[FracVector] = [tuple(Fraction(x) for x in unit), canonical]
-    basis += [tuple(Fraction(x) for x in r) for r in roots_ambient]
-    basis.append(tuple(Fraction(x) for x in p))
-
-    gram_rows = [list(row) for row in model.gram]
+    # The basis is half-integral: pair it doubled, in integers, and divide
+    # the Gram by 4 once.
+    doubled = [[2 * x for x in unit], [2 * a - d * b for a, b in zip(k, p)]]
+    doubled += [[2 * x for x in r] for r in roots_ambient]
+    doubled.append([2 * x for x in p])
+    basis = tuple(tuple(Fraction(x, 2) for x in v) for v in doubled)
     gram = tuple(
-        tuple(_fraction_pairing(gram_rows, u, v) for v in basis) for u in basis
+        tuple(Fraction(x, 4) for x in row) for row in model.basis_gram(doubled)
     )
+    half = Fraction(d, 2)
     last = len(basis) - 1
     unit_canonical = gram[0][1]
     canonical_unit = gram[1][0]
@@ -733,7 +744,7 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
     )
     return SurfaceBasisReport(
         d=d,
-        basis=tuple(basis),
+        basis=basis,
         gram=gram,
         cartan=report.cartan,
         unit_canonical=unit_canonical,

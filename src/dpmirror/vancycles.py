@@ -68,18 +68,15 @@ class ArcGuardError(NumericsError):
     value; a different epsilon separates them."""
 
 
-def _fiber_family(model: WeierstrassModel):
-    a_poly, b_poly = model.a, model.b
+def _fiber_family(model: WeierstrassModel) -> Callable[[complex], CPoly]:
+    """The fiber cubic x^3 + a(lam) x + b(lam) as a function of lam."""
+    try:
+        a_at, b_at = model.a.complex_evaluator(), model.b.complex_evaluator()
+    except OverflowError as exc:
+        raise NumericsError("a coefficient exceeds the float range") from exc
 
     def family(lam: complex) -> CPoly:
-        return CPoly(
-            (
-                b_poly.evaluate_complex(lam),
-                a_poly.evaluate_complex(lam),
-                0j,
-                1 + 0j,
-            )
-        )
+        return CPoly((b_at(lam), a_at(lam), 0j, 1 + 0j))
 
     return family
 
@@ -261,6 +258,7 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
     # check below certifies the convention on every run.
     basis = (omega_a, -omega_b)
     base_cubic = family(0j)
+    base_roots = all_roots(base_cubic)  # every arc starts on the base fiber
 
     arcs: List[PathPolyline] = []
     pairs: List[Tuple[int, int]] = []
@@ -269,10 +267,10 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
     residuals: List[float] = []
     for lam in critical:
         arc = PathPolyline((0j, lam))
-        tracked = continue_roots(family, arc)
+        tracked = continue_roots(family, arc, roots=base_roots)
         pair = tracked.terminal_collision()
         delta = _vanishing_arc(tracked, pair)
-        integral = 2 * elliptic_integral(base_cubic, delta)
+        integral = 2 * elliptic_integral(base_cubic, delta, roots=base_roots)
         cls, residual = _solve_class(integral, basis)
         if not residual < RESIDUAL_BOUND:
             raise NumericsError(

@@ -374,6 +374,24 @@ def test_epsilon_exits_zero_or_with_a_typed_error(command, d, epsilon):
         assert err.getvalue().startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("fibers", "--d", "1", "--variant", "perturbed", "--epsilon", "1" + "0" * 300),
+    ("cycles", "--d", "1", "--epsilon", "1" + "0" * 50),
+])
+def test_extreme_epsilon_finishes_within_five_seconds(argv):
+    """The candidate-pair cap of ``rational_roots`` and the step budget of
+    ``continue_roots`` bound the work at extreme perturbations."""
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    result = subprocess.run(
+        [sys.executable, "-m", "dpmirror.cli", *argv, "--out", os.devnull],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert result.returncode in (EXIT_PASS, EXIT_USAGE)
+    if result.returncode == EXIT_USAGE:
+        assert result.stderr.startswith("error: ")
+
+
 def test_check_fails_when_a_claim_fails(capsys, monkeypatch):
     monkeypatch.setattr(cli, "infinity_cycle",
                         lambda classes, d: HomologyClass(1, 0))

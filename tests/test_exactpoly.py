@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy as sp
@@ -14,6 +14,7 @@ from dpmirror.exactpoly import (
     LaurentPoly,
     UniPoly,
     _positive_divisors,
+    _prime_powers,
     depress_cubic,
     disc_cubic,
     disc_quadratic_in_y,
@@ -366,13 +367,21 @@ def rational_roots_by_fraction_evaluation(p: UniPoly) -> list:
     content = 0
     for c in ints.values():
         content = gcd(content, c)
-    for num in _positive_divisors(ints[min(ints)] // content):
-        for den in _positive_divisors(ints[max(ints)] // content):
+    for num in _positive_divisors(_prime_powers(ints[min(ints)] // content)):
+        for den in _positive_divisors(_prime_powers(ints[max(ints)] // content)):
             if gcd(num, den) == 1:
                 for candidate in (Fraction(num, den), Fraction(-num, den)):
                     if value_at(p, candidate) == 0:
                         roots.append(candidate)
     return sorted(set(roots))
+
+
+def test_rational_roots_cap_the_candidate_pairs():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    product = prod(primes[:16])  # 2^16 candidate numerators
+    assert rational_roots(UniPoly({1: 1, 0: -product})) == [Fraction(product)]
+    with pytest.raises(ValueError, match="candidate roots exceed the limit"):
+        rational_roots(UniPoly({1: 1, 0: -product * primes[16]}))
 
 
 # Roots 0, 1 and -1 (top = +-den) drawn often, beside general small rationals.

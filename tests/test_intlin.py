@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from dpmirror._intlin import (
     extended_gcd,
     identity_matrix,
     integer_kernel,
-    inverse_exact,
     matrix_multiply,
     matrix_vector,
     primitive_vector,
@@ -204,11 +204,84 @@ def test_unimodular_inverse_round_trip(matrix):
     assert matrix_multiply(inverse, matrix) == identity_matrix(len(matrix))
 
 
-def test_inverse_exact_rational_entries():
-    inverse = inverse_exact([[2, 0], [0, 4]])
-    assert inverse == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
-    with pytest.raises(ValueError):
-        inverse_exact([[1, 1], [1, 1]])
+def _elementary_product(n, moves):
+    """The product of elementary integer matrices: each move adds a multiple
+    of one row to another, or swaps two rows, or negates one row."""
+    matrix = identity_matrix(n)
+    for kind, i, j, c in moves:
+        i, j = i % n, j % n
+        if kind == 0 and i != j:
+            matrix[i] = [a + c * b for a, b in zip(matrix[i], matrix[j])]
+        elif kind == 1:
+            matrix[i], matrix[j] = matrix[j], matrix[i]
+        elif kind == 2:
+            matrix[i] = [-a for a in matrix[i]]
+    return matrix
+
+
+unimodular_matrices = st.builds(
+    _elementary_product,
+    st.integers(min_value=1, max_value=5),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4),
+                  st.integers(-3, 3)),
+        max_size=12,
+    ),
+)
+
+
+@given(matrix=st.one_of(unimodular_matrices, square_matrices))
+@settings(max_examples=150, deadline=None)
+def test_unimodular_inverse_matches_sympy(matrix):
+    expected = sympy.Matrix(matrix)
+    if expected.det() not in (1, -1):
+        with pytest.raises(ValueError):
+            unimodular_inverse(matrix)
+        return
+    assert unimodular_inverse(matrix) == expected.inv().tolist()
+
+
+def test_unimodular_inverse_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        unimodular_inverse([[1, 0]])
+
+
+def _sympy_inertia(matrix):
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer
+    matrix, from its characteristic polynomial: all its roots are real, so
+    Descartes' rule of signs counts them exactly."""
+    x = sympy.Symbol("x")
+    poly = sympy.Matrix(matrix).charpoly(x)
+    coeffs = poly.all_coeffs()  # highest degree first
+
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    degree = len(coeffs) - 1
+    mirrored = [c * (-1) ** (degree - i) for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(mirrored), zero
+
+
+@given(matrix=st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: _matrix_strategy(n, n)))
+@settings(max_examples=150, deadline=None)
+def test_signature_matches_sympy(matrix):
+    n = len(matrix)
+    sym = [[matrix[i][j] + matrix[j][i] for j in range(n)] for i in range(n)]
+    assert symmetric_signature(sym) == _sympy_inertia(sym)
+
+
+@given(matrix=st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: _matrix_strategy(n, n)))
+@settings(max_examples=100, deadline=None)
+def test_signature_of_a_zero_diagonal_form_matches_sympy(matrix):
+    """Forms with an empty diagonal need the hyperbolic-pair basis change."""
+    n = len(matrix)
+    sym = [[0 if i == j else matrix[i][j] + matrix[j][i] for j in range(n)]
+           for i in range(n)]
+    assert symmetric_signature(sym) == _sympy_inertia(sym)
 
 
 def test_signature_known_forms():

@@ -47,12 +47,10 @@ DISC_FINGERPRINTS = ((3, 27.0, 9), (2, 64.0, 10), (1, 432.0, 11))
 
 def _perturbed_family(d: int):
     model = catalog(d, Fraction(1, 100))
-    a_poly, b_poly = model.a, model.b
+    a_at, b_at = model.a.complex_evaluator(), model.b.complex_evaluator()
 
     def family(lam: complex) -> CPoly:
-        return CPoly(
-            (b_poly.evaluate_complex(lam), a_poly.evaluate_complex(lam), 0j, 1 + 0j)
-        )
+        return CPoly((b_at(lam), a_at(lam), 0j, 1 + 0j))
 
     return model, family
 
@@ -672,6 +670,33 @@ def test_continuation_rejects_degree_change() -> None:
 
     with pytest.raises(NumericsError, match="degree"):
         continue_roots(family, PathPolyline((0j, 1 + 0j)))
+
+
+def test_continuation_stops_at_its_evaluation_budget(monkeypatch) -> None:
+    calls = []
+
+    def family(lam: complex) -> CPoly:
+        calls.append(lam)
+        return CPoly((-lam, 0, 1))
+
+    monkeypatch.setattr(pathnum, "_MAX_FAMILY_EVALUATIONS", 5)
+    with pytest.raises(NumericsError, match="after 5 family evaluations"):
+        continue_roots(family, PathPolyline((1 + 0j, 0j)))
+    assert len(calls) == 5
+
+
+def test_continuation_and_quadrature_take_known_start_roots() -> None:
+    """Roots handed in as ``all_roots`` returns them give the same result
+    as the solve they replace."""
+    model, family = _perturbed_family(1)
+    base = family(0j)
+    roots = all_roots(base)
+    disc = CPoly.from_unipoly(model.discriminant_scale())
+    lam = min(all_roots(disc), key=abs)
+    arc = PathPolyline((0j, lam))
+    assert continue_roots(family, arc, roots=roots) == continue_roots(family, arc)
+    path = PathPolyline((roots[0], roots[0] + 0.1 + 0.1j))
+    assert elliptic_integral(base, path, roots=roots) == elliptic_integral(base, path)
 
 
 def test_continuation_detects_midpath_singularity() -> None:

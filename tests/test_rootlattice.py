@@ -99,6 +99,13 @@ def test_short_vectors_match_box_enumeration(rows: list, bound: int) -> None:
         return
     gram = matrix_multiply(rows, transpose(rows))
     lattice = IntLattice(tuple(tuple(r) for r in gram))
+    assert short_vectors(lattice, bound) == _box_vectors(lattice, bound)
+
+
+def _box_vectors(lattice: IntLattice, bound: int) -> list:
+    """The nonzero vectors of norm at most ``bound`` of a positive definite
+    lattice, by brute force over the box that holds them all."""
+    gram = [list(r) for r in lattice.gram]
     n = lattice.rank
     # v^T G v <= B bounds each coordinate exactly: v_i^2 <= B (G^-1)_ii,
     # where (G^-1)_ii is the principal cofactor C_ii over det G.
@@ -109,12 +116,44 @@ def test_short_vectors_match_box_enumeration(rows: list, bound: int) -> None:
                  for k, row in enumerate(gram) if k != i]
         cofactor = determinant_integer(minor) if minor else 1
         radii.append(math.isqrt(bound * cofactor // det))
-    box = [
+    return [
         list(v)
         for v in itertools.product(*(range(-r, r + 1) for r in radii))
         if any(v) and lattice.norm(list(v)) <= bound
     ]
-    assert short_vectors(lattice, bound) == sorted(box)
+
+
+# A skewed, non-reduced Gram, B A B^T with A = [[2, 1, 0], [1, 3, 1], [0, 1, 5]]
+# and B = [[1, 0, 0], [3, 1, 0], [-2, 4, 1]]: its LDL^T multipliers 7/2 and
+# 22/5 are not integers, so no enumeration level has an integral center.
+SKEWED_GRAM = ((2, 7, 0), (7, 27, 11), (0, 11, 53))
+
+
+@pytest.mark.parametrize("vector", [[2, -1, 0], [-5, 2, 0], [1, -1, 1],
+                                    [7, -2, 1], [0, 0, 1]])
+def test_short_vectors_bound_is_inclusive_and_exact(vector: list) -> None:
+    """A vector whose norm equals the bound is returned, and with the bound
+    one lower it is not; both lists match brute force."""
+    lattice = IntLattice(SKEWED_GRAM)
+    norm = lattice.norm(vector)
+    at_bound = short_vectors(lattice, norm)
+    below = short_vectors(lattice, norm - 1)
+    assert vector in at_bound
+    assert vector not in below
+    assert at_bound == _box_vectors(lattice, norm)
+    assert below == _box_vectors(lattice, norm - 1)
+    assert short_vectors(lattice.negated(), norm) == at_bound
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_short_vectors_on_the_junction_quotient_lattices(d: int) -> None:
+    """The quotient Grams that ``junction`` builds are not reduced; their
+    short vectors of norm at most 2 are the 240, 126 and 72 roots."""
+    lattice, charge = _lattice_and_charge(d)
+    quotient = IntLattice(kernel_decomposition(lattice, charge).quotient_gram)
+    vectors = short_vectors(quotient, 2)
+    assert len(vectors) == KERNEL_FINGERPRINTS[d][3]
+    assert all(abs(quotient.norm(v)) == 2 for v in vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,8 @@ def test_vanishing_arcs_join_roots_of_the_base_fiber():
     for d in (3, 2, 1):
         data = _computed(d)
         model = catalog(d, data.epsilon)
-        a0 = model.a.evaluate_complex(0j)
-        b0 = model.b.evaluate_complex(0j)
+        a0 = model.a.complex_evaluator()(0j)
+        b0 = model.b.complex_evaluator()(0j)
         for delta, pair in zip(data.deltas, data.colliding_pairs):
             i, j = pair
             assert 0 <= i < 3 and 0 <= j < 3 and i != j
