@@ -547,7 +547,7 @@ def _shortest_augmenting_paths(rows: List[List[float]]) -> Tuple[int, ...]:
 def continue_roots(
     family: Callable[[complex], CPoly],
     path: PathPolyline,
-    roots: Optional[Sequence[complex]] = None,
+    roots: Sequence[complex],
 ) -> TrackedRoots:
     """Continue the roots of ``family(path.point(t))`` from t = 0 to t = 1.
 
@@ -561,10 +561,10 @@ def continue_roots(
     (roots are allowed to collide there): once the step falls below
     ``_MIN_STEP`` within 100 such steps of the endpoint, the last step is
     closed with optimal matching.  A step floor reached anywhere else
-    reports a mid-path singularity.  ``roots``, when given, are the roots of
-    ``family(path.point(0.0))`` as ``all_roots`` returns them, and save that
-    solve.  More than ``_MAX_FAMILY_EVALUATIONS`` evaluations of ``family``
-    raise ``NumericsError``.
+    reports a mid-path singularity.  The tracks start at ``roots``, the
+    roots of ``family(path.point(0.0))`` as ``all_roots`` returns them.
+    More than ``_MAX_FAMILY_EVALUATIONS`` evaluations of ``family`` raise
+    ``NumericsError``.
     """
     evaluations = 0
 
@@ -582,7 +582,7 @@ def continue_roots(
     degree = poly.degree
     if degree < 1:
         raise NumericsError("family must have degree at least 1")
-    current = tuple(all_roots(poly) if roots is None else roots)
+    current = tuple(roots)
     steps = [(0.0, current, tuple(residual(poly, z) for z in current),
               tuple(range(degree)))]
     t = 0.0

@@ -392,6 +392,18 @@ def test_extreme_epsilon_finishes_within_five_seconds(argv):
         assert result.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("d", ["1", "3"])
+def test_small_epsilon_cycles_stay_within_the_step_budget(d):
+    """At epsilon 10^-6, the smallest power of ten whose arcs still pass the
+    arc guard for d = 1 and 3, the longest continuation takes 164 family
+    evaluations, far below ``continue_roots``'s budget."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["cycles", "--d", d, "--epsilon", "1/1000000",
+                     "--out", os.devnull])
+    assert code == EXIT_PASS, err.getvalue()
+
+
 def test_check_fails_when_a_claim_fails(capsys, monkeypatch):
     monkeypatch.setattr(cli, "infinity_cycle",
                         lambda classes, d: HomologyClass(1, 0))

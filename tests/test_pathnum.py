@@ -645,9 +645,14 @@ def test_terminal_collision_rescales_huge_roots() -> None:
 # continuation
 
 
+def _continue(family, path: PathPolyline) -> TrackedRoots:
+    """``continue_roots`` from the solved roots of the fiber at t = 0."""
+    return continue_roots(family, path, all_roots(family(path.point(0.0))))
+
+
 def test_continuation_merging_endpoint() -> None:
     family = lambda lam: CPoly((-lam, 0, 1))  # roots +-sqrt(lam)
-    tracked = continue_roots(family, PathPolyline((1 + 0j, 0j)))
+    tracked = _continue(family, PathPolyline((1 + 0j, 0j)))
     assert tracked.parameters[0] == 0.0
     assert tracked.parameters[-1] == 1.0
     assert tracked.terminal_collision() == (0, 1)
@@ -657,7 +662,7 @@ def test_continuation_merging_endpoint() -> None:
 
 def test_continuation_constant_family() -> None:
     family = lambda lam: CPoly((-1, 0, 1))
-    tracked = continue_roots(family, PathPolyline((0j, 1 + 1j)))
+    tracked = _continue(family, PathPolyline((0j, 1 + 1j)))
     for row in tracked.roots:
         assert abs(row[0] + 1) < 1e-12 and abs(row[1] - 1) < 1e-12
 
@@ -669,7 +674,7 @@ def test_continuation_rejects_degree_change() -> None:
         return CPoly((-1, 1))
 
     with pytest.raises(NumericsError, match="degree"):
-        continue_roots(family, PathPolyline((0j, 1 + 0j)))
+        _continue(family, PathPolyline((0j, 1 + 0j)))
 
 
 def test_continuation_stops_at_its_evaluation_budget(monkeypatch) -> None:
@@ -681,20 +686,16 @@ def test_continuation_stops_at_its_evaluation_budget(monkeypatch) -> None:
 
     monkeypatch.setattr(pathnum, "_MAX_FAMILY_EVALUATIONS", 5)
     with pytest.raises(NumericsError, match="after 5 family evaluations"):
-        continue_roots(family, PathPolyline((1 + 0j, 0j)))
+        continue_roots(family, PathPolyline((1 + 0j, 0j)), (-1 + 0j, 1 + 0j))
     assert len(calls) == 5
 
 
-def test_continuation_and_quadrature_take_known_start_roots() -> None:
+def test_quadrature_takes_known_roots() -> None:
     """Roots handed in as ``all_roots`` returns them give the same result
     as the solve they replace."""
-    model, family = _perturbed_family(1)
+    _, family = _perturbed_family(1)
     base = family(0j)
     roots = all_roots(base)
-    disc = CPoly.from_unipoly(model.discriminant_scale())
-    lam = min(all_roots(disc), key=abs)
-    arc = PathPolyline((0j, lam))
-    assert continue_roots(family, arc, roots=roots) == continue_roots(family, arc)
     path = PathPolyline((roots[0], roots[0] + 0.1 + 0.1j))
     assert elliptic_integral(base, path, roots=roots) == elliptic_integral(base, path)
 
@@ -704,7 +705,7 @@ def test_continuation_detects_midpath_singularity() -> None:
     disc = CPoly.from_unipoly(model.discriminant_scale())
     lam1 = min(all_roots(disc), key=abs)
     with pytest.raises(NumericsError, match="before the final node"):
-        continue_roots(family, PathPolyline((0j, 2 * lam1)))
+        _continue(family, PathPolyline((0j, 2 * lam1)))
 
 
 def test_continuation_collisions_at_critical_values() -> None:
@@ -717,7 +718,7 @@ def test_continuation_collisions_at_critical_values() -> None:
     assert len(critical) == 8
     partners = {}
     for lam_c in critical:
-        tracked = continue_roots(family, PathPolyline((0j, lam_c)))
+        tracked = _continue(family, PathPolyline((0j, lam_c)))
         pair = tracked.terminal_collision()
         starts = [tracked.roots[0][i] for i in pair]
         origins = [z for z in starts if abs(z) < 1e-8]
@@ -742,7 +743,7 @@ def test_continuation_residuals_match_a_recomputation(monkeypatch, fallback) -> 
     model, family = _perturbed_family(3)
     disc = CPoly.from_unipoly(model.discriminant_scale())
     path = PathPolyline((0j, min(all_roots(disc), key=abs)))
-    tracked = continue_roots(family, path)
+    tracked = _continue(family, path)
     assert len(tracked.parameters) > 2
     for t, row, res in zip(tracked.parameters, tracked.roots, tracked.residuals):
         poly = family(path.point(t))
@@ -751,7 +752,7 @@ def test_continuation_residuals_match_a_recomputation(monkeypatch, fallback) -> 
 
 def test_continuation_matchings_are_bijections() -> None:
     family = lambda lam: CPoly((-lam, 0, 1))
-    tracked = continue_roots(family, PathPolyline((1 + 0j, 1j)))
+    tracked = _continue(family, PathPolyline((1 + 0j, 1j)))
     width = tracked.track_count
     for row in tracked.matchings:
         assert sorted(row) == list(range(width))
