@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, prod
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -163,32 +163,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
                        self.var)
-
-    def complex_evaluator(self) -> Callable[[complex], complex]:
-        """Evaluation at complex points by sparse Horner steps.
-
-        The coefficients are converted to complex and the exponent gaps
-        worked out once, here; each call then runs only the steps.  Raises
-        OverflowError when a coefficient exceeds the float range.
-        """
-        exps = sorted(self.terms, reverse=True)
-        steps = tuple(
-            (high - low, complex(self.terms[low]))
-            for high, low in zip(exps[:1] + exps, exps)
-        )
-        tail = exps[-1] if exps else 0
-
-        def evaluate(point: complex) -> complex:
-            acc = 0j
-            for gap, coeff in steps:
-                if gap:
-                    acc *= point ** gap
-                acc += coeff
-            if tail:
-                acc *= point ** tail
-            return acc
-
-        return evaluate
 
     def divmod_exact(self, divisor: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
         """Polynomial long division; returns (quotient, remainder)."""

@@ -7,23 +7,31 @@ Three kernels:
   polygon or warm from the roots of a nearby polynomial, and certifies each
   root by its componentwise backward error |p(z)| / sum_i |c_i| |z|^i,
   which means the same at every scale of |z|;
-- root continuation along polyline paths, with a separation criterion that
-  guarantees the track matching;
+- root continuation along polyline paths of a family given by coefficient
+  arrays, with a separation criterion for the track matching, that stops
+  at a certified terminal pair: inclusion discs of radius n |p(z)/p'(z)|
+  that are pairwise disjoint, and a disc around the closest pair in which
+  Rouche's theorem holds against the coefficient motion over the rest of
+  the path (the inclusion and Rouche tests of alpha-theory, Blum, Cucker,
+  Shub and Smale 1998, as in the certified univariate homotopy tracking of
+  Xu, Burr and Yap, ISSAC 2018).  If the fiber at the end of the path is
+  a cubic with a double root, the pair's tracks are the ones that make it;
 - elliptic integrals ``dx / sqrt(cubic)`` whose endpoints are allowed to
   sit on branch points.
 
 Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
 ``_horner``, gives p(z), p'(z) and the floored residual
 |p(z)| / max(1, sum_i |c_i| |z|^i) that certifies each continuation step;
-``CPoly.__call__``, ``residual`` and the Newton corrector all read it.
+``CPoly.__call__`` and the Newton corrector read it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +44,6 @@ __all__ = [
     "TrackedRoots",
     "all_roots",
     "match_tracks",
-    "residual",
     "continue_roots",
     "elliptic_integral",
     "period_lattice",
@@ -140,11 +147,6 @@ def _horner(
         denom += abs(c) * power
         power *= magnitude
     return value, slope, abs(value) / max(1.0, denom)
-
-
-def residual(p: CPoly, z: complex) -> float:
-    """Backward-error residual: |p(z)| over max(1, sum_i |c_i| |z|^i)."""
-    return _horner(p.coeffs, z)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +354,12 @@ class PathPolyline:
 _NEWTON_STEPS = 30
 # First and largest continuation step, as a fraction of the path.
 _INITIAL_STEP = 0.125
-# Step floor; below it the path is singular, or the endpoint is reached.
+# Step floor; a step rejected below it means the path is singular there.
 _MIN_STEP = 1e-8
-# Most evaluations of the family in one continuation.
+# Most evaluations of the family in one continuation: 20x the most (100)
+# that any continuation of `cycles` makes over homology seeds 0-4, and 16x
+# the most (122) in the runs that finish over epsilon from 10^-12 to 10^6
+# at d = 1, 2, 3.
 _MAX_FAMILY_EVALUATIONS = 2000
 
 
@@ -362,10 +367,12 @@ _MAX_FAMILY_EVALUATIONS = 2000
 class TrackedRoots:
     """Aligned root trajectories along a path, with per-step certificates."""
 
-    parameters: Tuple[float, ...]  # accepted path parameters, 0 to 1
+    parameters: Tuple[float, ...]  # accepted path parameters, from 0
     roots: Tuple[Tuple[complex, ...], ...]  # track-aligned roots per step
     residuals: Tuple[Tuple[float, ...], ...]  # backward-error residuals
     matchings: Tuple[Tuple[int, ...], ...]  # raw-to-track permutation per step
+    # the certified terminal pair (i < j), or None when the path ended first
+    pair: Optional[Tuple[int, int]]
 
     def __post_init__(self) -> None:
         steps = len(self.parameters)
@@ -380,52 +387,22 @@ class TrackedRoots:
     def track_count(self) -> int:
         return len(self.roots[0]) if self.roots else 0
 
-    def terminal_collision(self) -> Tuple[int, int]:
-        """The unambiguous colliding track pair at the final step.
 
-        The closest terminal pair qualifies only when its distance is below
-        1e-4 and below one tenth of the next-smallest pairwise distance.
-        Terminal roots beyond the unit disc are first divided by the power
-        of two just above their largest modulus, so the absolute gate reads
-        at unit scale; the division is exact in floating point, so the ratio
-        test is untouched.
-        """
-        final = self.roots[-1]
-        if len(final) < 2:
-            raise NumericsError("need at least two tracks for a collision")
-        top = max(abs(z) for z in final)
-        if top > 1.0:
-            sigma = 2.0 ** math.ceil(math.log2(top))
-            final = tuple(z / sigma for z in final)
-        pairs = sorted(
-            (abs(final[i] - final[j]), i, j)
-            for i in range(len(final))
-            for j in range(i + 1, len(final))
-        )
-        closest, i, j = pairs[0]
-        runner_up = pairs[1][0] if len(pairs) > 1 else math.inf
-        if closest < 1e-4 and closest < runner_up / 10:
-            return (i, j)
-        raise NumericsError(
-            f"no unambiguous terminal collision (closest {closest:.3g}, "
-            f"next {runner_up:.3g})"
-        )
-
-
-def _newton(p: CPoly, start: complex) -> Tuple[complex, float]:
+def _newton(coeffs: Sequence[complex], start: complex) -> Tuple[complex, float]:
     """The Newton iterate of least residual from ``start``, with its residual.
 
-    Stops after ``_NEWTON_STEPS`` steps or once the residual falls below
+    ``coeffs`` are the polynomial's, ascending.  Stops after
+    ``_NEWTON_STEPS`` steps or once the residual falls below
     ``_ROOT_TOL / 100``.
     """
-    value, slope, res = _horner(p.coeffs, start)
+    value, slope, res = _horner(coeffs, start)
     current = best = start
     best_res = res
     for _ in range(_NEWTON_STEPS):
         if slope == 0:
             break
         current = current - value / slope
-        value, slope, res = _horner(p.coeffs, current)
+        value, slope, res = _horner(coeffs, current)
         if res < best_res:
             best, best_res = current, res
         if res < _ROOT_TOL * 1e-2:
@@ -544,12 +521,90 @@ def _shortest_augmenting_paths(rows: List[List[float]]) -> Tuple[int, ...]:
     return tuple(col4row)
 
 
+def _terminal_pair(
+    coeffs: Sequence[complex],
+    roots: Sequence[complex],
+    punctures: Sequence[complex],
+    drift: Sequence[float],
+) -> Optional[Tuple[int, int]]:
+    """The two tracks certified to stay in one disc to the end, or None.
+
+    ``coeffs`` are those of p, of degree n, ascending, and ``roots`` one
+    approximation z of each of its roots.  ``drift[k]`` bounds how far the
+    coefficient of x^k moves over the rest of the path.  The certificate:
+
+    - each z has an inclusion disc of radius n |p(z) / p'(z)|, which holds
+      a root of p (rounding in p(z) and p'(z) is charged to the radius), and
+      these discs are pairwise disjoint, so each holds exactly one;
+    - for the closest pair (i, j), a disc D around their midpoint holds the
+      discs of i and j and meets no other disc.  By Rouche's theorem every
+      fiber on the rest of the path then has exactly two roots in D, those
+      of tracks i and j, as long as sum_k drift[k] |x|^k stays below a
+      lower bound of |p| on the boundary of D.  The bound is |lead| times
+      the product of the distances from the boundary to the discs;
+    - D holds none of ``punctures``, the roots of the fiber at the start.
+      A vanishing arc that turns round inside D is then homotopic to one
+      that runs the tracks to the end.
+
+    D's radius is the middle of the interval the second and third
+    conditions leave.
+    """
+    n = len(coeffs) - 1
+    if n < 2:
+        return None
+    slack = 2 * n * sys.float_info.epsilon
+    radii = []
+    for z in roots:
+        # p, p' and the sums sum_k |c_k| |z|^k and sum_k k |c_k| |z|^(k-1)
+        # that bound their rounding, all by one Horner pass
+        size = abs(z)
+        value = slope = 0j
+        bound = slope_bound = 0.0
+        for c in reversed(coeffs):
+            slope = slope * z + value
+            value = value * z + c
+            slope_bound = slope_bound * size + bound
+            bound = bound * size + abs(c)
+        denominator = abs(slope) - slack * slope_bound
+        if not denominator > 0:
+            return None
+        radii.append(n * (abs(value) + slack * bound) / denominator)
+    pairs = sorted(
+        (abs(roots[i] - roots[j]), i, j) for i in range(n) for j in range(i + 1, n)
+    )
+    if any(not gap > radii[i] + radii[j] for gap, i, j in pairs):
+        return None
+    gap, i, j = pairs[0]
+    mid = (roots[i] + roots[j]) / 2
+    others = [k for k in range(n) if k not in (i, j)]
+    inner = gap / 2 + max(radii[i], radii[j])
+    outer = min(
+        [abs(roots[k] - mid) - radii[k] for k in others]
+        + [abs(w - mid) for w in punctures]
+    )
+    if not outer > inner:
+        return None
+    radius = (inner + outer) / 2
+    lower = abs(coeffs[-1]) * (1 - slack)
+    lower *= (radius - gap / 2 - radii[i]) * (radius - gap / 2 - radii[j])
+    for k in others:
+        lower *= abs(roots[k] - mid) - radii[k] - radius
+    reach = abs(mid) + radius
+    motion = sum(d * reach**k for k, d in enumerate(drift)) * (1 + slack)
+    return (i, j) if motion < lower else None
+
+
 def continue_roots(
-    family: Callable[[complex], CPoly],
+    family: Sequence[Sequence[complex]],
     path: PathPolyline,
     roots: Sequence[complex],
 ) -> TrackedRoots:
-    """Continue the roots of ``family(path.point(t))`` from t = 0 to t = 1.
+    """Continue the roots of p_lam along ``path`` until a pair is certified.
+
+    ``family[k]`` holds the coefficients, ascending in lam, of the power x^k
+    of p_lam(x); each fiber is evaluated from them by Horner's rule.  The
+    tracks start at ``roots``, the roots of the fiber at ``path.point(0.0)``
+    as ``all_roots`` returns them.
 
     Predictor-corrector continuation: tracks advance by Newton correction
     from an extrapolated prediction, with full recomputation and optimal
@@ -557,18 +612,35 @@ def continue_roots(
     ``_ROOT_TOL``.  Steps start at ``_INITIAL_STEP`` of the path, grow by
     1.6 after an accepted step up to that size, and halve otherwise.  A step
     is accepted only when the previous roots' minimal pairwise distance
-    exceeds three times the matching displacement.  The final node is exempt
-    (roots are allowed to collide there): once the step falls below
-    ``_MIN_STEP`` within 100 such steps of the endpoint, the last step is
-    closed with optimal matching.  A step floor reached anywhere else
-    reports a mid-path singularity.  The tracks start at ``roots``, the
-    roots of ``family(path.point(0.0))`` as ``all_roots`` returns them.
-    More than ``_MAX_FAMILY_EVALUATIONS`` evaluations of ``family`` raise
-    ``NumericsError``.
+    exceeds three times the matching displacement.
+
+    After every accepted step ``_terminal_pair`` tests for a certified
+    terminal pair, bounding the motion of the coefficient of x^k over the
+    rest of the path by its length times sum_m m |c_km| R^(m - 1), with R
+    the largest modulus of the rest of the polyline.  Once it holds,
+    tracking stops and ``pair`` records tracks (i, j).  The contract: every
+    fiber from there to the end of the path has exactly two roots in the
+    certified disc, the continuations of tracks i and j, and the disc holds
+    no root of the start fiber.  So if the fiber at the end has a double
+    root, and there are at most three tracks, that double root comes from
+    tracks i and j.  A path that reaches its end with no certified pair
+    returns ``pair`` None.
+
+    A step rejected below ``_MIN_STEP`` raises ``NumericsError``, wherever
+    it happens, and so do a change of degree and more than
+    ``_MAX_FAMILY_EVALUATIONS`` evaluations of the family.
     """
+    rows = [tuple(complex(c) for c in row) for row in family]
+    rates = [[m * abs(c) for m, c in enumerate(row)][1:] for row in rows]
+    total = path.length()
+    nodes = path.nodes
+    distances = [0.0]
+    for a, b in zip(nodes, nodes[1:]):
+        distances.append(distances[-1] + abs(b - a))
     evaluations = 0
 
-    def family_at(t: float) -> CPoly:
+    def family_at(t: float) -> Tuple[complex, Tuple[complex, ...]]:
+        """The point at ``t`` and the fiber's coefficients there."""
         nonlocal evaluations
         evaluations += 1
         if evaluations > _MAX_FAMILY_EVALUATIONS:
@@ -576,24 +648,49 @@ def continue_roots(
                 f"continuation stopped at t = {t:.6g} after "
                 f"{_MAX_FAMILY_EVALUATIONS} family evaluations"
             )
-        return family(path.point(t))
+        lam = path.point(t)
+        coeffs = []
+        for row in rows:
+            value = 0j
+            for c in reversed(row):
+                value = value * lam + c
+            coeffs.append(value)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return lam, tuple(coeffs)
 
-    poly = family_at(0.0)
-    degree = poly.degree
+    def drift(t: float, lam: complex) -> List[float]:
+        """Bounds on how far each coefficient moves from ``lam``, the point
+        at ``t``, to the end of the path."""
+        here = t * total
+        reach = max(
+            [abs(lam)] + [abs(w) for w, s in zip(nodes, distances) if s > here]
+        )
+        bounds = []
+        for row in rates:
+            speed = 0.0
+            for c in reversed(row):
+                speed = speed * reach + c
+            bounds.append((total - here) * speed)
+        return bounds
+
+    _, poly = family_at(0.0)
+    degree = len(poly) - 1
     if degree < 1:
         raise NumericsError("family must have degree at least 1")
     current = tuple(roots)
-    steps = [(0.0, current, tuple(residual(poly, z) for z in current),
+    steps = [(0.0, current, tuple(_horner(poly, z)[2] for z in current),
               tuple(range(degree)))]
+    pair: Optional[Tuple[int, int]] = None
     t = 0.0
     dt = _INITIAL_STEP
     previous_step: Optional[Tuple[float, Tuple[complex, ...]]] = None
     while t < 1.0:
         t_next = min(t + dt, 1.0)
-        poly_next = family_at(t_next)
-        if poly_next.degree != degree:
+        lam_next, poly_next = family_at(t_next)
+        if len(poly_next) - 1 != degree:
             raise NumericsError(
-                f"family degree changed from {degree} to {poly_next.degree} "
+                f"family degree changed from {degree} to {len(poly_next) - 1} "
                 f"at t = {t_next:.6g}"
             )
         separation = _min_pairwise(current)
@@ -619,7 +716,7 @@ def continue_roots(
             matching = tuple(range(degree))
         else:
             try:
-                raw = all_roots(poly_next)
+                raw = all_roots(CPoly(poly_next))
             except NumericsError:
                 raw = None
             if raw is None:
@@ -629,7 +726,7 @@ def continue_roots(
                     np.array([[abs(z - w) for w in raw] for z in current])
                 )
                 aligned = tuple(raw[j] for j in matching)
-                aligned_res = tuple(residual(poly_next, z) for z in aligned)
+                aligned_res = tuple(_horner(poly_next, z)[2] for z in aligned)
         displacement = (
             max(abs(a - b) for a, b in zip(aligned, current))
             if aligned is not None
@@ -640,33 +737,23 @@ def continue_roots(
             current = aligned
             t = t_next
             steps.append((t, aligned, aligned_res, matching))
+            pair = _terminal_pair(poly_next, current, roots, drift(t, lam_next))
+            if pair is not None:
+                break
             dt = min(_INITIAL_STEP, dt * 1.6)
             continue
         dt /= 2
-        if dt >= _MIN_STEP:
-            continue
-        if 1.0 - t <= 100 * _MIN_STEP:
-            # terminal closure: collisions are allowed at the final node
-            poly_end = family_at(1.0)
-            raw = all_roots(poly_end)
-            matching = match_tracks(
-                np.array([[abs(z - w) for w in raw] for z in current])
+        if dt < _MIN_STEP:
+            raise NumericsError(
+                f"step size underflow at t = {t:.6g}, {1.0 - t:.3g} before the "
+                "final node; the family appears singular there (perturb and retry)"
             )
-            aligned = tuple(raw[j] for j in matching)
-            steps.append(
-                (1.0, aligned, tuple(residual(poly_end, z) for z in aligned),
-                 matching)
-            )
-            break
-        raise NumericsError(
-            f"step size underflow at t = {t:.6g} before the final node; "
-            "the family appears singular mid-path (perturb and retry)"
-        )
     return TrackedRoots(
         parameters=tuple(s[0] for s in steps),
         roots=tuple(s[1] for s in steps),
         residuals=tuple(s[2] for s in steps),
         matchings=tuple(s[3] for s in steps),
+        pair=pair,
     )
 
 

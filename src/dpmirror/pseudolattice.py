@@ -18,7 +18,7 @@ linear charge map, never tracked as mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._intlin import (
@@ -59,6 +59,10 @@ class Pseudolattice:
     """A free module with a non-degenerate integer bilinear form."""
 
     gram: Tuple[Tuple[int, ...], ...]  # ambient Gram matrix, row acts first
+    # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads
+    entries: Tuple[Tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -70,18 +74,19 @@ class Pseudolattice:
             raise PseudolatticeError("rank must be positive")
         if determinant_integer([list(r) for r in rows]) == 0:
             raise PseudolatticeError("bilinear form is degenerate")
+        object.__setattr__(self, "entries", tuple(
+            (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g
+        ))
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(
-            u[i] * self.gram[i][j] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if self.gram[i][j]
-        )
+        total = 0
+        for i, j, g in self.entries:
+            total += u[i] * g * v[j]
+        return total
 
     def basis_gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
         rows = [list(v) for v in vectors]

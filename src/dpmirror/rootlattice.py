@@ -298,7 +298,8 @@ def root_system_identify(lattice: IntLattice) -> RootSystemReport:
 
     The form is flipped to positive definite if necessary; simple roots are
     the positive roots (for a deterministic generic functional) that are not
-    sums of two positive roots; the resulting Dynkin graph is matched
+    sums of two positive roots, found in increasing height; the resulting
+    Dynkin graph is matched
     against the A/D/E catalog and returned in a canonical node order.
     """
     if lattice.radical_rank() > 0:
@@ -319,15 +320,16 @@ def root_system_identify(lattice: IntLattice) -> RootSystemReport:
         return sum(w * x for w, x in zip(weights, v))
 
     positive = {tuple(v) for v in roots if height(v) > 0}
-    simple = [
-        v
-        for v in sorted(positive)
+    # A positive root is simple exactly when it is not a simple root plus a
+    # positive root (Humphreys, section 10.2); such a simple root is lower,
+    # so in increasing height every one a root needs is already found.
+    found: List[Tuple[int, ...]] = []
+    for v in sorted(positive, key=height):
         if not any(
-            tuple(a - b for a, b in zip(v, other)) in positive
-            for other in positive
-            if other != v
-        )
-    ]
+            tuple(a - b for a, b in zip(v, s)) in positive for s in found
+        ):
+            found.append(v)
+    simple = sorted(found)
     if len(simple) != lattice.rank:
         raise RootLatticeError(
             f"extracted {len(simple)} simple roots in rank {lattice.rank}"

@@ -68,17 +68,16 @@ class ArcGuardError(NumericsError):
     value; a different epsilon separates them."""
 
 
-def _fiber_family(model: WeierstrassModel) -> Callable[[complex], CPoly]:
-    """The fiber cubic x^3 + a(lam) x + b(lam) as a function of lam."""
+def _fiber_family(model: WeierstrassModel) -> Tuple[Tuple[complex, ...], ...]:
+    """The fiber cubic x^3 + a(lam) x + b(lam) as ``continue_roots`` reads
+    it: for each power of x, its coefficients ascending in lam."""
     try:
-        a_at, b_at = model.a.complex_evaluator(), model.b.complex_evaluator()
+        return tuple(
+            tuple(complex(p.terms.get(m, 0)) for m in range(max(p.degree(), 0) + 1))
+            for p in (model.b, model.a)
+        ) + ((0j,), (1 + 0j,))
     except OverflowError as exc:
         raise NumericsError("a coefficient exceeds the float range") from exc
-
-    def family(lam: complex) -> CPoly:
-        return CPoly((b_at(lam), a_at(lam), 0j, 1 + 0j))
-
-    return family
 
 
 def sweep_key(first: complex) -> Callable[[complex], Tuple[float, float]]:
@@ -142,7 +141,8 @@ def _segment_distance(point: complex, a: complex, b: complex) -> float:
 
 
 def _vanishing_arc(tracked: TrackedRoots, pair: Tuple[int, int]) -> PathPolyline:
-    """The arc through the collision: one track forward, the other back."""
+    """The arc through the collision: one track forward to the centre of the
+    certified disc, the other back from it."""
     i, j = pair
     forward = [row[i] for row in tracked.roots]
     backward = [row[j] for row in tracked.roots]
@@ -211,13 +211,16 @@ def vanishing_classes(d: int, epsilon: Fraction = Fraction(1, 100)) -> Vanishing
     """The ordered vanishing-cycle classes of the perturbed degree-d model.
 
     For every critical value in sweep order: roots are continued along the
-    straight arc from the base point 0, the colliding pair defines the
-    vanishing arc, and 2 int dx/y over that arc is solved against the
-    period pair as m alpha + n beta with an exact-integer certificate.  The
-    global orientation is calibrated so the first class is a + b; every
-    other class is normalized to a positive first nonzero coordinate.  An
-    arc passing within the guard distance of another critical value bumps
-    epsilon by 18/17 and retries, at most ``MAX_RETRIES`` times.
+    straight arc from the base point 0 until ``continue_roots`` certifies
+    the pair of tracks that meet at the critical value, a discriminant root
+    and so a fiber with a double root; an arc with no certified pair raises
+    ``NumericsError``.  The pair defines the vanishing arc, and 2 int dx/y
+    over that arc is solved against the period pair as m alpha + n beta
+    with an exact-integer certificate.  The global orientation is
+    calibrated so the first class is a + b; every other class is normalized
+    to a positive first nonzero coordinate.  An arc passing within the
+    guard distance of another critical value bumps epsilon by 18/17 and
+    retries, at most ``MAX_RETRIES`` times.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"no reference model of degree {d}")
@@ -257,7 +260,7 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
     # at the distinguished nodal place has class a + b.  The calibration
     # check below certifies the convention on every run.
     basis = (omega_a, -omega_b)
-    base_cubic = family(0j)
+    base_cubic = CPoly(tuple(row[0] for row in family))
     base_roots = all_roots(base_cubic)  # every arc starts on the base fiber
 
     arcs: List[PathPolyline] = []
@@ -268,7 +271,12 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
     for lam in critical:
         arc = PathPolyline((0j, lam))
         tracked = continue_roots(family, arc, roots=base_roots)
-        pair = tracked.terminal_collision()
+        pair = tracked.pair
+        if pair is None:
+            raise NumericsError(
+                f"no colliding pair certified on the arc to critical value "
+                f"{lam:.6g}"
+            )
         delta = _vanishing_arc(tracked, pair)
         integral = 2 * elliptic_integral(base_cubic, delta, roots=base_roots)
         cls, residual = _solve_class(integral, basis)

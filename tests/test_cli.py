@@ -395,7 +395,7 @@ def test_extreme_epsilon_finishes_within_five_seconds(argv):
 @pytest.mark.parametrize("d", ["1", "3"])
 def test_small_epsilon_cycles_stay_within_the_step_budget(d):
     """At epsilon 10^-6, the smallest power of ten whose arcs still pass the
-    arc guard for d = 1 and 3, the longest continuation takes 164 family
+    arc guard for d = 1 and 3, the longest continuation takes 122 family
     evaluations, far below ``continue_roots``'s budget."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

@@ -27,13 +27,14 @@ from dpmirror.pathnum import (
     _branch_signs,
     _horner,
     _newton_polygon_start,
+    _terminal_pair,
     all_roots,
     continue_roots,
     elliptic_integral,
     match_tracks,
     period_lattice,
-    residual,
 )
+from dpmirror.vancycles import _fiber_family
 from dpmirror.weierstrass import catalog
 
 # Frozen reference periods for y^2 = x^3 + x/100.
@@ -46,13 +47,27 @@ DISC_FINGERPRINTS = ((3, 27.0, 9), (2, 64.0, 10), (1, 432.0, 11))
 
 
 def _perturbed_family(d: int):
+    """The catalog model at epsilon 1/100 and its fiber family, as
+    coefficient rows ascending in lam, one per power of x."""
     model = catalog(d, Fraction(1, 100))
-    a_at, b_at = model.a.complex_evaluator(), model.b.complex_evaluator()
+    return model, _fiber_family(model)
 
-    def family(lam: complex) -> CPoly:
-        return CPoly((b_at(lam), a_at(lam), 0j, 1 + 0j))
 
-    return model, family
+def _fiber(family, lam: complex) -> CPoly:
+    """The fiber of a coefficient-row family at ``lam``, by the same Horner
+    steps as ``continue_roots``."""
+    coeffs = []
+    for row in family:
+        value = 0j
+        for c in reversed(row):
+            value = value * lam + c
+        coeffs.append(value)
+    return CPoly(tuple(coeffs))
+
+
+def residual(p: CPoly, z: complex) -> float:
+    """The backward-error residual of ``z`` that certifies a root of ``p``."""
+    return _horner(p.coeffs, z)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -601,15 +616,6 @@ def test_path_arclength_parameterization() -> None:
 # tracked roots
 
 
-def _two_track_report(final: tuple) -> TrackedRoots:
-    return TrackedRoots(
-        parameters=(0.0, 1.0),
-        roots=(((0j, 1 + 0j) + final[2:])[: len(final)], final),
-        residuals=((0.0,) * len(final), (0.0,) * len(final)),
-        matchings=(tuple(range(len(final))), tuple(range(len(final)))),
-    )
-
-
 def test_tracked_roots_rejects_non_bijection() -> None:
     with pytest.raises(NumericsError):
         TrackedRoots(
@@ -617,28 +623,63 @@ def test_tracked_roots_rejects_non_bijection() -> None:
             roots=((0j, 1 + 0j),),
             residuals=((0.0, 0.0),),
             matchings=((0, 0),),
+            pair=None,
         )
 
 
-def test_terminal_collision_detection() -> None:
-    report = _two_track_report((1e-6 + 0j, 2e-6 + 0j, 1 + 0j))
-    assert report.terminal_collision() == (0, 1)
-    # ambiguous: two pairs at comparable distance
-    spread = _two_track_report((0j, 1e-6 + 0j, 2e-6 + 0j))
-    with pytest.raises(NumericsError, match="collision"):
-        spread.terminal_collision()
-    # separated: nothing collides
-    apart = _two_track_report((0j, 1 + 0j))
-    with pytest.raises(NumericsError, match="collision"):
-        apart.terminal_collision()
+# ---------------------------------------------------------------------------
+# the certified terminal pair
+
+# x^3 - 1 with two approximations pulled off their roots 1 and e^(2 pi i/3)
+# towards each other, and e^(-2 pi i/3) exact.
+_PULLED_CUBIC = (-1 + 0j, 0j, 0j, 1 + 0j)
+_THIRD = cmath.exp(2j * math.pi / 3)
 
 
-def test_terminal_collision_rescales_huge_roots() -> None:
-    """Terminal roots near 1e8, two of them 100 apart: the absolute 1e-4
-    gate rejects them as they stand, and after the exact division by 2^27
-    the pair is 7.5e-7 apart and collides."""
-    report = _two_track_report((1e8 + 0j, 1e8 + 100 + 0j, -1e8 + 0j))
-    assert report.terminal_collision() == (0, 1)
+def _pulled(shift: float) -> Tuple[complex, ...]:
+    return (1 + shift * (_THIRD - 1), _THIRD + shift * (1 - _THIRD), _THIRD.conjugate())
+
+
+def test_terminal_pair_needs_the_full_inclusion_radius() -> None:
+    """Pulled 0.15 of the way, each approximation is about 0.26 from its
+    root: the discs of radius 3 |p/p'| (0.95 each) overlap, the discs of
+    radius |p/p'| (0.32 each) do not, and with them every other condition
+    would hold.  The certificate must decline."""
+    roots = _pulled(0.15)
+    radii = [abs(_horner(_PULLED_CUBIC, z)[0] / _horner(_PULLED_CUBIC, z)[1])
+             for z in roots]
+    gap = abs(roots[0] - roots[1])
+    assert radii[0] + radii[1] < gap < 3 * (radii[0] + radii[1])
+    assert _terminal_pair(_PULLED_CUBIC, roots, (), (0.0,) * 4) is None
+    # with good approximations the pair is certified at the end of a path
+    exact = _pulled(0.0)
+    assert _terminal_pair(_PULLED_CUBIC, exact, (), (0.0,) * 4) == (0, 1)
+
+
+def test_terminal_pair_keeps_the_start_roots_out_of_its_disc() -> None:
+    """The pair of x^2 - 1/100 is certified with the start roots at +-1, and
+    not when a start root lies within 0.1 of the pair's midpoint, inside
+    every disc that holds both of the pair's discs."""
+    quadratic = (-0.01 + 0j, 0j, 1 + 0j)
+    roots = (-0.1 + 0j, 0.1 + 0j)
+    drift = (1e-4, 0.0, 0.0)
+    assert _terminal_pair(quadratic, roots, (-1 + 0j, 1 + 0j), drift) == (0, 1)
+    for puncture in (0j, 0.05j, -0.09 + 0j):
+        assert _terminal_pair(quadratic, roots, (puncture,), drift) is None
+
+
+def test_terminal_pair_needs_rouche_over_the_rest_of_the_path() -> None:
+    """The pair of x^2 - 1/100 gets the disc of radius 0.55 about 0, midway
+    between its own discs and the start roots +-1, and |p| >= 0.45^2 =
+    0.2025 on its boundary, where |x| = 0.55.  Coefficient motion below that
+    bound certifies the pair; motion above it does not."""
+    quadratic = (-0.01 + 0j, 0j, 1 + 0j)
+    roots = (-0.1 + 0j, 0.1 + 0j)
+    starts = (-1 + 0j, 1 + 0j)
+    assert _terminal_pair(quadratic, roots, starts, (0.2, 0.0, 0.0)) == (0, 1)
+    assert _terminal_pair(quadratic, roots, starts, (0.21, 0.0, 0.0)) is None
+    assert _terminal_pair(quadratic, roots, starts, (0.0, 0.0, 0.6)) == (0, 1)
+    assert _terminal_pair(quadratic, roots, starts, (0.0, 0.0, 0.7)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -647,46 +688,74 @@ def test_terminal_collision_rescales_huge_roots() -> None:
 
 def _continue(family, path: PathPolyline) -> TrackedRoots:
     """``continue_roots`` from the solved roots of the fiber at t = 0."""
-    return continue_roots(family, path, all_roots(family(path.point(0.0))))
+    return continue_roots(family, path, all_roots(_fiber(family, path.point(0.0))))
+
+
+# x^2 - lam, with roots +-sqrt(lam)
+_SQUARE_ROOTS = ((0j, -1 + 0j), (0j,), (1 + 0j,))
 
 
 def test_continuation_merging_endpoint() -> None:
-    family = lambda lam: CPoly((-lam, 0, 1))  # roots +-sqrt(lam)
-    tracked = _continue(family, PathPolyline((1 + 0j, 0j)))
+    """The roots +-sqrt(lam) meet at lam = 0: the pair is certified before
+    the end, in a disc that holds the double root 0 and neither start root,
+    and the tracks are the square roots up to there."""
+    tracked = _continue(_SQUARE_ROOTS, PathPolyline((1 + 0j, 0j)))
     assert tracked.parameters[0] == 0.0
-    assert tracked.parameters[-1] == 1.0
-    assert tracked.terminal_collision() == (0, 1)
+    assert 0.5 < tracked.parameters[-1] < 1.0
+    assert tracked.pair == (0, 1)
     assert all(r < 1e-10 for row in tracked.residuals for r in row)
-    assert max(abs(z) for z in tracked.roots[-1]) < 1e-4
+    for t, (low, high) in zip(tracked.parameters, tracked.roots):
+        root = math.sqrt(1 - t)
+        assert abs(low + root) < 1e-9 and abs(high - root) < 1e-9
+    low, high = tracked.roots[-1]
+    assert abs((low + high) / 2) < abs(high - low) / 2 < 1.0
 
 
 def test_continuation_constant_family() -> None:
-    family = lambda lam: CPoly((-1, 0, 1))
+    family = ((-1 + 0j,), (0j,), (1 + 0j,))
     tracked = _continue(family, PathPolyline((0j, 1 + 1j)))
+    assert tracked.pair is None
+    assert tracked.parameters[-1] == 1.0
     for row in tracked.roots:
         assert abs(row[0] + 1) < 1e-12 and abs(row[1] - 1) < 1e-12
 
 
-def test_continuation_rejects_degree_change() -> None:
-    def family(lam: complex) -> CPoly:
-        if lam.real < 0.5:
-            return CPoly((-1, 0, 1))
-        return CPoly((-1, 1))
+def test_continuation_of_a_single_root_has_no_pair() -> None:
+    family = ((0j, -1 + 0j), (1 + 0j,))  # x - lam
+    tracked = _continue(family, PathPolyline((1 + 0j, 0j)))
+    assert tracked.pair is None
+    assert tracked.parameters[-1] == 1.0
+    assert abs(tracked.roots[-1][0]) < 1e-12
 
+
+def test_continuation_rejects_three_roots_meeting() -> None:
+    """x^3 - lam toward 0: the three roots close in as an equilateral
+    triangle, whose closest pair never has a disc the third root keeps out
+    of by Rouche's margin, so no pair is certified and the step underflows
+    before the triple root."""
+    family = ((0j, -1 + 0j), (0j,), (0j,), (1 + 0j,))
+    with pytest.raises(NumericsError, match="step size underflow"):
+        _continue(family, PathPolyline((1 + 0j, 0j)))
+
+
+def test_continuation_rejects_degree_change() -> None:
+    family = ((-1 + 0j,), (0j,), (1 + 0j, -2 + 0j))  # (1 - 2 lam) x^2 - 1
     with pytest.raises(NumericsError, match="degree"):
-        _continue(family, PathPolyline((0j, 1 + 0j)))
+        _continue(family, PathPolyline((0j, 0.5 + 0j)))
 
 
 def test_continuation_stops_at_its_evaluation_budget(monkeypatch) -> None:
     calls = []
+    point = PathPolyline.point
 
-    def family(lam: complex) -> CPoly:
-        calls.append(lam)
-        return CPoly((-lam, 0, 1))
+    def counted(self, t):
+        calls.append(t)
+        return point(self, t)
 
+    monkeypatch.setattr(PathPolyline, "point", counted)
     monkeypatch.setattr(pathnum, "_MAX_FAMILY_EVALUATIONS", 5)
     with pytest.raises(NumericsError, match="after 5 family evaluations"):
-        continue_roots(family, PathPolyline((1 + 0j, 0j)), (-1 + 0j, 1 + 0j))
+        continue_roots(_SQUARE_ROOTS, PathPolyline((1 + 0j, 0j)), (-1 + 0j, 1 + 0j))
     assert len(calls) == 5
 
 
@@ -694,7 +763,7 @@ def test_quadrature_takes_known_roots() -> None:
     """Roots handed in as ``all_roots`` returns them give the same result
     as the solve they replace."""
     _, family = _perturbed_family(1)
-    base = family(0j)
+    base = _fiber(family, 0j)
     roots = all_roots(base)
     path = PathPolyline((roots[0], roots[0] + 0.1 + 0.1j))
     assert elliptic_integral(base, path, roots=roots) == elliptic_integral(base, path)
@@ -709,9 +778,11 @@ def test_continuation_detects_midpath_singularity() -> None:
 
 
 def test_continuation_collisions_at_critical_values() -> None:
-    """Along a straight arc to a nearby critical value, the fiber root at the
-    origin collides with one of the two imaginary roots, and conjugate
-    critical values pick conjugate partners."""
+    """Along a straight arc to a nearby critical value, the certified pair
+    joins the fiber root at the origin with one of the two imaginary roots,
+    conjugate critical values pick conjugate partners, and the double root
+    of the fiber at the critical value is nearer the pair than the third
+    track."""
     model, family = _perturbed_family(3)
     disc = CPoly.from_unipoly(model.discriminant_scale())
     critical = [z for z in all_roots(disc) if abs(z) < 1]
@@ -719,13 +790,19 @@ def test_continuation_collisions_at_critical_values() -> None:
     partners = {}
     for lam_c in critical:
         tracked = _continue(family, PathPolyline((0j, lam_c)))
-        pair = tracked.terminal_collision()
+        pair = tracked.pair
         starts = [tracked.roots[0][i] for i in pair]
         origins = [z for z in starts if abs(z) < 1e-8]
         moving = [z for z in starts if abs(z) >= 1e-8]
         assert len(origins) == 1 and len(moving) == 1
         assert min(abs(moving[0] - 0.1j), abs(moving[0] + 0.1j)) < 1e-8
         partners[complex(round(lam_c.real, 9), round(lam_c.imag, 9))] = moving[0]
+        b0, a0 = _fiber(family, lam_c).coeffs[:2]
+        double = -3 * b0 / (2 * a0)  # the root x^3 + a0 x + b0 shares with 3x^2 + a0
+        last = tracked.roots[-1]
+        third = last[3 - sum(pair)]
+        assert abs(double - (last[pair[0]] + last[pair[1]]) / 2) < abs(double - third)
+        assert tracked.parameters[-1] < 1.0
     for lam_c, partner in partners.items():
         mirror = complex(lam_c.real, -lam_c.imag)
         assert abs(partners[mirror] - partner.conjugate()) < 1e-7
@@ -746,13 +823,12 @@ def test_continuation_residuals_match_a_recomputation(monkeypatch, fallback) -> 
     tracked = _continue(family, path)
     assert len(tracked.parameters) > 2
     for t, row, res in zip(tracked.parameters, tracked.roots, tracked.residuals):
-        poly = family(path.point(t))
+        poly = _fiber(family, path.point(t))
         assert res == tuple(residual(poly, z) for z in row)
 
 
 def test_continuation_matchings_are_bijections() -> None:
-    family = lambda lam: CPoly((-lam, 0, 1))
-    tracked = _continue(family, PathPolyline((1 + 0j, 1j)))
+    tracked = _continue(_SQUARE_ROOTS, PathPolyline((1 + 0j, 1j)))
     width = tracked.track_count
     for row in tracked.matchings:
         assert sorted(row) == list(range(width))

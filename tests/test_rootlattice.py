@@ -226,6 +226,30 @@ def test_identify_exceptional_types() -> None:
         assert recomputed == [list(r) for r in report.cartan]
 
 
+@pytest.mark.parametrize("letter, rank", [
+    ("A", 4), ("D", 4), ("E", 6), ("E", 7), ("E", 8),
+])
+def test_simple_roots_match_the_pairwise_definition(letter: str, rank: int) -> None:
+    """The simple roots are the positive roots that are no difference of two
+    positive roots, for the same generic functional as the identification."""
+    lattice = _cartan_lattice(letter, rank)
+    roots = [v for v in short_vectors(lattice, 2) if lattice.norm(v) == 2]
+    base = 2 * max(abs(x) for v in roots for x in v) + 1
+    positive = {
+        tuple(v) for v in roots
+        if sum(base**j * x for j, x in enumerate(v)) > 0
+    }
+    pairwise = {
+        v for v in positive
+        if not any(
+            tuple(a - b for a, b in zip(v, other)) in positive
+            for other in positive if other != v
+        )
+    }
+    assert len(pairwise) == rank
+    assert set(root_system_identify(lattice).simple_roots) == pairwise
+
+
 def test_identify_negated_lattice() -> None:
     report = root_system_identify(_cartan_lattice("E", 6).negated())
     assert report.sign == -1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -41,6 +42,28 @@ GRAM3_EXPECTED = [
     [0, 0, 0, 0, 0, 0, 0, 1, 1],
     [0, 0, 0, 0, 0, 0, 0, 0, 1],
 ]
+
+# Frozen classes and colliding pairs, per degree, for the perturbations of
+# the `cycles` calls of the homology benchmark workload at seed 1.  The
+# pairs name fiber roots by their index in the (re, im) sort of the base
+# fiber's roots.
+FROZEN_CYCLES = {
+    1: ((45, 137, 155),
+        ((1, 1), (1, 0), (0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (1, 0),
+         (0, 1), (1, 0), (0, 1)),
+        ((0, 2), (0, 1), (1, 2), (0, 1), (1, 2), (0, 1), (1, 2), (0, 1),
+         (1, 2), (0, 1), (1, 2))),
+    2: ((71, 141, 162),
+        ((1, 1), (1, 0), (0, 1), (1, 0), (1, 0), (1, -1), (0, 1), (0, 1),
+         (1, 0), (0, 1)),
+        ((0, 2), (0, 1), (1, 2), (0, 1), (0, 1), (0, 2), (1, 2), (1, 2),
+         (0, 1), (1, 2))),
+    3: ((48, 98, 152),
+        ((1, 1), (0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (1, 0), (0, 1),
+         (1, 0)),
+        ((0, 2), (1, 2), (0, 1), (1, 2), (0, 1), (1, 2), (0, 1), (1, 2),
+         (0, 1))),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,14 +135,24 @@ def test_vanishing_arcs_join_roots_of_the_base_fiber():
     for d in (3, 2, 1):
         data = _computed(d)
         model = catalog(d, data.epsilon)
-        a0 = model.a.complex_evaluator()(0j)
-        b0 = model.b.complex_evaluator()(0j)
+        a0 = complex(model.a.terms.get(0, 0))
+        b0 = complex(model.b.terms.get(0, 0))
         for delta, pair in zip(data.deltas, data.colliding_pairs):
             i, j = pair
             assert 0 <= i < 3 and 0 <= j < 3 and i != j
             for endpoint in (delta.nodes[0], delta.nodes[-1]):
                 assert abs(endpoint**3 + a0 * endpoint + b0) < 1e-8
             assert delta.nodes[0] != delta.nodes[-1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_classes_and_colliding_pairs_are_frozen(d):
+    denominators, classes, pairs = FROZEN_CYCLES[d]
+    for q in denominators:
+        data = vanishing_classes(d, Fraction(1, q))
+        assert data.epsilon == Fraction(1, q)
+        assert tuple(c.to_pair() for c in data.classes) == classes
+        assert data.colliding_pairs == pairs
 
 
 def test_first_class_and_the_cycle_over_infinity():
@@ -170,6 +203,19 @@ def test_only_arc_guard_errors_are_retried(monkeypatch):
     with pytest.raises(NumericsError, match="mentions the guard"):
         vanishing_classes(2, Fraction(1, 100))
     assert tried == [Fraction(1, 100)]
+
+
+def test_an_arc_without_a_certified_pair_is_a_numeric_error(monkeypatch):
+    """A continuation that reaches the critical value with no certified
+    pair names no vanishing cycle."""
+    continue_roots = vancycles.continue_roots
+
+    def uncertified(*args, **kwargs):
+        return dataclasses.replace(continue_roots(*args, **kwargs), pair=None)
+
+    monkeypatch.setattr(vancycles, "continue_roots", uncertified)
+    with pytest.raises(NumericsError, match="no colliding pair certified"):
+        vanishing_classes(3, Fraction(1, 100))
 
 
 def test_a_tripped_arc_guard_raises_its_own_type():
