@@ -6,18 +6,28 @@ the projective line (an escape to infinity is an ordinary chart switch),
 renders the trajectory figures, and proposes a mutation word from the
 braiding of the tracks around the base point.  The proposed word is a
 candidate only: exact validation goes through the pseudolattice layer.
+
+The sweep runs on arrays.  A ``FamilySpec`` converts its endpoint
+coefficients to float rows once, ``family_at`` blends those rows, and
+``ComplexModel.invariant_scale`` forms the invariant by convolution.  Each
+sample is a ``_Row`` of per-track arrays (finite-chart position, chart
+coordinate, finite-chart mask, homogeneous coordinates and pairwise
+chordal distances), so nothing is recomputed for the next interval;
+``ProjectivePoint`` rows are built once, for the returned
+``TrajectorySet``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .exactpoly import UniPoly
 from .pathnum import CPoly, NumericsError, all_roots, match_tracks
 from .pseudolattice import MutationMove, MutationWord
 from .vancycles import svg_preamble, sweep_key
@@ -81,55 +91,90 @@ def chordal(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return cross / norm
 
 
-def _homogeneous(points: Sequence[ProjectivePoint]) -> Tuple[np.ndarray, np.ndarray]:
-    """The homogeneous coordinates (a : b) that ``chordal`` uses, per point."""
-    coordinate = np.array([p.coordinate for p in points], dtype=complex)
-    finite = np.array([p.chart == FINITE for p in points], dtype=bool)
-    return np.where(finite, coordinate, 1), np.where(finite, 1, coordinate)
+def _homogeneous(coordinate: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """The homogeneous coordinates (a : b) that ``chordal`` uses, as the
+    columns of a ``(2, points)`` array: (z : 1) in the finite chart and
+    (1 : w) in the chart at infinity."""
+    pair = np.ones((2, len(coordinate)), dtype=complex)
+    pair[np.where(finite, 0, 1), np.arange(len(coordinate))] = coordinate
+    return pair
 
 
-def _chordal_matrix(
-    rows: Sequence[ProjectivePoint], columns: Sequence[ProjectivePoint]
-) -> np.ndarray:
-    """``chordal`` from every point of ``rows`` to every one of ``columns``."""
-    (a, b), (c, d) = _homogeneous(rows), _homogeneous(columns)
-    a, b = a[:, None], b[:, None]
+def _chordal_matrix(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``chordal`` from every point of ``rows`` to every one of ``columns``,
+    both given by their ``_homogeneous`` coordinates."""
+    (a, b), (c, d) = rows[:, :, None], columns[:, None, :]
     cross = np.abs(a * d - b * c)
-    return cross / np.sqrt(
-        (np.abs(a) ** 2 + np.abs(b) ** 2) * (np.abs(c) ** 2 + np.abs(d) ** 2)
-    )
+    norm, other = ((np.abs(points) ** 2).sum(axis=0) for points in (rows, columns))
+    return cross / np.sqrt(norm[:, None] * other)
 
 
 # ---------------------------------------------------------------------------
 # the family
 
 
-@dataclass(frozen=True)
-class ComplexModel:
-    """Complex-coefficient fibration data ``y^2 = x^3 + a(t) x + b(t)``."""
+def _degree(coeffs: np.ndarray) -> int:
+    """Degree of an ascending coefficient row, -1 for the zero row."""
+    nonzero = np.flatnonzero(coeffs)
+    return int(nonzero[-1]) if len(nonzero) else -1
 
-    a: CPoly  # coefficient of x, polynomial in the base parameter
-    b: CPoly  # constant coefficient, polynomial in the base parameter
+
+@dataclass(frozen=True, eq=False)
+class ComplexModel:
+    """Complex-coefficient fibration data ``y^2 = x^3 + a(t) x + b(t)``.
+
+    ``a`` and ``b`` are ascending coefficient rows in the base parameter;
+    trailing entries may be zero.
+    """
+
+    a: np.ndarray  # coefficient of x
+    b: np.ndarray  # constant coefficient
 
     def invariant_scale(self) -> CPoly:
         """The singular-fiber invariant 4a^3 + 27b^2."""
-        return 4 * (self.a * self.a * self.a) + 27 * (self.b * self.b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cube = 4 * np.convolve(np.convolve(self.a, self.a), self.a)
+            square = 27 * np.convolve(self.b, self.b)
+            total = np.zeros(max(len(cube), len(square)), dtype=complex)
+            total[: len(cube)] += cube
+            total[: len(square)] += square
+        return CPoly(tuple(total.tolist()))
 
     def sphere_degree(self) -> int:
         """Upper bound for the invariant degree; root count on the sphere."""
-        return max(3 * self.a.degree, 2 * self.b.degree)
+        return max(3 * _degree(self.a), 2 * _degree(self.b))
+
+
+def _float_rows(*polys: UniPoly) -> np.ndarray:
+    """The coefficients of ``polys``, ascending, as the rows of one float
+    matrix; a coefficient beyond the float range raises ``NumericsError``."""
+    coeffs = [CPoly.from_unipoly(p).coeffs for p in polys]
+    rows = np.zeros((len(polys), max(1, *map(len, coeffs))))
+    for row, values in zip(rows, coeffs):
+        row[: len(values)] = np.real(values)
+    return rows
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Endpoint models of one interpolation family."""
+    """Endpoint models of one interpolation family.
+
+    ``rows`` holds the float coefficient rows a_0, a_0 + a_1, b_0 and
+    b_0 + b_1 of the start (0) and end (1) models, converted once for all
+    the times at which ``family_at`` blends them.
+    """
 
     start: WeierstrassModel
     end: WeierstrassModel
+    rows: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start.var != self.end.var:
             raise ValueError("endpoint models live on different charts")
+        a0, a1 = _float_rows(self.start.a, self.end.a)
+        b0, b1 = _float_rows(self.start.b, self.end.b)
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "rows", (a0, a0 + a1, b0, b0 + b1))
 
     @classmethod
     def between_degrees(
@@ -156,13 +201,11 @@ def family_at(spec: FamilySpec, s: float) -> ComplexModel:
     else:
         phase = cmath.exp(1j * math.pi * s)
     scale = phase + 2 * s
-    a0 = CPoly.from_unipoly(spec.start.a)
-    a1 = CPoly.from_unipoly(spec.end.a)
-    b0 = CPoly.from_unipoly(spec.start.b)
-    b1 = CPoly.from_unipoly(spec.end.b)
-    blended_a = phase * a0 + s * (a0 + a1)
-    blended_b = phase * b0 + s * (b0 + b1)
-    return ComplexModel(scale * blended_a, (scale * scale) * blended_b)
+    a0, a01, b0, b01 = spec.rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ComplexModel(
+            scale * (phase * a0 + s * a01), (scale * scale) * (phase * b0 + s * b01)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +259,52 @@ class TrajectorySet:
         return "\n".join(lines) + "\n"
 
 
+class _Row(NamedTuple):
+    """One sample of the sweep as arrays indexed by track."""
+
+    affine: np.ndarray  # position in the finite chart, infinite when parked
+    coordinate: np.ndarray  # position in the track's chart
+    finite: np.ndarray  # True where that chart is FINITE
+    homogeneous: np.ndarray  # the (2, tracks) array of ``_homogeneous``
+    closeness: np.ndarray  # ``_chordal_matrix`` of the row with itself
+
+    def take(self, order: Sequence[int]) -> "_Row":
+        """The same positions with the tracks listed in ``order``."""
+        return _Row(
+            self.affine[order],
+            self.coordinate[order],
+            self.finite[order],
+            self.homogeneous[:, order],
+            self.closeness[order][:, order],
+        )
+
+    def points(self) -> Tuple[ProjectivePoint, ...]:
+        """The row as ``ProjectivePoint`` values, for the result."""
+        return tuple(map(ProjectivePoint.from_affine, self.affine.tolist()))
+
+
+def _row(affine: np.ndarray) -> _Row:
+    """The sweep row of the given finite-chart positions; an infinite one
+    is parked at the point at infinity."""
+    # The chart rule of ``ProjectivePoint.from_affine``, with the same
+    # ``abs`` (numpy's may differ in the last bit), so that the charts of
+    # the result's points agree with ``finite``.
+    finite = np.array([abs(z) <= 1.0 for z in affine.tolist()], dtype=bool)
+    coordinate = np.divide(1, affine, out=affine.copy(), where=~finite)
+    homogeneous = _homogeneous(coordinate, finite)
+    return _Row(
+        affine, coordinate, finite, homogeneous, _chordal_matrix(homogeneous, homogeneous)
+    )
+
+
 def _configuration(
-    spec: FamilySpec, s: float, previous: Sequence[ProjectivePoint] = ()
-) -> List[ProjectivePoint]:
+    spec: FamilySpec, s: float, previous: Sequence[complex] = ()
+) -> _Row:
     """All sphere positions of the invariant roots at time ``s``.
 
-    The finite points of ``previous``, the configuration at a nearby time,
-    warm-start the root solve (``all_roots`` starts cold when their count
-    is not the invariant's degree).
+    ``previous``, the finite positions of the configuration at a nearby
+    time, warm-starts the root solve (``all_roots`` starts cold when their
+    count is not the invariant's degree).
     """
     model = family_at(spec, s)
     bound = model.sphere_degree()
@@ -233,36 +314,31 @@ def _configuration(
     tallest = max(abs(c) for c in invariant.coeffs)
     if abs(invariant(0j)) <= 1e-12 * tallest:
         raise NumericsError(f"a critical value hits the base point at time {s}")
-    start = [p.affine() for p in previous if not p.parked]
-    points = [
-        ProjectivePoint.from_affine(z) for z in all_roots(invariant, start=start)
-    ]
-    points.extend(
-        ProjectivePoint(INFINITE, 0j) for _ in range(bound - invariant.degree)
-    )
-    return points
+    roots = all_roots(invariant, start=previous)
+    return _row(np.array(roots + [math.inf] * (bound - invariant.degree), dtype=complex))
 
 
-def _in_boundary_annulus(point: ProjectivePoint) -> bool:
-    return BOUNDARY < abs(point.coordinate) <= 1.0
+def _in_boundary_annulus(coordinate: np.ndarray) -> np.ndarray:
+    magnitude = np.abs(coordinate)
+    return (BOUNDARY < magnitude) & (magnitude <= 1.0)
 
 
-def _interval_verdict(
-    before: Sequence[ProjectivePoint], after: Sequence[ProjectivePoint]
-) -> Optional[str]:
-    """The reason the interval needs refinement, or None to accept."""
-    motion = max(chordal(p, q) for p, q in zip(before, after))
-    if motion > MAX_MOTION:
+def _interval_verdict(before: _Row, after: _Row, motion: np.ndarray) -> Optional[str]:
+    """The reason the interval needs refinement, or None to accept.
+
+    ``motion`` holds each track's chordal distance from ``before`` to
+    ``after``.
+    """
+    if motion.max() > MAX_MOTION:
         return "motion"
-    now = _chordal_matrix(after, after)
-    was = _chordal_matrix(before, before)
-    parked = np.array([p.parked for p in before], dtype=bool)
-    pairs = np.triu(~(parked[:, None] & parked[None, :]), k=1)
+    parked = np.isinf(before.affine)
+    pairs = ~(parked[:, None] & parked)
+    now, was = after.closeness, before.closeness
     if (pairs & (now < PROXIMITY) & (now < was)).any():
         return "proximity"
-    for p, q in zip(before, after):
-        if _in_boundary_annulus(q) and not _in_boundary_annulus(p):
-            return "boundary"
+    entering = _in_boundary_annulus(after.coordinate)
+    if (entering & ~_in_boundary_annulus(before.coordinate)).any():
+        return "boundary"
     return None
 
 
@@ -276,36 +352,45 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     closes in below ``PROXIMITY``, or a track newly enters the annulus
     ``BOUNDARY < |z| <= 1`` of its chart.  A step that still moves tracks
     too far at the floor is reported as an unresolved crossing.
+
+    Rows are kept as arrays (``_Row``), so each sample's homogeneous
+    coordinates and pairwise chordal distances are computed once; the
+    ``ProjectivePoint`` rows are built only for the result.
     """
-    start = _configuration(spec, 0.0)
+    rows = [_configuration(spec, 0.0)]
+    tracks = np.arange(len(rows[0].affine))
     parameters = [0.0]
-    rows: List[List[ProjectivePoint]] = [start]
     switches: List[Tuple[int, float]] = []
     pending = [k / SAMPLES for k in range(1, SAMPLES + 1)]
     while pending:
         target = pending[0]
-        here = parameters[-1]
-        points = _configuration(spec, target, rows[-1])
-        cost = _chordal_matrix(rows[-1], points)
-        matched = [points[j] for j in match_tracks(cost)]
-        verdict = _interval_verdict(rows[-1], matched)
+        here, last = parameters[-1], rows[-1]
+        fresh = _configuration(spec, target, last.affine[np.isfinite(last.affine)])
+        cost = _chordal_matrix(last.homogeneous, fresh.homogeneous)
+        order = list(match_tracks(cost))
+        motion = cost[tracks, order]
+        matched = fresh.take(order)
+        verdict = _interval_verdict(last, matched, motion)
         if verdict is not None and target - here > WIDTH_FLOOR:
             pending.insert(0, here + (target - here) / 2)
             continue
         if verdict == "motion":
+            worst = int(np.argmax(motion))
+            step = chordal(last.points()[worst], matched.points()[worst])
             raise NumericsError(
                 f"unresolved track crossing between times {here:.8f} and "
-                f"{target:.8f}; tracks moved too far at the width floor"
+                f"{target:.8f}; track {worst} moved {step:.3g} at the width floor"
             )
-        for index, (p, q) in enumerate(zip(rows[-1], matched)):
-            if p.chart != q.chart:
-                switches.append((index, target))
+        switches.extend(
+            (int(index), target)
+            for index in np.flatnonzero(last.finite != matched.finite)
+        )
         parameters.append(target)
         rows.append(matched)
         pending.pop(0)
     return TrajectorySet(
         parameters=tuple(parameters),
-        positions=tuple(tuple(row) for row in rows),
+        positions=tuple(row.points() for row in rows),
         chart_switches=tuple(switches),
     )
 

@@ -22,7 +22,11 @@ Three kernels:
 Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
 ``_horner``, gives p(z), p'(z) and the floored residual
 |p(z)| / max(1, sum_i |c_i| |z|^i) that certifies each continuation step;
-``CPoly.__call__`` and the Newton corrector read it.
+``CPoly.__call__`` and the Newton corrector read it.  Neither kernel
+multiplies ``CPoly`` values: ``continue_roots`` evaluates coefficient
+arrays by Horner, and the interpolation sweep forms each invariant by
+array convolution before ``all_roots`` solves it.  ``CPoly`` arithmetic
+is left to the tests.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -374,9 +375,30 @@ def test_epsilon_exits_zero_or_with_a_typed_error(command, d, epsilon):
         assert err.getvalue().startswith("error: ")
 
 
+@pytest.mark.parametrize("epsilon, message", [
+    ("1" + "0" * 400, "a coefficient exceeds the float range"),
+    ("1" + "0" * 308, "root iteration failed to converge"),  # a0 + a1 overflows
+    ("1" + "0" * 300, "root iteration failed to converge"),
+    ("4" + "0" * 102, "the invariant degenerates"),  # 4 a^3 overflows
+    ("1" + "0" * 50, "the invariant degenerates"),
+    ("1/1000000", "a critical value hits the base point"),
+])
+def test_interpolate_at_extreme_epsilon_fails_with_a_typed_error(epsilon, message):
+    """Float overflow stays silent, as in Python arithmetic: the only output
+    is the typed error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["interpolate", "--d", "3", "--epsilon", epsilon,
+                     "--out", os.devnull])
+    assert code == EXIT_USAGE
+    assert err.getvalue().startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("argv", [
     ("fibers", "--d", "1", "--variant", "perturbed", "--epsilon", "1" + "0" * 300),
     ("cycles", "--d", "1", "--epsilon", "1" + "0" * 50),
+    ("interpolate", "--d", "3", "--epsilon", "1" + "0" * 300),
 ])
 def test_extreme_epsilon_finishes_within_five_seconds(argv):
     """The candidate-pair cap of ``rational_roots`` and the step budget of

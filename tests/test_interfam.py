@@ -7,28 +7,33 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpmirror import interfam
 from dpmirror.exactpoly import UniPoly
 from dpmirror.homology import extended_vanishing_classes
 from dpmirror.interfam import (
+    BOUNDARY,
     MAX_MOTION,
     PROXIMITY,
     FamilySpec,
     ProjectivePoint,
     TrajectorySet,
     _chordal_matrix,
-    _in_boundary_annulus,
+    _homogeneous,
     _interval_verdict,
+    _row,
     chordal,
     family_at,
     render_svg,
     sweep,
     transposition_word,
 )
-from dpmirror.pathnum import NumericsError
+from dpmirror.pathnum import NumericsError, all_roots
 from dpmirror.pseudolattice import (
     from_boundaries,
     standard_word_identity,
@@ -80,11 +85,78 @@ def test_family_endpoints_match_catalog_exactly():
         for s, model in ((0.0, spec.start), (1.0, spec.end)):
             blended = family_at(spec, s)
             for ours, theirs in ((blended.a, model.a), (blended.b, model.b)):
-                width = max(len(ours.coeffs), max(theirs.terms, default=0) + 1)
+                width = max(len(ours), max(theirs.terms, default=0) + 1)
                 for exp in range(width):
-                    mine = ours.coeffs[exp] if exp < len(ours.coeffs) else 0j
+                    mine = ours[exp] if exp < len(ours) else 0j
                     ref = complex(theirs.terms.get(exp, Fraction(0)))
                     assert abs(mine - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def _assert_close(ours, reference, tol, relative):
+    """Coefficientwise agreement within ``tol`` of the largest reference
+    coefficient or, when ``relative``, of each nonzero one."""
+    tallest = max(abs(c) for c in reference)
+    for k in range(max(len(ours), len(reference))):
+        mine = ours[k] if k < len(ours) else 0j
+        ref = reference[k] if k < len(reference) else 0j
+        scale = (relative and abs(ref)) or tallest
+        assert abs(mine - ref) <= tol * scale, (k, mine, ref)
+
+
+def test_invariant_at_the_endpoints_is_the_exact_discriminant():
+    for d_from, d_to in ((3, 2), (2, 1)):
+        spec = FamilySpec.between_degrees(d_from, d_to)
+        for s, model in ((0.0, spec.start), (1.0, spec.end)):
+            exact = model.discriminant_scale()
+            reference = [complex(exact.terms.get(k, 0))
+                         for k in range(exact.degree() + 1)]
+            ours = family_at(spec, s).invariant_scale().coeffs
+            _assert_close(ours, reference, 1e-14, relative=True)
+
+
+def _mp_invariant(spec: FamilySpec, s: float):
+    """4a^3 + 27b^2 of the blended family at time ``s``, from the exact
+    endpoint coefficients in 40-digit arithmetic."""
+
+    def coeffs(p, width):
+        exact = [p.terms.get(k, Fraction(0)) for k in range(width)]
+        return [mpmath.mpf(c.numerator) / c.denominator for c in exact]
+
+    def times(p, q):
+        out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    with mpmath.workdps(40):
+        phase = mpmath.expjpi(mpmath.mpf(s))
+        scale = phase + 2 * mpmath.mpf(s)
+        blended = []
+        for start, end, power in (
+            (spec.start.a, spec.end.a, 1), (spec.start.b, spec.end.b, 2)
+        ):
+            width = max(start.degree(), end.degree()) + 1
+            blended.append([
+                scale ** power * (phase * x + s * (x + y))
+                for x, y in zip(coeffs(start, width), coeffs(end, width))
+            ])
+        a, b = blended
+        cube, square = times(times(a, a), a), times(b, b)
+        total = [4 * c for c in cube] + [0] * max(0, len(square) - len(cube))
+        for k, c in enumerate(square):
+            total[k] += 27 * c
+        return [complex(c) for c in total]
+
+
+@given(
+    st.sampled_from([(3, 2), (2, 1)]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_invariant_inside_the_interval_matches_a_multiprecision_reference(pair, s):
+    spec = FamilySpec.between_degrees(*pair)
+    ours = family_at(spec, s).invariant_scale().coeffs
+    _assert_close(ours, _mp_invariant(spec, s), 1e-13, relative=False)
 
 
 def test_family_midpoint_keeps_top_coefficient():
@@ -139,6 +211,35 @@ def test_sweep_exactly_one_track_leaves_infinity():
         ]
         assert len(descended) == 1
         assert not ascended
+
+
+# The default sweeps' work: accepted samples, root solves and chart switches.
+SWEEP_WORK = {(3, 2): (413, 425, ((11, 0.595),)), (2, 1): (413, 425, ((11, 0.35),))}
+
+
+@pytest.mark.parametrize("pair", sorted(SWEEP_WORK))
+def test_sweep_work_at_the_default_epsilon_is_pinned(pair, monkeypatch):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return all_roots(*args, **kwargs)
+
+    monkeypatch.setattr(interfam, "all_roots", counted)
+    traj = sweep(FamilySpec.between_degrees(*pair))
+    samples, expected_solves, switches = SWEEP_WORK[pair]
+    assert len(traj.parameters) == samples
+    assert len(solves) == expected_solves
+    assert traj.chart_switches == switches
+
+
+def test_sweep_reports_an_unresolved_crossing(monkeypatch):
+    # No bisection and no allowed motion: the first interval is at the floor.
+    monkeypatch.setattr(interfam, "WIDTH_FLOOR", 1.0)
+    monkeypatch.setattr(interfam, "MAX_MOTION", 0.0)
+    with pytest.raises(NumericsError, match=r"unresolved track crossing .* track "
+                       r"\d+ moved [0-9.e-]+ at the width floor"):
+        sweep(FamilySpec.between_degrees(3, 2))
 
 
 def test_sweep_steps_stay_bounded():
@@ -379,12 +480,23 @@ _sphere_points = st.one_of(
 )
 
 
+def _homogeneous_of(points) -> np.ndarray:
+    return _homogeneous(*_arrays(points))
+
+
+def _arrays(points):
+    """The chart coordinates and finite-chart mask of a list of points."""
+    coordinate = np.array([p.coordinate for p in points], dtype=complex)
+    finite = np.array([p.chart == "finite" for p in points], dtype=bool)
+    return coordinate, finite
+
+
 @given(
     st.lists(_sphere_points, min_size=1, max_size=6),
     st.lists(_sphere_points, min_size=1, max_size=6),
 )
 def test_chordal_matrix_is_chordal_entrywise(rows, columns):
-    matrix = _chordal_matrix(rows, columns)
+    matrix = _chordal_matrix(_homogeneous_of(rows), _homogeneous_of(columns))
     assert matrix.shape == (len(rows), len(columns))
     for i, p in enumerate(rows):
         for j, q in enumerate(columns):
@@ -404,9 +516,13 @@ def _scalar_verdict(before, after):
             if now < PROXIMITY and now < chordal(before[i], before[j]):
                 return "proximity"
     for p, q in zip(before, after):
-        if _in_boundary_annulus(q) and not _in_boundary_annulus(p):
+        if _in_annulus(q) and not _in_annulus(p):
             return "boundary"
     return None
+
+
+def _in_annulus(point: ProjectivePoint) -> bool:
+    return BOUNDARY < abs(point.coordinate) <= 1.0
 
 
 @st.composite
@@ -431,7 +547,14 @@ def _intervals(draw):
     return before, after
 
 
+def _affine(points) -> np.ndarray:
+    """Finite-chart positions of a list of points, infinite where parked."""
+    return np.array([np.inf if p.parked else p.affine() for p in points], dtype=complex)
+
+
 @given(_intervals())
 def test_interval_verdict_matches_the_scalar_reading(interval):
     before, after = interval
-    assert _interval_verdict(before, after) == _scalar_verdict(before, after)
+    rows = _row(_affine(before)), _row(_affine(after))
+    motion = np.diagonal(_chordal_matrix(rows[0].homogeneous, rows[1].homogeneous))
+    assert _interval_verdict(*rows, motion) == _scalar_verdict(before, after)
