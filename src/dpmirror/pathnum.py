@@ -6,7 +6,9 @@ Three kernels:
   1996, as in MPSolve) that starts cold from the circles of the Newton
   polygon or warm from the roots of a nearby polynomial, and certifies each
   root by its componentwise backward error |p(z)| / sum_i |c_i| |z|^i,
-  which means the same at every scale of |z|;
+  which means the same at every scale of |z|.  The iteration runs on a
+  batch of polynomials of one degree: ``all_roots`` solves one,
+  ``batch_roots`` many at once;
 - root continuation along polyline paths of a family given by coefficient
   arrays, with a separation criterion for the track matching, that stops
   at a certified terminal pair: inclusion discs of radius n |p(z)/p'(z)|
@@ -24,9 +26,9 @@ Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
 |p(z)| / max(1, sum_i |c_i| |z|^i) that certifies each continuation step;
 ``CPoly.__call__`` and the Newton corrector read it.  Neither kernel
 multiplies ``CPoly`` values: ``continue_roots`` evaluates coefficient
-arrays by Horner, and the interpolation sweep forms each invariant by
-array convolution before ``all_roots`` solves it.  ``CPoly`` arithmetic
-is left to the tests.
+arrays by Horner, and the interpolation sweep forms its invariants by
+array convolution before ``batch_roots`` or ``all_roots`` solves them.
+``CPoly`` arithmetic is left to the tests.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "PathPolyline",
     "TrackedRoots",
     "all_roots",
+    "batch_roots",
     "match_tracks",
     "continue_roots",
     "elliptic_integral",
@@ -198,76 +201,105 @@ def _newton_polygon_start(coeffs: np.ndarray) -> np.ndarray:
     return np.array(points)
 
 
-def _aberth(coeffs: np.ndarray, z: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    """Aberth-Ehrlich iteration from ``z`` until every componentwise backward
-    error is below ``tol``; None when ``_MAX_ITERATIONS`` steps do not get
-    there.
+def _aberth(
+    coeffs: np.ndarray, z: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Aberth-Ehrlich iteration on one polynomial of degree n, or on a batch.
+
+    ``coeffs`` holds the ascending coefficients (shape ``(n + 1,)``) and
+    ``z`` the starting points (shape ``(n,)``); a batch stacks rows of both
+    along a leading axis, and row k of ``z`` starts the polynomial of row k
+    of ``coeffs``.  Returns the roots and whether (per row) every
+    componentwise backward error fell below ``tol`` within
+    ``_MAX_ITERATIONS`` steps; a row where it did not holds no roots.
 
     Each step evaluates p, p' and sum_i |c_i| |z|^i at all iterates at once
     and corrects each by p / (p' - p sum_{j != k} 1 / (z_k - z_j)).  An
-    iterate stops moving once its own certificate holds, and the others keep
-    being repelled by it.  Then up to ``_POLISH_STEPS`` steps polish the
-    iterates above the rounding floor; a step is kept only where it lowers
-    the backward error and stays within half the distance to the nearest
-    other iterate, so the polished points lie in disjoint discs and never
-    merge.
+    iterate stops moving once its own certificate holds, and the others of
+    its row keep being repelled by it; a row stops once all of its iterates
+    hold.  Then up to ``_POLISH_STEPS`` steps polish the iterates above the
+    rounding floor; a step is kept only where it lowers the backward error
+    and stays within half the distance to the nearest other iterate of its
+    row, so the polished points lie in disjoint discs and never merge.
+    Rows never mix: each has its own underflow charge, convergence mask and
+    polish discs, and gets the answer it gets alone.
     """
-    n = len(coeffs) - 1
+    n = z.shape[-1]
     powers = np.arange(n + 1)
-    # columns: the coefficients of p, and those of p' (shifted down a power)
-    weights = np.zeros((n + 1, 2), dtype=complex)
-    weights[:, 0] = coeffs
-    weights[:-1, 1] = powers[1:] * coeffs[1:]
-    magnitudes = np.abs(coeffs)
-    # Rounding into the subnormal range is absolute, not relative: charge
-    # each power, product and sum the most it can lose there.
-    underflow = (
-        4 * (n + 1) ** 2 * max(1.0, magnitudes.max())
-        * np.finfo(float).smallest_subnormal
-    )
     off_diagonal = ~np.eye(n, dtype=bool)
-    inverse = np.zeros((n, n), dtype=complex)  # the diagonal stays zero
-
-    def evaluate(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """p(z), p'(z) and the backward error |p(z)| / sum_i |c_i| |z|^i."""
-        table = z[:, None] ** powers
-        value, slope = (table @ weights).T
-        error = (np.abs(value) + underflow) / (np.abs(table) @ magnitudes)
-        return value, slope, error
-
-    def step(z: np.ndarray, value: np.ndarray, slope: np.ndarray) -> np.ndarray:
-        np.divide(1.0, z[:, None] - z, out=inverse, where=off_diagonal)
-        return z - value / (slope - value * inverse.sum(axis=1))
-
+    magnitudes = np.abs(coeffs)[..., None]
     with np.errstate(all="ignore"):
-        value, slope, error = evaluate(z)
+        # columns: the coefficients of p, and those of p' (shifted down a power)
+        weights = np.zeros(coeffs.shape + (2,), dtype=complex)
+        weights[..., 0] = coeffs
+        weights[..., :-1, 1] = powers[1:] * coeffs[..., 1:]
+        # Rounding into the subnormal range is absolute, not relative: charge
+        # each power, product and sum the most it can lose there.
+        underflow = (
+            4 * (n + 1) ** 2 * np.fmax(1.0, magnitudes.max(axis=-2))
+            * np.finfo(float).smallest_subnormal
+        )
+
+        def evaluate(
+            rows: Tuple[np.ndarray, ...], z: np.ndarray
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """p(z), p'(z) and the backward error |p(z)| / sum_i |c_i| |z|^i
+            at the iterates ``z`` of the rows with the weights, magnitudes
+            and underflow charges ``rows``."""
+            weights, magnitudes, underflow = rows
+            table = z[..., None] ** powers
+            both = table @ weights
+            value = both[..., 0]
+            scale = (np.abs(table) @ magnitudes)[..., 0]
+            return value, both[..., 1], (np.abs(value) + underflow) / scale
+
+        reciprocals = np.zeros(z.shape + (n,), dtype=complex)  # zero diagonal
+
+        def step(z: np.ndarray, value: np.ndarray, slope: np.ndarray) -> np.ndarray:
+            inverse = reciprocals[: len(z)] if z.ndim == 2 else reciprocals
+            np.divide(1.0, z[..., :, None] - z[..., None, :], out=inverse,
+                      where=off_diagonal)
+            return z - value / (slope - value * inverse.sum(axis=-1))
+
+        everyone = (weights, magnitudes, underflow)
+        z = np.array(z, dtype=complex)
+        value, slope, error = evaluate(everyone, z)
         for _ in range(_MAX_ITERATIONS):
             active = ~(error < tol)  # NaN counts as not converged
             if not active.any():
                 break
-            z = np.where(active, step(z, value, slope), z)
-            value, slope, error = evaluate(z)
-        else:
-            return None
-        gaps = np.abs(z[:, None] - z)
-        np.fill_diagonal(gaps, np.inf)
-        reach = gaps.min(axis=1) / 2
+            if z.ndim == 1 or (busy := active.any(axis=1)).all():
+                z = np.where(active, step(z, value, slope), z)
+                value, slope, error = evaluate(everyone, z)
+                continue
+            # Step only the rows still iterating; the others keep their roots.
+            rows = np.flatnonzero(busy)
+            moved = step(z[rows], value[rows], slope[rows])
+            moved = np.where(active[rows], moved, z[rows])
+            z[rows] = moved
+            value[rows], slope[rows], error[rows] = evaluate(
+                tuple(x[rows] for x in everyone), moved
+            )
+        converged = ~active.any(axis=-1)
         center = z
+        gaps = np.abs(center[..., :, None] - center[..., None, :])
+        reach = np.where(off_diagonal, gaps, np.inf).min(axis=-1) / 2
+        polished = center
         floor = np.finfo(float).eps
         for _ in range(_POLISH_STEPS):
-            rough = error > floor
+            rough = converged[..., None] & (error > floor)
             if not rough.any():
                 break
-            moved = step(z, value, slope)
-            new_value, new_slope, new_error = evaluate(moved)
+            moved = step(polished, value, slope)
+            new_value, new_slope, new_error = evaluate(everyone, moved)
             better = rough & (new_error < error) & (np.abs(moved - center) < reach)
             if not better.any():
                 break
-            z = np.where(better, moved, z)
+            polished = np.where(better, moved, polished)
             value = np.where(better, new_value, value)
             slope = np.where(better, new_slope, slope)
             error = np.where(better, new_error, error)
-    return z
+    return polished, converged
 
 
 def all_roots(p: CPoly, start: Optional[Sequence[complex]] = None) -> List[complex]:
@@ -300,20 +332,38 @@ def all_roots(p: CPoly, start: Optional[Sequence[complex]] = None) -> List[compl
     roots = [0j] * zeros
     if zeros < n:
         coeffs = np.array(p.coeffs[zeros:], dtype=complex)
-        found = None
+        converged = False
         if start is not None and len(start) == n:
             warm = np.array(start, dtype=complex)
             warm = warm[np.argsort(np.abs(warm), kind="stable")[zeros:]]
             if np.isfinite(warm).all() and len(set(warm.tolist())) == len(warm):
-                found = _aberth(coeffs, warm, _ROOT_TOL)
-        if found is None:
-            found = _aberth(coeffs, _newton_polygon_start(coeffs), _ROOT_TOL)
-        if found is None:
+                found, converged = _aberth(coeffs, warm, _ROOT_TOL)
+        if not converged:
+            cold = _newton_polygon_start(coeffs)
+            found, converged = _aberth(coeffs, cold, _ROOT_TOL)
+        if not converged:
             raise NumericsError(
                 f"root iteration failed to converge in {_MAX_ITERATIONS} steps"
             )
-        roots += [complex(z) for z in found]
+        roots += found.tolist()
     return sorted(roots, key=lambda w: (w.real, w.imag))
+
+
+def batch_roots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """All roots of many polynomials of one degree n >= 1 in one batched run.
+
+    ``rows`` holds their coefficients, ascending, one polynomial per row,
+    each with a nonzero constant and leading coefficient.  Every row starts
+    cold from the circles of its Newton polygon, as ``all_roots`` does when
+    it has no warm start.  Returns the roots as a ``(rows, n)`` array, each
+    row sorted by (re, im) as ``all_roots`` sorts, and the mask of the rows
+    whose roots all meet the certificate of ``all_roots``; the entries of
+    the other rows are not roots.
+    """
+    starts = np.array([_newton_polygon_start(row) for row in rows])
+    roots, certified = _aberth(rows, starts, _ROOT_TOL)
+    order = np.lexsort((roots.imag, roots.real), axis=1)
+    return np.take_along_axis(roots, order, axis=1), certified
 
 
 # ---------------------------------------------------------------------------

@@ -377,9 +377,10 @@ def test_epsilon_exits_zero_or_with_a_typed_error(command, d, epsilon):
 
 @pytest.mark.parametrize("epsilon, message", [
     ("1" + "0" * 400, "a coefficient exceeds the float range"),
-    ("1" + "0" * 308, "root iteration failed to converge"),  # a0 + a1 overflows
-    ("1" + "0" * 300, "root iteration failed to converge"),
-    ("4" + "0" * 102, "the invariant degenerates"),  # 4 a^3 overflows
+    ("1" + "0" * 308, "a coefficient exceeds the float range"),  # a0 + a1 overflows
+    ("6" + "0" * 307, "a coefficient exceeds the float range"),
+    ("1" + "0" * 300, "a coefficient exceeds the float range"),
+    ("4" + "0" * 102, "a coefficient exceeds the float range"),  # 4 a^3 overflows
     ("1" + "0" * 50, "the invariant degenerates"),
     ("1/1000000", "a critical value hits the base point"),
 ])

@@ -26,14 +26,14 @@ from dpmirror.interfam import (
     _chordal_matrix,
     _homogeneous,
     _interval_verdict,
-    _row,
+    _rows,
     chordal,
     family_at,
     render_svg,
     sweep,
     transposition_word,
 )
-from dpmirror.pathnum import NumericsError, all_roots
+from dpmirror.pathnum import NumericsError, all_roots, batch_roots
 from dpmirror.pseudolattice import (
     from_boundaries,
     standard_word_identity,
@@ -213,24 +213,90 @@ def test_sweep_exactly_one_track_leaves_infinity():
         assert not ascended
 
 
-# The default sweeps' work: accepted samples, root solves and chart switches.
-SWEEP_WORK = {(3, 2): (413, 425, ((11, 0.595),)), (2, 1): (413, 425, ((11, 0.35),))}
+# The default sweeps' work: accepted samples, rows solved by the batch, one-row
+# solves (the start row and the bisection midpoints) and chart switches.
+SWEEP_WORK = {
+    (3, 2): (413, 400, 23, ((11, 0.595),)),
+    (2, 1): (413, 400, 24, ((11, 0.35),)),
+}
 
 
 @pytest.mark.parametrize("pair", sorted(SWEEP_WORK))
 def test_sweep_work_at_the_default_epsilon_is_pinned(pair, monkeypatch):
+    solves, batched = [], []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return all_roots(*args, **kwargs)
+
+    def counted_batch(rows):
+        batched.append(len(rows))
+        return batch_roots(rows)
+
+    monkeypatch.setattr(interfam, "all_roots", counted)
+    monkeypatch.setattr(interfam, "batch_roots", counted_batch)
+    traj = sweep(FamilySpec.between_degrees(*pair))
+    samples, expected_batched, expected_solves, switches = SWEEP_WORK[pair]
+    assert len(traj.parameters) == samples
+    assert sum(batched) == expected_batched
+    assert len(solves) == expected_solves
+    assert traj.chart_switches == switches
+
+
+def test_sweep_solves_a_sample_the_batch_cannot_certify_on_its_own(monkeypatch):
+    """A grid sample the batch leaves uncertified is solved warm from the
+    last accepted row, and the trajectories do not change."""
+    spec = FamilySpec.between_degrees(3, 2)
+    reference = sweep(spec)
     solves = []
 
     def counted(*args, **kwargs):
         solves.append(1)
         return all_roots(*args, **kwargs)
 
+    failed = []
+
+    def failing_first(rows):
+        roots, certified = batch_roots(rows)
+        if not failed:
+            certified[0] = False
+            failed.append(1)
+        return roots, certified
+
     monkeypatch.setattr(interfam, "all_roots", counted)
-    traj = sweep(FamilySpec.between_degrees(*pair))
-    samples, expected_solves, switches = SWEEP_WORK[pair]
-    assert len(traj.parameters) == samples
-    assert len(solves) == expected_solves
-    assert traj.chart_switches == switches
+    monkeypatch.setattr(interfam, "batch_roots", failing_first)
+    traj = sweep(spec)
+    assert len(solves) == SWEEP_WORK[(3, 2)][2] + 1
+    assert traj.parameters == reference.parameters
+    for row, ref in zip(traj.positions, reference.positions):
+        assert max(chordal(p, q) for p, q in zip(row, ref)) < 1e-12
+
+
+def test_grid_leaves_a_non_finite_invariant_to_the_one_row_path(monkeypatch):
+    """A grid time whose invariant is not finite is handed to
+    ``_configuration``, which names the overflow; the batch sees only
+    finite rows."""
+    spec = FamilySpec.between_degrees(3, 2)
+    spoiled = 7 / interfam.SAMPLES
+
+    def overflowing(spec, s):
+        model = family_at(spec, s)
+        np.asarray(model.a)[np.asarray(s) == spoiled, -1] = np.inf
+        return model
+
+    batches = []
+
+    def checked(rows):
+        batches.append(np.isfinite(rows).all())
+        return batch_roots(rows)
+
+    monkeypatch.setattr(interfam, "family_at", overflowing)
+    monkeypatch.setattr(interfam, "batch_roots", checked)
+    grid = list(interfam._grid(spec, 12))
+    assert batches and all(batches)
+    assert [s for s, row in grid if row is None] == [spoiled]
+    with pytest.raises(NumericsError, match="a coefficient exceeds the float range"):
+        interfam._configuration(spec, spoiled)
 
 
 def test_sweep_reports_an_unresolved_crossing(monkeypatch):
@@ -555,6 +621,6 @@ def _affine(points) -> np.ndarray:
 @given(_intervals())
 def test_interval_verdict_matches_the_scalar_reading(interval):
     before, after = interval
-    rows = _row(_affine(before)), _row(_affine(after))
+    rows = _rows(np.stack([_affine(before), _affine(after)]))
     motion = np.diagonal(_chordal_matrix(rows[0].homogeneous, rows[1].homogeneous))
     assert _interval_verdict(*rows, motion) == _scalar_verdict(before, after)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from typing import Iterator, List, Tuple
 from unittest import mock
@@ -29,6 +30,7 @@ from dpmirror.pathnum import (
     _newton_polygon_start,
     _terminal_pair,
     all_roots,
+    batch_roots,
     continue_roots,
     elliptic_integral,
     match_tracks,
@@ -425,8 +427,8 @@ def test_all_roots_polish_never_merges_iterates() -> None:
     s = 0.93 and 0.95 among these).  The polish keeps them apart."""
     for s in np.linspace(0.01, 0.99, 50):
         coeffs = np.array(_invariant_3_to_2(float(s)).coeffs, dtype=complex)
-        roots = _aberth(coeffs, _newton_polygon_start(coeffs), 0.1)
-        assert roots is not None, s
+        roots, converged = _aberth(coeffs, _newton_polygon_start(coeffs), 0.1)
+        assert converged, s
         gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
         assert min(gaps) > 1e-6, s
 
@@ -479,6 +481,107 @@ def test_all_roots_warm_start_gives_way_to_exact_zeros(monkeypatch) -> None:
     assert roots[1] == 0
     assert abs(roots[0] + 1) < 1e-15 and abs(roots[2] - 1) < 1e-15
     assert cold_starts == []
+
+
+def test_all_roots_is_silent_at_the_edge_of_the_float_range() -> None:
+    """The derivative weight 2 c_2 of this quadratic overflows; the kernel
+    forms it under its floating-point guard, so the only outcome is the
+    typed error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError):
+            all_roots(CPoly((1, 0, 1e308)))
+
+
+@st.composite
+def root_batches(draw) -> np.ndarray:
+    """One to eight polynomials of one degree, as coefficient rows: each
+    has roots of modulus 1e-3 to 1e3 and one near-cluster of two roots."""
+    singles = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        roots = [
+            cmath.rect(10 ** draw(st.floats(-3, 3)), draw(st.floats(0, 6.3)))
+            for _ in range(singles)
+        ]
+        center = cmath.rect(10 ** draw(st.floats(-3, 3)), draw(st.floats(0, 6.3)))
+        spread = abs(center) * 10 ** draw(st.floats(-6, -2))
+        roots += [center + spread, center - spread]
+        coeffs = np.ones(1, dtype=complex)
+        for r in roots:
+            coeffs = np.convolve(coeffs, [-r, 1])
+        rows.append(coeffs)
+    return np.array(rows)
+
+
+def _backward_error(coeffs: np.ndarray, z: complex) -> float:
+    """|p(z)| / sum_i |c_i| |z|^i, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        w = mpmath.mpc(z)
+        value = mpmath.polyval([mpmath.mpc(c) for c in coeffs[::-1]], w)
+        scale = sum(abs(mpmath.mpc(c)) * abs(w) ** i for i, c in enumerate(coeffs))
+        return float(abs(value) / scale)
+
+
+def _inclusion_radius(coeffs: np.ndarray, z: complex) -> float:
+    """n |p(z) / p'(z)|: the disc of this radius about z holds a root."""
+    value, slope, _ = _horner(coeffs.tolist(), z)
+    n = len(coeffs) - 1
+    return math.inf if slope == 0 else n * abs(value / slope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_batches())
+def test_batch_roots_agree_with_all_roots_row_by_row(rows: np.ndarray) -> None:
+    roots, certified = batch_roots(rows)
+    assert roots.shape == (len(rows), rows.shape[1] - 1)
+    for coeffs, found, ok in zip(rows, roots, certified):
+        single = all_roots(CPoly(tuple(coeffs.tolist())))
+        assert ok
+        assert found.tolist() == sorted(found.tolist(), key=lambda w: (w.real, w.imag))
+        for z in found.tolist():
+            assert _backward_error(coeffs, z) < pathnum._ROOT_TOL + 1e-13
+        reach = [_inclusion_radius(coeffs, z) for z in found.tolist()]
+        own = [_inclusion_radius(coeffs, w) for w in single]
+        candidates = [
+            [j for j, w in enumerate(single)
+             if abs(z - w) <= r + own[j] + 4e-16 * abs(z)]
+            for z, r in zip(found.tolist(), reach)
+        ]
+        assert _perfect_match(candidates, len(single))
+
+
+@settings(max_examples=30, deadline=None)
+@given(root_batches(), st.integers(0, 8))
+def test_batch_roots_reports_a_row_that_cannot_converge(rows, where) -> None:
+    """A row with a NaN coefficient runs to the iteration cap, is reported
+    as not converged, and leaves the other rows' answers as they were."""
+    where = min(where, len(rows))
+    spoiled = np.insert(rows, where, rows[0], axis=0)
+    spoiled[where, 0] = complex("nan")
+    roots, certified = batch_roots(spoiled)
+    clean_roots, clean_certified = batch_roots(rows)
+    assert not certified[where]
+    others = np.delete(np.arange(len(spoiled)), where)
+    assert np.array_equal(certified[others], clean_certified)
+    assert np.array_equal(roots[others], clean_roots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(root_batches(), st.integers(1, 20))
+def test_batch_roots_under_a_low_iteration_cap_match_all_roots(rows, cap) -> None:
+    """With the cap lowered, each row converges in the batch exactly when
+    ``all_roots`` converges on it alone, with the same roots."""
+    with mock.patch.object(pathnum, "_MAX_ITERATIONS", cap):
+        roots, certified = batch_roots(rows)
+        for coeffs, found, ok in zip(rows, roots, certified):
+            try:
+                single = all_roots(CPoly(tuple(coeffs.tolist())))
+            except NumericsError:
+                single = None
+            assert ok == (single is not None)
+            if ok:
+                assert found.tolist() == single
 
 
 def _square(n: int, entries: st.SearchStrategy[int]) -> st.SearchStrategy:
