@@ -138,10 +138,13 @@ class RunConfig:
 
 
 def parse_args(argv: Sequence[str]) -> RunConfig:
-    """Parse an argument vector into an exact configuration."""
+    """Parse an argument vector into an exact configuration; only the named
+    subcommand's parser is built, or all of them when none is named."""
     parser = _Parser(prog="dpmirror", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in named:
+        command = COMMANDS[name]
         cmd = sub.add_parser(name)
         for flag in command.flags:
             cmd.add_argument(f"--{flag}", **_FLAGS[flag])

@@ -12,13 +12,15 @@ stored:
   presentations are 2- and 3-variable ones.
 
 JSON artifacts store a univariate polynomial as a sorted list of
-``[exponent, "num/den"]`` pairs.
+``[exponent, "num/den"]`` pairs.  The gcd, the square-free factorization,
+valuations and the cubic invariant clear denominators once and run
+fraction-free on dense integer rows (primitive remainder sequences).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -297,67 +299,111 @@ class LaurentPoly:
 
 
 def valuation_at(p: UniPoly, point: RationalLike) -> int:
-    """Order of vanishing of ``p`` at a rational point (exact division count).
+    """Order of vanishing of ``p`` at a rational point top/den: how often the
+    primitive row of den*x - top divides the cleared integer row of ``p``.
 
     Raises ``ValueError`` for the zero polynomial, whose order is undefined.
     """
     if p.is_zero():
         raise ValueError("valuation of the zero polynomial is undefined")
-    c = _coerce(point)
-    if c == 0:
-        return min(p.terms)
-    linear = UniPoly({1: 1, 0: -c}, p.var)
-    order = 0
-    current = p
-    while True:
-        quotient, remainder = current.divmod_exact(linear)
-        if not remainder.is_zero():
-            return order
-        order += 1
-        current = quotient
+    top, den = _coerce(point).as_integer_ratio()
+    row, order = _cleared(p)[0], 0
+    while not sum(v * top ** k * den ** (len(row) - k) for k, v in enumerate(row)):
+        row, order = _quotient(row, [-top, den]), order + 1
+    return order
+
+
+# Dense integer rows: index k holds the coefficient of x^k, with no
+# trailing zero, so the empty row is the zero polynomial.
+Row = List[int]
+
+
+def _cleared(p: UniPoly) -> Tuple[Row, int]:
+    """The row of ``den * p`` with ``den`` the least common denominator."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    row = [0] * (p.degree() + 1)
+    for e, c in p.terms.items():
+        row[e] = c.numerator * (den // c.denominator)
+    return row, den
+
+
+def _primitive(row: Row) -> Row:
+    """``row`` divided by its content; the sign is kept."""
+    content = gcd(*row)
+    return [c // content for c in row] if content > 1 else row
+
+
+def _monic(row: Row, var: str) -> UniPoly:
+    return UniPoly({e: Fraction(c, row[-1]) for e, c in enumerate(row) if c}, var)
+
+
+def _derivative(row: Row) -> Row:
+    return [e * c for e, c in enumerate(row)][1:]
+
+
+def _difference(x: Row, y: Row) -> Row:
+    out = [c - d for c, d in zip(x, y)] + x[len(y):] + [-d for d in y[len(x):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _quotient(num: Row, den: Row) -> Row:
+    """``num / den`` for a primitive ``den`` dividing ``num`` (Gauss's lemma)."""
+    num, n = list(num), len(den) - 1
+    out = [0] * max(len(num) - n, 0)
+    for k in range(len(out) - 1, -1, -1):
+        out[k] = q = num[k + n] // den[-1]
+        for j in range(n):
+            num[k + j] -= q * den[j]
+    return out
+
+
+def _row_gcd(x: Row, y: Row) -> Row:
+    """A primitive gcd by the primitive remainder sequence: each
+    pseudo-remainder is divided by its content before the next step."""
+    x = _primitive(x)
+    while y:
+        r, x = list(x), _primitive(y)
+        n, lead = len(x) - 1, x[-1]
+        while len(r) > n:  # pseudo-division, scaled by lead / gcd each step
+            top = r.pop()
+            g = gcd(top, lead)
+            r = _difference([c * (lead // g) for c in r],
+                            [0] * (len(r) - n) + [top // g * c for c in x[:-1]])
+        y = r
+    return x
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor, from the primitive remainder sequence
+    of the cleared integer rows (Brown 1971; Knuth, TAOCP 2, 4.6.1)."""
     p._check_var(q)
-    a, b = p, q
-    while not b.is_zero():
-        _, r = a.divmod_exact(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    lc = a.leading_coefficient()
-    return a * (Fraction(1) / lc)
+    return _monic(_row_gcd(_cleared(p)[0], _cleared(q)[0]), p.var)
 
 
 def squarefree_factorization(p: UniPoly) -> Tuple[Fraction, List[Tuple[UniPoly, int]]]:
     """Yun decomposition ``p = unit * prod f_i^i`` with squarefree monic f_i.
 
     Returns ``(unit, [(f_i, i), ...])`` listing only non-constant factors,
-    ordered by multiplicity.
+    ordered by multiplicity.  Yun's steps run on primitive integer rows,
+    where every division is exact; the step of multiplicity 0 divides out
+    gcd(f, f').
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    unit = p.leading_coefficient()
-    monic = p * (Fraction(1) / unit)
-    if monic.degree() == 0:
-        return unit, []
-    dp = monic.derivative()
-    a = poly_gcd(monic, dp)
-    b, _ = monic.divmod_exact(a)
-    c, _ = dp.divmod_exact(a)
-    d = c - b.derivative()
+    b = _primitive(_cleared(p)[0])
+    d = _derivative(b)
     factors: List[Tuple[UniPoly, int]] = []
-    multiplicity = 1
-    while b.degree() > 0:
-        f = poly_gcd(b, d)
-        if f.degree() > 0:
-            factors.append((f, multiplicity))
-        b, _ = b.divmod_exact(f)
-        c, _ = d.divmod_exact(f)
-        d = c - b.derivative()
+    multiplicity = 0
+    while len(b) > 1:
+        g = _row_gcd(b, d)
+        if multiplicity and len(g) > 1:
+            factors.append((_monic(g, p.var), multiplicity))
+        b = _quotient(b, g)
+        d = _difference(_quotient(d, g), _derivative(b))
         multiplicity += 1
-    return unit, factors
+    return p.leading_coefficient(), factors
 
 
 # Largest trial divisor of ``_prime_powers``.
@@ -413,28 +459,13 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
     """
     if p.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
-    roots: List[Fraction] = []
     shift = min(p.terms)
-    if shift > 0:
-        roots.append(Fraction(0))
-        p = UniPoly({e - shift: c for e, c in p.terms.items()}, p.var)
-    if p.degree() == 0:
+    roots = [Fraction(0)] if shift else []
+    row = _primitive(_cleared(p)[0][shift:])
+    if len(row) == 1:
         return roots
-    denominator_lcm = 1
-    for c in p.terms.values():
-        g = gcd(denominator_lcm, c.denominator)
-        denominator_lcm = denominator_lcm // g * c.denominator
-    ints = {e: int(c * denominator_lcm) for e, c in p.terms.items()}
-    content = 0
-    for c in ints.values():
-        content = gcd(content, c)
-    leading_first = [
-        ints.get(e, 0) // content for e in range(p.degree(), -1, -1)
-    ]
-    at_one = sum(leading_first)
-    at_minus_one = sum(
-        c if e % 2 == 0 else -c for e, c in enumerate(reversed(leading_first))
-    )
+    leading_first = row[::-1]
+    at_one, at_minus_one = sum(row), sum(row[::2]) - sum(row[1::2])
 
     def divides(m: int, n: int) -> bool:
         return n == 0 if m == 0 else n % m == 0
@@ -465,9 +496,25 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
     return sorted(set(roots))
 
 
+def _product(x: Row, y: Row) -> Row:
+    out = [0] * max(len(x) + len(y) - 1, 0)
+    for i, c in enumerate(x):
+        for j, d in enumerate(y):
+            out[i + j] += c * d
+    return out
+
+
 def disc_cubic(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Discriminant-scale invariant 4a^3 + 27b^2 of y^2 = x^3 + a x + b."""
-    return a ** 3 * 4 + b ** 2 * 27
+    """Discriminant-scale invariant 4a^3 + 27b^2 of y^2 = x^3 + a x + b,
+    formed in integers as (4 A^3 db^2 + 27 B^2 da^3) / (da^3 db^2) from the
+    cleared a = A/da and b = B/db."""
+    a._check_var(b)
+    (A, da), (B, db) = _cleared(a), _cleared(b)
+    cube = [4 * db * db * c for c in _product(_product(A, A), A)]
+    square = [-27 * da ** 3 * c for c in _product(B, B)]
+    den = da ** 3 * db * db
+    terms = _difference(cube, square)
+    return UniPoly(dict(enumerate(Fraction(c, den) for c in terms)), a.var)
 
 
 def disc_quadratic_in_y(A: LaurentPoly, B: LaurentPoly, C: LaurentPoly) -> LaurentPoly:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from .exactpoly import (
@@ -80,9 +81,15 @@ class WeierstrassModel:
     def var(self) -> str:
         return self.a.var
 
+    # Formed once per model object and kept in its instance dict; equality,
+    # hashing and repr read only (a, b).
+    _invariant = cached_property(lambda self: disc_cubic(self.a, self.b))
+    _factors = cached_property(lambda self: squarefree_factorization(self._invariant))
+    _at_infinity = cached_property(lambda self: chart_at_infinity(self))
+
     def discriminant_scale(self) -> UniPoly:
         """The invariant 4a^3 + 27b^2 governing singular fibers."""
-        return disc_cubic(self.a, self.b)
+        return self._invariant
 
     def to_json(self) -> Dict[str, object]:
         return {"a": self.a.to_pairs(), "b": self.b.to_pairs()}
@@ -299,7 +306,7 @@ def is_globally_minimal(model: WeierstrassModel) -> MinimalityReport:
     disc = model.discriminant_scale()
     if disc.is_zero():
         return MinimalityReport(False, "discriminant invariant vanishes identically")
-    unit, factors = squarefree_factorization(disc)
+    _unit, factors = model._factors
     if len(factors) == 1 and factors[0][1] == 12 and factors[0][0].degree() == 1:
         root = -factors[0][0].coefficient(0) / factors[0][0].coefficient(1)
         return MinimalityReport(
@@ -315,7 +322,7 @@ def is_globally_minimal(model: WeierstrassModel) -> MinimalityReport:
             return MinimalityReport(
                 False, f"non-minimal at lam = {rational_to_string(root)}"
             )
-    inf = chart_at_infinity(model)
+    inf = model._at_infinity
     disc_inf = inf.discriminant_scale()
     if not disc_inf.is_zero() and valuation_at(disc_inf, 0) > 0:
         v_a = valuation_at(inf.a, 0) if not inf.a.is_zero() else 12
@@ -332,7 +339,7 @@ def is_globally_minimal(model: WeierstrassModel) -> MinimalityReport:
 def classify_fiber_at(model: WeierstrassModel, place: Place) -> KodairaFiber:
     """Kodaira type at one place from exact coefficient valuations."""
     if place == "inf":
-        return classify_fiber_at(chart_at_infinity(model), Fraction(0))
+        return classify_fiber_at(model._at_infinity, Fraction(0))
     point = place if isinstance(place, Fraction) else rational_from_string(str(place))
     disc = model.discriminant_scale()
     v_disc = valuation_at(disc, point)
@@ -383,8 +390,7 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     report = is_globally_minimal(model)
     if not report.is_minimal:
         raise FiberClassificationError(f"model not globally minimal: {report.violation}")
-    disc = model.discriminant_scale()
-    _unit, factors = squarefree_factorization(disc)
+    _unit, factors = model._factors
     placements: List[FiberPlacement] = []
     for factor, multiplicity in factors:
         try:

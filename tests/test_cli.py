@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpmirror import cli
+from dpmirror import cli, weierstrass
 from dpmirror.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -26,6 +27,7 @@ from dpmirror.cli import (
     parse_args,
     parse_rational,
 )
+from dpmirror.exactpoly import disc_cubic, squarefree_factorization
 from dpmirror.homology import HomologyClass
 
 # Frozen singular-fiber tables of the exact catalog models.
@@ -105,6 +107,28 @@ def test_parse_args_defaults():
     assert config.order == 12
     assert config.fmt == "json"
     assert config.out is None
+
+
+def test_parse_args_builds_only_the_named_subparser(capsys, monkeypatch):
+    """A named command registers its own subparser alone; without one, the
+    full table still serves the unknown-command error and the help."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert parse_args(["cycles", "--d", "1", "--epsilon", "1/50"]).command == "cycles"
+    assert built == ["cycles"]
+    with pytest.raises(UsageError) as info:
+        parse_args(["bogus", "--d", "1"])
+    assert all(f"'{name}'" in str(info.value) for name in cli.COMMANDS)
+    with pytest.raises(SystemExit):
+        parse_args(["fibers", "-h"])
+    out = capsys.readouterr().out
+    assert "--variant" in out and "--format" in out
 
 
 def test_config_validation_rejects_bad_fields():
@@ -398,12 +422,14 @@ def test_interpolate_at_extreme_epsilon_fails_with_a_typed_error(epsilon, messag
 
 @pytest.mark.parametrize("argv", [
     ("fibers", "--d", "1", "--variant", "perturbed", "--epsilon", "1" + "0" * 300),
+    ("fibers", "--d", "3", "--variant", "perturbed", "--epsilon", "1/1" + "0" * 100),
     ("cycles", "--d", "1", "--epsilon", "1" + "0" * 50),
     ("interpolate", "--d", "3", "--epsilon", "1" + "0" * 300),
 ])
 def test_extreme_epsilon_finishes_within_five_seconds(argv):
-    """The candidate-pair cap of ``rational_roots`` and the step budget of
-    ``continue_roots`` bound the work at extreme perturbations."""
+    """The candidate-pair cap of ``rational_roots``, the content division of
+    the integer remainder sequence and the step budget of ``continue_roots``
+    bound the work at extreme perturbations."""
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=source_root)
     result = subprocess.run(
@@ -425,6 +451,35 @@ def test_small_epsilon_cycles_stay_within_the_step_budget(d):
         code = main(["cycles", "--d", d, "--epsilon", "1/1000000",
                      "--out", os.devnull])
     assert code == EXIT_PASS, err.getvalue()
+
+
+@pytest.mark.parametrize("command, charts, factored", [
+    (("fibers", "--variant", "perturbed"), ["lam", "mu"], 1),
+    (("critvals",), ["lam"], 0),
+])
+def test_exact_work_per_call_is_pinned(command, charts, factored, monkeypatch):
+    """One ``fibers`` call forms the model's invariant once, and once more in
+    the chart at infinity, and factors it once; ``critvals`` forms it once."""
+    formed, factorizations = [], []
+
+    def counted_invariant(a, b):
+        formed.append(a.var)
+        return disc_cubic(a, b)
+
+    def counted_factorization(p):
+        factorizations.append(p)
+        return squarefree_factorization(p)
+
+    monkeypatch.setattr(weierstrass, "disc_cubic", counted_invariant)
+    monkeypatch.setattr(weierstrass, "squarefree_factorization",
+                        counted_factorization)
+    for d in "123":
+        formed.clear()
+        factorizations.clear()
+        code = main([command[0], "--d", d, "--out", os.devnull, *command[1:]])
+        assert code == EXIT_PASS
+        assert formed == charts
+        assert len(factorizations) == factored
 
 
 def test_check_fails_when_a_claim_fails(capsys, monkeypatch):

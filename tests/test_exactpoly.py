@@ -7,7 +7,7 @@ from math import gcd, prod
 
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from dpmirror.exactpoly import (
@@ -164,6 +164,97 @@ def test_squarefree_reconstruction(roots, mults):
     assert rebuilt == p
     for f, _ in factors:
         assert poly_gcd(f, f.derivative()).degree() == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer algebra against sympy, at numerators and denominators up to 10^300
+
+X = sp.Symbol("x")
+BIG = 10**300
+huge_rationals = st.builds(
+    Fraction, st.integers(min_value=-BIG, max_value=BIG),
+    st.integers(min_value=1, max_value=BIG),
+)
+nonzero_huge = huge_rationals.filter(bool)
+# A rational factor of degree 1 or 2, with a nonzero leading coefficient.
+factors = st.builds(
+    lambda low, lead: UniPoly(dict(enumerate([*low, lead]))),
+    st.lists(huge_rationals, min_size=1, max_size=2), nonzero_huge,
+)
+factor_powers = st.lists(
+    st.tuples(factors, st.integers(min_value=1, max_value=4)), max_size=3
+)
+# Shrinking draws of this size takes minutes and hundreds of MiB, so a
+# failure here reports the example as drawn.
+huge_settings = settings(
+    max_examples=40, deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+
+
+def product(unit: Fraction, powers) -> UniPoly:
+    p = UniPoly.constant(unit)
+    for f, m in powers:
+        p = p * f**m
+    return p
+
+
+def sympy_poly(p: UniPoly) -> sp.Poly:
+    """``p`` as a dense sympy polynomial over QQ, built from its coefficients."""
+    coeffs = [p.coefficient(e) for e in range(p.degree(), -1, -1)]
+    return sp.Poly.from_list(
+        [sp.QQ(c.numerator, c.denominator) for c in coeffs], X, domain=sp.QQ
+    )
+
+
+def from_sympy(poly: sp.Poly) -> UniPoly:
+    coeffs = enumerate(reversed(poly.rep.to_list()))
+    return UniPoly({e: Fraction(c.numerator, c.denominator) for e, c in coeffs})
+
+
+@given(factor_powers, factor_powers, factor_powers, nonzero_huge, nonzero_huge)
+@huge_settings
+@example([], [], [], Fraction(1), Fraction(1))
+def test_gcd_matches_sympy_over_the_rationals(shared, only_p, only_q, up, uq):
+    p = product(up, shared + only_p)
+    q = product(uq, shared + only_q)
+    expected = from_sympy(sympy_poly(p).gcd(sympy_poly(q)))
+    assert poly_gcd(p, q) == expected
+    assert poly_gcd(q, p) == expected
+    assert poly_gcd(p, UniPoly()) == from_sympy(sympy_poly(p).monic())
+    assert poly_gcd(UniPoly(), UniPoly()) == UniPoly()
+
+
+@given(factor_powers, nonzero_huge)
+@huge_settings
+@example([(UniPoly({0: 1, 1: 2}), 2), (UniPoly({0: 2, 1: 4}), 1)], Fraction(-3, 7))
+@example([(UniPoly({0: Fraction(BIG - 1, BIG), 2: Fraction(-BIG, 7)}), 4)],
+         Fraction(1, BIG))
+def test_squarefree_factorization_matches_sympy_sqf_list(powers, unit):
+    p = product(unit, powers)
+    coeff, expected = sympy_poly(p).sqf_list()
+    got_unit, got = squarefree_factorization(p)
+    assert got_unit == Fraction(int(coeff.p), int(coeff.q)) == p.leading_coefficient()
+    assert got == [(from_sympy(f), m) for f, m in expected]
+
+
+@given(st.lists(huge_rationals, max_size=5), st.lists(huge_rationals, max_size=7))
+@huge_settings
+def test_disc_cubic_matches_sympy_expansion(a_coeffs, b_coeffs):
+    a, b = UniPoly(dict(enumerate(a_coeffs))), UniPoly(dict(enumerate(b_coeffs)))
+    expected = 4 * sympy_poly(a) ** 3 + 27 * sympy_poly(b) ** 2
+    assert disc_cubic(a, b) == from_sympy(expected)
+
+
+@given(nonzero_huge, huge_rationals, st.integers(min_value=0, max_value=6),
+       factor_powers)
+@huge_settings
+def test_valuation_counts_the_linear_factor(unit, root, order, powers):
+    rest = product(unit, powers)
+    if value_at(rest, root) == 0:
+        return
+    p = rest * UniPoly({1: 1, 0: -root}) ** order
+    assert valuation_at(p, root) == order
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,14 @@ def test_model_json_round_trip():
     assert WeierstrassModel(*parsed) == model
 
 
+def test_exact_algebra_kept_on_a_model_leaves_its_identity_alone():
+    used, fresh = catalog(3, FR(1, 100)), catalog(3, FR(1, 100))
+    fiber_configuration(used)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and used.to_json() == fresh.to_json()
+    assert used.discriminant_scale() == fresh.discriminant_scale()
+
+
 def test_configuration_json_schema():
     config = fiber_configuration(catalog(3))
     data = config.to_json()
