@@ -308,7 +308,7 @@ def valuation_at(p: UniPoly, point: RationalLike) -> int:
         raise ValueError("valuation of the zero polynomial is undefined")
     top, den = _coerce(point).as_integer_ratio()
     row, order = _cleared(p)[0], 0
-    while not sum(v * top ** k * den ** (len(row) - k) for k, v in enumerate(row)):
+    while _vanishes_at(row, top, den):
         row, order = _quotient(row, [-top, den]), order + 1
     return order
 
@@ -333,7 +333,18 @@ def _primitive(row: Row) -> Row:
     return [c // content for c in row] if content > 1 else row
 
 
+def _vanishes_at(row: Row, top: int, den: int) -> bool:
+    """Whether sum_k row_k top^k den^(n-k) is 0, that is, whether the row
+    vanishes at top/den; Horner's rule from the leading coefficient."""
+    acc, den_power = 0, 1
+    for c in reversed(row):
+        acc = acc * top + c * den_power
+        den_power *= den
+    return acc == 0
+
+
 def _monic(row: Row, var: str) -> UniPoly:
+    """The monic multiple of ``row``; the empty row gives the zero polynomial."""
     return UniPoly({e: Fraction(c, row[-1]) for e, c in enumerate(row) if c}, var)
 
 
@@ -464,21 +475,13 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
     row = _primitive(_cleared(p)[0][shift:])
     if len(row) == 1:
         return roots
-    leading_first = row[::-1]
     at_one, at_minus_one = sum(row), sum(row[::2]) - sum(row[1::2])
 
     def divides(m: int, n: int) -> bool:
         return n == 0 if m == 0 else n % m == 0
 
-    def vanishes(top: int, den: int) -> bool:
-        acc, den_power = 0, 1
-        for c in leading_first:
-            acc = acc * top + c * den_power
-            den_power *= den
-        return acc == 0
-
-    numerators = _prime_powers(leading_first[-1])
-    denominators = _prime_powers(leading_first[0])
+    numerators = _prime_powers(row[0])
+    denominators = _prime_powers(row[-1])
     pairs = prod(m + 1 for m in [*numerators.values(), *denominators.values()])
     if pairs > _MAX_DIVISOR_PAIRS:
         raise ValueError(
@@ -491,7 +494,7 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
                 continue
             for top in (num, -num):
                 if (divides(den - top, at_one) and divides(den + top, at_minus_one)
-                        and vanishes(top, den)):
+                        and _vanishes_at(row, top, den)):
                     roots.append(Fraction(top, den))
     return sorted(set(roots))
 
