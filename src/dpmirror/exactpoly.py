@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -268,13 +269,10 @@ class LaurentPoly:
         terms: LaurentTerms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                c = terms.get(key, Fraction(0)) + c1 * c2
-                if c:
-                    terms[key] = c
-                else:
-                    terms.pop(key, None)
-        return LaurentPoly(terms, self.nvars)
+                key = tuple(map(add, e1, e2))
+                c = c1 * c2
+                terms[key] = terms[key] + c if key in terms else c
+        return LaurentPoly(terms, self.nvars)  # the constructor drops zero terms
 
     __rmul__ = __mul__
 

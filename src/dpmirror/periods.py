@@ -16,6 +16,20 @@ one pairing of two of them,
 
     [f^k]_0 = sum_m [g^a]_m * [g^b]_(-m) / D^k,   a = floor(k/2),  b = k - a.
 
+The half powers stay sparse dictionaries, but each exponent vector is keyed
+by one integer (Kronecker substitution on the keys only; von zur Gathen and
+Gerhard, *Modern Computer Algebra*, §8.4): ``key(e) = sum_i e_i * R^i``
+with stride ``R = 2*h*E + 1``, where ``E`` is the largest ``|exponent|``
+among the terms of ``f``.  Each coordinate of a monomial of ``g^j``,
+``j <= h``, lies in ``[-hE, hE]``, which is one full set of balanced
+residues modulo ``R``; so the signed digits of a key are unique, and
+``key(a) + key(b) = key(a + b)``.  A term product adds two keys and the
+pairing looks up ``-key(m)``.  This differs from dense Kronecker
+substitution, which packs a whole polynomial, coefficients included, into
+one big integer and multiplies those big integers: a prototype of that was
+slower at every degree.  Here the dictionaries stay sparse and only their
+keys are packed.
+
 The two coefficient lists agree exactly; the check reports the first
 mismatch if they ever do not.
 
@@ -28,7 +42,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
-from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .exactpoly import LaurentPoly, rational_to_string
@@ -170,23 +183,38 @@ def classical_period(f: LaurentPoly, order: int = 12) -> PowerSeries:
     powers ``g^0 .. g^h``, ``h = ceil(order/2)``, by repeated sparse products
     with ``g``, and takes each ``[f^k]_0`` from one pairing,
     ``sum_m [g^a]_m [g^b]_(-m) / D^k`` with ``a = floor(k/2)``, ``b = k - a``.
+
+    The half powers are dictionaries keyed by one integer per exponent
+    vector: ``key(e) = sum_i e_i * R^i`` with stride ``R = 2*h*E + 1``,
+    where ``E`` is the largest ``|exponent|`` among the terms of ``f`` (0
+    for the zero polynomial).  Every monomial of ``g^j``, ``j <= h``, has
+    each coordinate in ``[-hE, hE]``, a full set of balanced residues
+    modulo ``R``, so the digits of a key are unique and
+    ``key(a) + key(b) = key(a + b)``.  A term product is then one integer
+    addition, and the pairing looks up ``-key(m)``.  A stride of ``2hE``
+    would already merge ``(2hE, -1)`` with the origin.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     denominator = lcm(*(c.denominator for c in f.terms.values()))
-    g = [(e, int(c * denominator)) for e, c in f.terms.items()]
-    halves: List[Dict[Tuple[int, ...], int]] = [{(0,) * f.nvars: 1}]
-    for _ in range((order + 1) // 2):
-        product: Dict[Tuple[int, ...], int] = {}
-        for e1, c1 in halves[-1].items():
-            for e2, c2 in g:
-                key = tuple(map(add, e1, e2))
+    h = (order + 1) // 2
+    stride = 2 * h * max((abs(x) for e in f.terms for x in e), default=0) + 1
+    g = [
+        (sum(x * stride**i for i, x in enumerate(e)), int(c * denominator))
+        for e, c in f.terms.items()
+    ]
+    halves: List[Dict[int, int]] = [{0: 1}]
+    for _ in range(h):
+        product: Dict[int, int] = {}
+        for k1, c1 in halves[-1].items():
+            for k2, c2 in g:
+                key = k1 + k2
                 product[key] = product.get(key, 0) + c1 * c2
-        halves.append({e: c for e, c in product.items() if c})
+        halves.append({k: c for k, c in product.items() if c})
     constants: List[Fraction] = []
     for k in range(order + 1):
         left, right = halves[k // 2], halves[k - k // 2]
-        paired = sum(c * right.get(tuple(-x for x in e), 0) for e, c in left.items())
+        paired = sum(c * right.get(-key, 0) for key, c in left.items())
         constants.append(Fraction(paired, denominator**k))
     return PowerSeries(tuple(constants))
 

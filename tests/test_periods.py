@@ -190,19 +190,44 @@ def _classical_period_by_powers(f, order):
 @st.composite
 def _laurent_polys(draw):
     nvars = draw(st.integers(min_value=1, max_value=3))
-    exponents = st.tuples(*[st.integers(min_value=-3, max_value=3)] * nvars)
+    bound = draw(st.sampled_from([3, 10**6]))
+    exponents = st.tuples(*[st.integers(min_value=-bound, max_value=bound)] * nvars)
     coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7)
     return LaurentPoly(draw(st.dictionaries(exponents, coefficients, max_size=5)), nvars)
 
 
 @given(f=_laurent_polys())
 @example(f=LaurentPoly({}, 1))
+@example(f=LaurentPoly({}, 2))
 @example(f=LaurentPoly({}, 3))
-@settings(max_examples=60, deadline=None)
+# Newton polygon off the origin: every x-exponent is positive.
+@example(f=LaurentPoly({(1, 0): 1, (2, -1): 3, (1, 10**6): FR(-2, 3)}, 2))
+@example(f=LaurentPoly({(10**6,): 2, (-1,): FR(1, 3), (0,): -1}, 1))
+# At order 9 (h = 5), x^(4E) times x^(E+1)/y is (hE + 1, -1), and y^8 times
+# y^3/z is (0, hE + 1, -1) with E = 2: a stride of hE + 1 reads each as the
+# origin, in the first and in the second stride.
+@example(f=LaurentPoly({(10**6, 0): 1, (1, -1): 1, (0, 0): 1}, 2))
+@example(f=LaurentPoly({(0, 2, 0): 1, (0, 1, -1): 1, (0, 0, 0): 1}, 3))
+# At order 10 (h = 5, E = 1), x^9 times x/y is (2hE, -1): a stride of 2hE
+# reads it as the origin.
+@example(f=LaurentPoly({(1, 0): 1, (1, -1): 1}, 2))
+@settings(max_examples=100, deadline=None)
 def test_classical_period_matches_repeated_products(f):
-    expected = _classical_period_by_powers(f, 9)
-    for order in range(10):
+    """Exact at every order, with exponents up to 10^6: the integer keys of
+    ``classical_period`` never merge two exponent vectors."""
+    expected = _classical_period_by_powers(f, 10)
+    for order in range(11):
         assert list(classical_period(f, order).coefficients) == expected[: order + 1]
+
+
+def test_classical_period_in_three_variables_matches_closed_form():
+    """``[(x + y + z + 1/(xyz))^n]_0`` is ``n!/(k!)^4`` for ``n = 4k`` and 0
+    otherwise; the key of a three-variable exponent uses two strides."""
+    f = LaurentPoly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1}, 3)
+    expected = [
+        factorial(n) // factorial(n // 4) ** 4 if n % 4 == 0 else 0 for n in range(25)
+    ]
+    assert list(classical_period(f, 24).coefficients) == expected
 
 
 def _closed_form_classical(d, order):
