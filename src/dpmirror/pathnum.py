@@ -10,8 +10,10 @@ Three kernels:
   batch of polynomials of one degree: ``all_roots`` solves one,
   ``batch_roots`` many at once;
 - root continuation along polyline paths of a family given by coefficient
-  arrays, with a separation criterion for the track matching, that stops
-  at a certified terminal pair: inclusion discs of radius n |p(z)/p'(z)|
+  arrays: a tangent predictor dz/dlam = -(d_lam p)(z) / p'(z) sets each
+  step so the predicted motion stays well under the roots' separation, a
+  separation criterion accepts the track matching, and tracking stops at a
+  certified terminal pair: inclusion discs of radius n |p(z)/p'(z)|
   that are pairwise disjoint, and a disc around the closest pair in which
   Rouche's theorem holds against the coefficient motion over the rest of
   the path (the inclusion and Rouche tests of alpha-theory, Blum, Cucker,
@@ -19,7 +21,8 @@ Three kernels:
   Xu, Burr and Yap, ISSAC 2018).  If the fiber at the end of the path is
   a cubic with a double root, the pair's tracks are the ones that make it;
 - elliptic integrals ``dx / sqrt(cubic)`` whose endpoints are allowed to
-  sit on branch points.
+  sit on branch points, and the closed-form period pair of the
+  lemniscatic base fiber y^2 = x^3 + eps x.
 
 Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
 ``_horner``, gives p(z), p'(z) and the floored residual
@@ -410,6 +413,9 @@ _NEWTON_STEPS = 30
 _INITIAL_STEP = 0.125
 # Step floor; a step rejected below it means the path is singular there.
 _MIN_STEP = 1e-8
+# Steps are chosen so that the tangent predicts no root moving by more than
+# the roots' separation over this; a step is accepted below a third.
+_PREDICTED_SHARE = 4.5
 # Most evaluations of the family in one continuation: 20x the most (100)
 # that any continuation of `cycles` makes over homology seeds 0-4, and 16x
 # the most (122) in the runs that finish over epsilon from 10^-12 to 10^6
@@ -661,12 +667,17 @@ def continue_roots(
     as ``all_roots`` returns them.
 
     Predictor-corrector continuation: tracks advance by Newton correction
-    from an extrapolated prediction, with full recomputation and optimal
-    matching as fallback.  Every accepted root has a residual below
-    ``_ROOT_TOL``.  Steps start at ``_INITIAL_STEP`` of the path, grow by
-    1.6 after an accepted step up to that size, and halve otherwise.  A step
-    is accepted only when the previous roots' minimal pairwise distance
-    exceeds three times the matching displacement.
+    from the tangent prediction z + (dz/dlam) (lam_next - lam), with
+    dz/dlam = -(d_lam p)(z) / p'(z) from the lam-derivative rows m c_km,
+    and with full recomputation and optimal matching as fallback.  Every
+    accepted root has a residual below ``_ROOT_TOL``.  After an accepted
+    step (and at the start) the next step is the largest that moves no
+    root, by the tangent, more than the roots' minimal separation over
+    ``_PREDICTED_SHARE``, capped by ``_INITIAL_STEP`` of the path and by 1.6
+    times the last step and floored at ``_MIN_STEP``; a rejected step halves.  A step is accepted only
+    when the previous roots' minimal pairwise distance exceeds three times
+    the matching displacement.  The steps shrink toward a fiber of lower
+    degree, so the fiber at the end of the path is tested first.
 
     After every accepted step ``_terminal_pair`` tests for a certified
     terminal pair, bounding the motion of the coefficient of x^k over the
@@ -686,6 +697,7 @@ def continue_roots(
     """
     rows = [tuple(complex(c) for c in row) for row in family]
     rates = [[m * abs(c) for m, c in enumerate(row)][1:] for row in rows]
+    derivatives = [[m * c for m, c in enumerate(row)][1:] for row in rows]
     total = path.length()
     nodes = path.nodes
     distances = [0.0]
@@ -728,17 +740,50 @@ def continue_roots(
             bounds.append((total - here) * speed)
         return bounds
 
-    _, poly = family_at(0.0)
+    def tangents(lam: complex, poly: Tuple[complex, ...],
+                 roots: Sequence[complex]) -> Tuple[List[complex], float]:
+        """dz/dlam = -(d_lam p)(z) / p'(z) at each of ``roots`` of ``poly``,
+        the fiber at ``lam``, and the step that moves no root by more than
+        the roots' separation over ``_PREDICTED_SHARE``."""
+        pulls = []  # the coefficients of d_lam p
+        for row in derivatives:
+            value = 0j
+            for c in reversed(row):
+                value = value * lam + c
+            pulls.append(value)
+        velocities = []
+        for z in roots:
+            value = slope = pull = 0j
+            for c in reversed(poly):
+                slope = slope * z + value
+                value = value * z + c
+            for c in reversed(pulls):
+                pull = pull * z + c
+            velocities.append(-pull / slope if slope else 0j)
+        speed = total * max(abs(v) for v in velocities)
+        if not speed:
+            return velocities, math.inf
+        return velocities, max(
+            _min_pairwise(roots) / (_PREDICTED_SHARE * speed), _MIN_STEP
+        )
+
+    lam, poly = family_at(0.0)
     degree = len(poly) - 1
     if degree < 1:
         raise NumericsError("family must have degree at least 1")
+    # steps shrink toward a fiber of lower degree, so test the end first
+    _, poly_end = family_at(1.0)
+    if len(poly_end) - 1 != degree:
+        raise NumericsError(
+            f"family degree changed from {degree} to {len(poly_end) - 1} at t = 1"
+        )
     current = tuple(roots)
     steps = [(0.0, current, tuple(_horner(poly, z)[2] for z in current),
               tuple(range(degree)))]
     pair: Optional[Tuple[int, int]] = None
     t = 0.0
-    dt = _INITIAL_STEP
-    previous_step: Optional[Tuple[float, Tuple[complex, ...]]] = None
+    velocities, limit = tangents(lam, poly, current)
+    dt = min(_INITIAL_STEP, limit)
     while t < 1.0:
         t_next = min(t + dt, 1.0)
         lam_next, poly_next = family_at(t_next)
@@ -748,18 +793,9 @@ def continue_roots(
                 f"at t = {t_next:.6g}"
             )
         separation = _min_pairwise(current)
-        # predictor: linear extrapolation when two accepted steps exist
-        if previous_step is not None and previous_step[0] < t:
-            t_prev, roots_prev = previous_step
-            scale = (t_next - t) / (t - t_prev)
-            predicted = [
-                z + (z - w) * scale for z, w in zip(current, roots_prev)
-            ]
-        else:
-            predicted = list(current)
-        corrected, corrected_res = zip(
-            *(_newton(poly_next, z) for z in predicted)
-        )
+        move = lam_next - lam
+        predicted = [z + v * move for z, v in zip(current, velocities)]
+        corrected, corrected_res = zip(*(_newton(poly_next, z) for z in predicted))
         duplicate_floor = max(1e-13, 1e-6 * separation)
         if (
             all(r < _ROOT_TOL for r in corrected_res)
@@ -787,14 +823,13 @@ def continue_roots(
             else math.inf
         )
         if aligned is not None and separation > 3 * displacement:
-            previous_step = (t, current)
-            current = aligned
-            t = t_next
+            current, t, lam = aligned, t_next, lam_next
             steps.append((t, aligned, aligned_res, matching))
-            pair = _terminal_pair(poly_next, current, roots, drift(t, lam_next))
+            pair = _terminal_pair(poly_next, current, roots, drift(t, lam))
             if pair is not None:
                 break
-            dt = min(_INITIAL_STEP, dt * 1.6)
+            velocities, limit = tangents(lam, poly_next, current)
+            dt = min(_INITIAL_STEP, dt * 1.6, limit)
             continue
         dt /= 2
         if dt < _MIN_STEP:
@@ -817,8 +852,10 @@ def continue_roots(
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Most panel doublings before the quadrature gives up.
 _MAX_LEVEL = 9
-# The accuracy of each of the two integrals of ``period_lattice``.
-_PERIOD_TOL = 5e-10
+# The quadrature stops once a doubling moves the whole-path total by less.
+_QUADRATURE_TOL = 1e-9
+# The lemniscate constant Gamma(1/4)^2 / (2 sqrt(2 pi)).
+_LEMNISCATE = math.gamma(0.25) ** 2 / (2 * math.sqrt(2 * math.pi))
 
 
 def _branch_signs(values: np.ndarray, anchor: complex) -> np.ndarray:
@@ -845,7 +882,6 @@ def _branch_signs(values: np.ndarray, anchor: complex) -> np.ndarray:
 def elliptic_integral(
     cubic: CPoly,
     path: PathPolyline,
-    tol: float = 1e-9,
     roots: Optional[Sequence[complex]] = None,
 ) -> complex:
     """The integral of dx / y along ``path``, with y^2 = cubic(x).
@@ -862,8 +898,9 @@ def elliptic_integral(
     negated value, and an exact tie keeps the raw value.  The branch at the
     anchor -- the first node of the level-0 grid -- is the principal square
     root of the cubic there.  Panels double until the whole-path total moves
-    by less than ``tol``, at most ``_MAX_LEVEL`` times.  ``roots``, when
-    given, are the roots of ``cubic`` as ``all_roots`` returns them.
+    by less than ``_QUADRATURE_TOL``, at most ``_MAX_LEVEL`` times.
+    ``roots``, when given, are the roots of ``cubic`` as ``all_roots``
+    returns them.
     """
     if cubic.degree != 3:
         raise NumericsError("elliptic integrals need a cubic")
@@ -961,7 +998,7 @@ def elliptic_integral(
     for level in range(1, _MAX_LEVEL + 1):
         _, weights, values = level_values(level)
         current = integrate(weights, values)
-        if abs(current - previous) < tol:
+        if abs(current - previous) < _QUADRATURE_TOL:
             return current
         previous = current
     raise NumericsError(
@@ -973,23 +1010,13 @@ def elliptic_integral(
 def period_lattice(epsilon: float) -> Tuple[complex, complex]:
     """The period pair of y^2 = x^3 + epsilon x at positive real ``epsilon``.
 
-    The first period doubles the integral over the segment from -i sqrt(eps)
-    to 0, the second over the segment from 0 to +i sqrt(eps), both with the
-    principal-branch anchor convention and to ``_PERIOD_TOL``; the pair is
-    checked to be R-linearly independent.
+    The curve is lemniscatic, so the pair has a closed form: twice the
+    integrals of dx / y over the segments from -i sqrt(eps) to 0 and from 0
+    to +i sqrt(eps), with the principal-branch anchor convention of
+    ``elliptic_integral``, are 2 varpi eps^(-1/4) e^(3 pi i / 4) and
+    2 varpi eps^(-1/4) e^(pi i / 4), with varpi the lemniscate constant.
     """
     if not epsilon > 0:
         raise NumericsError("epsilon must be positive")
-    eps = float(epsilon)
-    r = math.sqrt(eps)
-    cubic = CPoly((0j, complex(eps), 0j, 1 + 0j))
-    omega_a = 2 * elliptic_integral(
-        cubic, PathPolyline((complex(0, -r), 0j)), tol=_PERIOD_TOL
-    )
-    omega_b = 2 * elliptic_integral(
-        cubic, PathPolyline((0j, complex(0, r))), tol=_PERIOD_TOL
-    )
-    area = (omega_a.conjugate() * omega_b).imag
-    if abs(area) < 1e-12 * abs(omega_a) * abs(omega_b):
-        raise NumericsError("computed periods are R-linearly dependent")
-    return omega_a, omega_b
+    size = 2 * _LEMNISCATE * float(epsilon) ** -0.25
+    return cmath.rect(size, 3 * math.pi / 4), cmath.rect(size, math.pi / 4)

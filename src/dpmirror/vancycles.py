@@ -3,10 +3,12 @@
 From an explicit perturbed model: order the critical values by the
 clockwise sweep, track fiber roots along straight arcs to find the
 colliding pair for each, trace the vanishing arc through the collision,
-integrate dx/y over it against the period lattice of the base fiber, and
-solve for the integer homology class of every vanishing cycle.  The
-algebraic layer (intersection pairing, Seifert Gram matrix, Dehn twists,
-monodromy, the cycle at infinity) is re-exported from the homology module.
+integrate dx/y against the period lattice of the base fiber over a chord
+path that a fan of triangles certifies homotopic to the arc
+(``_quadrature_path``), and solve for the integer homology class of every
+vanishing cycle.  The algebraic layer (intersection pairing, Seifert Gram
+matrix, Dehn twists, monodromy, the cycle at infinity) is re-exported from
+the homology module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +63,12 @@ ARC_GUARD = 1e-3  # minimal distance of other critical values from an arc
 RESIDUAL_BOUND = 1e-6  # integer period solve must certify below this
 RETRY_FACTOR = Fraction(18, 17)  # epsilon bump when an arc guard trips
 MAX_RETRIES = 5  # epsilon bumps before the arc guard failure is final
+# A chord of the quadrature path keeps the base roots off its ends at least
+# this fraction of its length away (0.2 and 1.0 measured equally fast).
+CHORD_CLEARANCE = 0.2
+# A fan triangle counts as holding a root this close to it, relative to the
+# scale 1 + max |root| of the base fiber, so rounding hides no root on an edge.
+FAN_MARGIN = 1e-9
 
 
 class ArcGuardError(NumericsError):
@@ -154,6 +162,60 @@ def _vanishing_arc(tracked: TrackedRoots, pair: Tuple[int, int]) -> PathPolyline
     return PathPolyline(tuple(nodes))
 
 
+def _quadrature_path(
+    delta: PathPolyline, base_roots: Sequence[complex]
+) -> PathPolyline:
+    """A path through some of the nodes of ``delta``, homotopic to it in the
+    plane minus ``base_roots``, and so with the same integral of dx/y.
+
+    From each kept node a, the farthest node c is kept next for which the
+    chord a -> c may replace the run a -> b_1 ... b_m -> c between them:
+    - no fan triangle (a, b_t, b_t+1), with b_0 = a and b_m+1 = c, holds a
+      base root other than at a vertex, with the triangle widened by
+      ``FAN_MARGIN``, so the run sweeps to the chord over no branch point;
+    - every base root other than a and c lies at least ``CHORD_CLEARANCE``
+      times the chord's length from it, so the quadrature converges fast.
+    """
+    nodes = np.array(delta.nodes)[:, None]  # one row per node
+    roots = np.array(base_roots)  # one column per root
+    margin = FAN_MARGIN * (1 + np.abs(roots).max())
+    at_root = nodes == roots
+
+    def sides(tail: np.ndarray, heads: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The segments tail -> head, their lengths, the products
+        conj(head - tail) (root - tail) and the signed distances of the
+        roots from the segments' lines (left positive)."""
+        span = heads - tail
+        length = np.abs(span)
+        turn = span.conjugate() * (roots - tail)
+        return span, length, turn, turn.imag / length
+
+    # the sides of the roots on each step b -> c of the arc
+    steps = sides(nodes[:-1], nodes[1:])[3]
+    kept = [0]
+    with np.errstate(all="ignore"):
+        while kept[-1] < len(nodes) - 1:
+            start = kept[-1]
+            a = nodes[start]
+            # the chords from a to the later nodes; the fan triangle of row t
+            # is (a, b, c) with b, c the heads of chords t and t + 1
+            span, length, turn, left = sides(a, nodes[start + 1:])
+            fan = np.stack((left[:-1], steps[start + 1:], -left[1:]))
+            # a root is outside a triangle when it is off one side of it; a
+            # zero chord makes NaN sides, which count as inside
+            outside = (fan.min(axis=0) < -margin) & (fan.max(axis=0) > margin)
+            outside |= at_root[start] | at_root[start + 2:]
+            blocked = ~outside.all(axis=1)
+            reach = int(blocked.argmax()) if blocked.any() else len(blocked)
+            span, length = span[1:reach + 1], length[1:reach + 1]
+            along = np.clip(turn[1:reach + 1].real / length**2, 0, 1)
+            clear = np.abs(roots - a - along * span) >= CHORD_CLEARANCE * length
+            clear |= at_root[start] | at_root[start + 2:start + 2 + reach]
+            chords = np.flatnonzero(clear.all(axis=1))
+            kept.append(start + 2 + int(chords[-1]) if len(chords) else start + 1)
+    return PathPolyline(tuple(delta.nodes[k] for k in kept))
+
+
 @dataclass(frozen=True)
 class VanishingData:
     """Ordered critical values with their vanishing arcs and classes."""
@@ -215,7 +277,8 @@ def vanishing_classes(d: int, epsilon: Fraction = Fraction(1, 100)) -> Vanishing
     the pair of tracks that meet at the critical value, a discriminant root
     and so a fiber with a double root; an arc with no certified pair raises
     ``NumericsError``.  The pair defines the vanishing arc, and 2 int dx/y
-    over that arc is solved against the period pair as m alpha + n beta
+    over that arc (over its chord path, which has the same integral up to
+    sign) is solved against the period pair as m alpha + n beta
     with an exact-integer certificate.  The global orientation is
     calibrated so the first class is a + b; every other class is normalized
     to a positive first nonzero coordinate.  An arc passing within the
@@ -278,7 +341,9 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
                 f"{lam:.6g}"
             )
         delta = _vanishing_arc(tracked, pair)
-        integral = 2 * elliptic_integral(base_cubic, delta, roots=base_roots)
+        integral = 2 * elliptic_integral(
+            base_cubic, _quadrature_path(delta, base_roots), roots=base_roots
+        )
         cls, residual = _solve_class(integral, basis)
         if not residual < RESIDUAL_BOUND:
             raise NumericsError(

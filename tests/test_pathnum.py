@@ -1209,6 +1209,20 @@ def test_period_lattice_frozen_reference() -> None:
     assert abs(abs(omega_a) / 2 - AGM_HALF_PERIOD) < 1e-9
 
 
+@pytest.mark.parametrize("epsilon", [1e-6, 1e-3, 1 / 64, 0.25, 1.0, 100.0])
+def test_period_lattice_closed_form_matches_quadrature(epsilon: float) -> None:
+    """The lemniscatic closed form agrees with twice the quadrature over the
+    segments from -i sqrt(eps) to 0 and from 0 to +i sqrt(eps)."""
+    root = math.sqrt(epsilon)
+    cubic = CPoly((0j, complex(epsilon), 0j, 1 + 0j))
+    oracle = (
+        2 * elliptic_integral(cubic, PathPolyline((complex(0, -root), 0j))),
+        2 * elliptic_integral(cubic, PathPolyline((0j, complex(0, root)))),
+    )
+    for closed, quadrature in zip(period_lattice(epsilon), oracle):
+        assert abs(closed - quadrature) < 1e-12 * abs(quadrature)
+
+
 def test_period_lattice_rejects_nonpositive_epsilon() -> None:
     with pytest.raises(NumericsError):
         period_lattice(0.0)

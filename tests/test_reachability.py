@@ -145,7 +145,6 @@ SETTINGS = {
     ("interfam", "FamilySpec.between_degrees", "epsilon"): "CLI flag --epsilon",
     ("interfam", "_configuration", "previous"): "two values: none at sample 0",
     ("pathnum", "all_roots", "start"): "two values: the sweep's warm start",
-    ("pathnum", "elliptic_integral", "tol"): "two values: 1e-9, 5e-10 for periods",
     ("pathnum", "elliptic_integral", "roots"): "two values: the base fiber's roots",
     ("pathnum", "elliptic_integral.branch_values", "ridx"): "two values: substituted",
     ("pathnum", "elliptic_integral.branch_values", "factor"): "two values: substituted",

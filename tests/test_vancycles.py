@@ -11,8 +11,14 @@ from fractions import Fraction
 import pytest
 
 from dpmirror.exactpoly import UniPoly
-from dpmirror import vancycles
-from dpmirror.pathnum import NumericsError, PathPolyline
+from dpmirror import pathnum, vancycles
+from dpmirror.pathnum import (
+    CPoly,
+    NumericsError,
+    PathPolyline,
+    all_roots,
+    elliptic_integral,
+)
 from dpmirror.vancycles import (
     ArcGuardError,
     HomologyClass,
@@ -173,6 +179,103 @@ def test_seifert_gram_is_unimodular_and_matches_the_frozen_matrix():
         for i, row in enumerate(gram):
             assert row[i] == 1
             assert all(entry == 0 for entry in row[:i])
+
+
+# Work of `cycles --epsilon 1/64` per degree: accepted continuation steps,
+# Newton solves, fallback `all_roots` solves inside the tracker, and the
+# segments of the paths handed to `elliptic_integral`.
+CYCLES_WORK = {1: (155, 558, 8, 24), 2: (157, 516, 6, 23), 3: (118, 435, 5, 18)}
+
+
+@pytest.mark.parametrize("d", sorted(CYCLES_WORK))
+def test_cycles_work_at_one_sixty_fourth_is_pinned(d, monkeypatch):
+    steps, newtons, fallbacks, segments = [], [], [], []
+    newton, solve = pathnum._newton, pathnum.all_roots
+    track, integrate = vancycles.continue_roots, vancycles.elliptic_integral
+
+    def counted_newton(*args):
+        newtons.append(1)
+        return newton(*args)
+
+    def counted_solve(*args, **kwargs):
+        fallbacks.append(1)
+        return solve(*args, **kwargs)
+
+    def counted_track(*args, **kwargs):
+        tracked = track(*args, **kwargs)
+        steps.append(len(tracked.parameters) - 1)
+        return tracked
+
+    def counted_integral(cubic, path, **kwargs):
+        segments.append(len(path.nodes) - 1)
+        return integrate(cubic, path, **kwargs)
+
+    monkeypatch.setattr(pathnum, "_newton", counted_newton)
+    monkeypatch.setattr(pathnum, "all_roots", counted_solve)
+    monkeypatch.setattr(vancycles, "continue_roots", counted_track)
+    monkeypatch.setattr(vancycles, "elliptic_integral", counted_integral)
+    data = vanishing_classes(d, Fraction(1, 64))
+    assert len(steps) == len(segments) == VALUE_COUNTS[d]
+    assert (sum(steps), len(newtons), len(fallbacks), sum(segments)) == CYCLES_WORK[d]
+    assert [c.to_pair() for c in data.classes] == [
+        c.to_pair() for c in reference_vanishing_classes(d)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the quadrature path
+
+
+def _base_fiber(d: int, epsilon: Fraction):
+    family = vancycles._fiber_family(catalog(d, epsilon))
+    cubic = CPoly(tuple(row[0] for row in family))
+    return cubic, all_roots(cubic)
+
+
+def _same_up_to_sign(value: complex, reference: complex) -> bool:
+    gap = min(abs(value - reference), abs(value + reference))
+    return gap < 1e-8 * (1 + abs(reference))
+
+
+def _is_subpath(path: PathPolyline, arc: PathPolyline) -> bool:
+    """Whether the nodes of ``path`` are a subsequence of those of ``arc``
+    with the same first and last nodes."""
+    remaining = iter(arc.nodes)
+    return (
+        path.nodes[0] == arc.nodes[0]
+        and path.nodes[-1] == arc.nodes[-1]
+        and all(any(z == w for w in remaining) for z in path.nodes)
+    )
+
+
+@pytest.mark.parametrize("d, q", [(1, 64), (2, 100), (3, 45)])
+def test_quadrature_path_keeps_the_integral_of_every_arc(d, q):
+    data = vanishing_classes(d, Fraction(1, q))
+    cubic, roots = _base_fiber(d, data.epsilon)
+    for delta in data.deltas:
+        path = vancycles._quadrature_path(delta, roots)
+        assert _is_subpath(path, delta)
+        assert len(path.nodes) < len(delta.nodes)
+        full = elliptic_integral(cubic, delta, roots=roots)
+        assert _same_up_to_sign(elliptic_integral(cubic, path, roots=roots), full)
+
+
+def test_quadrature_path_keeps_a_node_beyond_a_looped_root():
+    """The arc from 0 to 1 runs above the third root, whose distance to the
+    chord 0 -> 1 passes the clearance test; the fan from 0 holds that root,
+    so the path keeps a node above it, and its integral is the arc's."""
+    third = 0.5 + 0.25j
+    roots = [0j, third, 1 + 0j]
+    cubic = CPoly((0j, third, -(1 + third), 1 + 0j))  # x (x - third) (x - 1)
+    arc = PathPolyline((0j, 0.2 + 0.5j, 0.8 + 0.5j, 1 + 0j))
+    assert vancycles._segment_distance(third, 0j, 1 + 0j) >= vancycles.CHORD_CLEARANCE
+    path = vancycles._quadrature_path(arc, roots)
+    assert _is_subpath(path, arc)
+    assert any(z.imag > third.imag for z in path.nodes)
+    full = elliptic_integral(cubic, arc, roots=roots)
+    assert _same_up_to_sign(elliptic_integral(cubic, path, roots=roots), full)
+    below = elliptic_integral(cubic, PathPolyline((0j, 1 + 0j)), roots=roots)
+    assert not _same_up_to_sign(below, full)
 
 
 # ---------------------------------------------------------------------------
