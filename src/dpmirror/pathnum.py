@@ -10,10 +10,9 @@ Three kernels:
   batch of polynomials of one degree: ``all_roots`` solves one,
   ``batch_roots`` many at once;
 - root continuation along polyline paths of a family given by coefficient
-  arrays: a tangent predictor dz/dlam = -(d_lam p)(z) / p'(z) sets each
-  step so the predicted motion stays well under the roots' separation, a
-  separation criterion accepts the track matching, and tracking stops at a
-  certified terminal pair: inclusion discs of radius n |p(z)/p'(z)|
+  arrays, with steps sized by the tangent predictor and a separation
+  criterion for the track matching, that stops at a certified terminal
+  pair: inclusion discs of radius n |p(z)/p'(z)|
   that are pairwise disjoint, and a disc around the closest pair in which
   Rouche's theorem holds against the coefficient motion over the rest of
   the path (the inclusion and Rouche tests of alpha-theory, Blum, Cucker,
@@ -21,8 +20,7 @@ Three kernels:
   Xu, Burr and Yap, ISSAC 2018).  If the fiber at the end of the path is
   a cubic with a double root, the pair's tracks are the ones that make it;
 - elliptic integrals ``dx / sqrt(cubic)`` whose endpoints are allowed to
-  sit on branch points, and the closed-form period pair of the
-  lemniscatic base fiber y^2 = x^3 + eps x.
+  sit on branch points.
 
 Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
 ``_horner``, gives p(z), p'(z) and the floored residual
@@ -413,12 +411,11 @@ _NEWTON_STEPS = 30
 _INITIAL_STEP = 0.125
 # Step floor; a step rejected below it means the path is singular there.
 _MIN_STEP = 1e-8
-# Steps are chosen so that the tangent predicts no root moving by more than
-# the roots' separation over this; a step is accepted below a third.
+# A step moves no root, by the tangent, more than the separation over this.
 _PREDICTED_SHARE = 4.5
-# Most evaluations of the family in one continuation: 20x the most (100)
-# that any continuation of `cycles` makes over homology seeds 0-4, and 16x
-# the most (122) in the runs that finish over epsilon from 10^-12 to 10^6
+# Most evaluations of the family in one continuation: 28x the most (71)
+# that any continuation of `cycles` makes over homology seeds 0-4, and 22x
+# the most (89) in the runs that finish over epsilon from 10^-12 to 10^6
 # at d = 1, 2, 3.
 _MAX_FAMILY_EVALUATIONS = 2000
 
@@ -667,17 +664,14 @@ def continue_roots(
     as ``all_roots`` returns them.
 
     Predictor-corrector continuation: tracks advance by Newton correction
-    from the tangent prediction z + (dz/dlam) (lam_next - lam), with
-    dz/dlam = -(d_lam p)(z) / p'(z) from the lam-derivative rows m c_km,
-    and with full recomputation and optimal matching as fallback.  Every
-    accepted root has a residual below ``_ROOT_TOL``.  After an accepted
-    step (and at the start) the next step is the largest that moves no
-    root, by the tangent, more than the roots' minimal separation over
-    ``_PREDICTED_SHARE``, capped by ``_INITIAL_STEP`` of the path and by 1.6
-    times the last step and floored at ``_MIN_STEP``; a rejected step halves.  A step is accepted only
-    when the previous roots' minimal pairwise distance exceeds three times
-    the matching displacement.  The steps shrink toward a fiber of lower
-    degree, so the fiber at the end of the path is tested first.
+    from the tangent prediction z - (d_lam p)(z) / p'(z) (lam_next - lam),
+    with full recomputation and optimal matching as fallback.  Every
+    accepted root has a residual below ``_ROOT_TOL``.  A step moves no root,
+    by the tangent, more than the roots' separation over
+    ``_PREDICTED_SHARE``; it is at most ``_INITIAL_STEP`` of the path and
+    1.6 times the last step, at least ``_MIN_STEP``, and halves when
+    rejected.  A step is accepted only when the previous roots' minimal
+    pairwise distance exceeds three times the matching displacement.
 
     After every accepted step ``_terminal_pair`` tests for a certified
     terminal pair, bounding the motion of the coefficient of x^k over the
@@ -742,9 +736,8 @@ def continue_roots(
 
     def tangents(lam: complex, poly: Tuple[complex, ...],
                  roots: Sequence[complex]) -> Tuple[List[complex], float]:
-        """dz/dlam = -(d_lam p)(z) / p'(z) at each of ``roots`` of ``poly``,
-        the fiber at ``lam``, and the step that moves no root by more than
-        the roots' separation over ``_PREDICTED_SHARE``."""
+        """dz/dlam at ``roots`` of ``poly``, the fiber at ``lam``, and the
+        step the tangent allows."""
         pulls = []  # the coefficients of d_lam p
         for row in derivatives:
             value = 0j
@@ -1010,11 +1003,10 @@ def elliptic_integral(
 def period_lattice(epsilon: float) -> Tuple[complex, complex]:
     """The period pair of y^2 = x^3 + epsilon x at positive real ``epsilon``.
 
-    The curve is lemniscatic, so the pair has a closed form: twice the
-    integrals of dx / y over the segments from -i sqrt(eps) to 0 and from 0
-    to +i sqrt(eps), with the principal-branch anchor convention of
-    ``elliptic_integral``, are 2 varpi eps^(-1/4) e^(3 pi i / 4) and
-    2 varpi eps^(-1/4) e^(pi i / 4), with varpi the lemniscate constant.
+    Twice the integrals over the segments from -i sqrt(eps) to 0 and from 0
+    to +i sqrt(eps), in the branch convention of ``elliptic_integral``: the
+    curve is lemniscatic, so they are 2 varpi eps^(-1/4) e^(3 pi i / 4) and
+    2 varpi eps^(-1/4) e^(pi i / 4), varpi the lemniscate constant.
     """
     if not epsilon > 0:
         raise NumericsError("epsilon must be positive")

@@ -63,11 +63,11 @@ ARC_GUARD = 1e-3  # minimal distance of other critical values from an arc
 RESIDUAL_BOUND = 1e-6  # integer period solve must certify below this
 RETRY_FACTOR = Fraction(18, 17)  # epsilon bump when an arc guard trips
 MAX_RETRIES = 5  # epsilon bumps before the arc guard failure is final
-# A chord of the quadrature path keeps the base roots off its ends at least
-# this fraction of its length away (0.2 and 1.0 measured equally fast).
+# A quadrature chord keeps base roots this fraction of its length away
+# (0.2 and 1.0 measured equally fast).
 CHORD_CLEARANCE = 0.2
-# A fan triangle counts as holding a root this close to it, relative to the
-# scale 1 + max |root| of the base fiber, so rounding hides no root on an edge.
+# A fan triangle holds a root this near it, times 1 + max |base root|, so
+# rounding hides no root on an edge.
 FAN_MARGIN = 1e-9
 
 
@@ -165,54 +165,41 @@ def _vanishing_arc(tracked: TrackedRoots, pair: Tuple[int, int]) -> PathPolyline
 def _quadrature_path(
     delta: PathPolyline, base_roots: Sequence[complex]
 ) -> PathPolyline:
-    """A path through some of the nodes of ``delta``, homotopic to it in the
-    plane minus ``base_roots``, and so with the same integral of dx/y.
-
-    From each kept node a, the farthest node c is kept next for which the
-    chord a -> c may replace the run a -> b_1 ... b_m -> c between them:
-    - no fan triangle (a, b_t, b_t+1), with b_0 = a and b_m+1 = c, holds a
-      base root other than at a vertex, with the triangle widened by
-      ``FAN_MARGIN``, so the run sweeps to the chord over no branch point;
-    - every base root other than a and c lies at least ``CHORD_CLEARANCE``
-      times the chord's length from it, so the quadrature converges fast.
-    """
-    nodes = np.array(delta.nodes)[:, None]  # one row per node
-    roots = np.array(base_roots)  # one column per root
+    """Some nodes of ``delta``, a path homotopic to it in the plane minus
+    ``base_roots``: from each kept node a, the farthest node c whose chord
+    a -> c keeps every base root except a and c ``CHORD_CLEARANCE`` times
+    its length away, and whose fan triangles (a, b, b') over the nodes in
+    between hold no base root except at a vertex."""
+    nodes = np.array(delta.nodes)[:, None]  # rows: nodes; columns: roots
+    roots = np.array(base_roots)
     margin = FAN_MARGIN * (1 + np.abs(roots).max())
     at_root = nodes == roots
-
-    def sides(tail: np.ndarray, heads: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """The segments tail -> head, their lengths, the products
-        conj(head - tail) (root - tail) and the signed distances of the
-        roots from the segments' lines (left positive)."""
-        span = heads - tail
-        length = np.abs(span)
-        turn = span.conjugate() * (roots - tail)
-        return span, length, turn, turn.imag / length
-
-    # the sides of the roots on each step b -> c of the arc
-    steps = sides(nodes[:-1], nodes[1:])[3]
+    edges = nodes[1:] - nodes[:-1]
+    # signed distances of the roots from the lines of the arc's edges
+    steps = (edges.conjugate() * (roots - nodes[:-1])).imag / np.abs(edges)
     kept = [0]
     with np.errstate(all="ignore"):
         while kept[-1] < len(nodes) - 1:
             start = kept[-1]
             a = nodes[start]
-            # the chords from a to the later nodes; the fan triangle of row t
-            # is (a, b, c) with b, c the heads of chords t and t + 1
-            span, length, turn, left = sides(a, nodes[start + 1:])
-            fan = np.stack((left[:-1], steps[start + 1:], -left[1:]))
-            # a root is outside a triangle when it is off one side of it; a
-            # zero chord makes NaN sides, which count as inside
-            outside = (fan.min(axis=0) < -margin) & (fan.max(axis=0) > margin)
+            # chord k runs from a to node start + 1 + k; fan triangle k is
+            # (a, b, c) for the heads b, c of chords k and k + 1
+            chords = nodes[start + 1:] - a
+            length = np.abs(chords)
+            turn = chords.conjugate() * (roots - a)
+            left = turn.imag / length
+            sides = np.stack((left[:-1], steps[start + 1:], -left[1:]))
+            # off one side of a triangle is outside it; NaN (a zero chord) is not
+            outside = (sides.min(axis=0) < -margin) & (sides.max(axis=0) > margin)
             outside |= at_root[start] | at_root[start + 2:]
             blocked = ~outside.all(axis=1)
-            reach = int(blocked.argmax()) if blocked.any() else len(blocked)
-            span, length = span[1:reach + 1], length[1:reach + 1]
-            along = np.clip(turn[1:reach + 1].real / length**2, 0, 1)
-            clear = np.abs(roots - a - along * span) >= CHORD_CLEARANCE * length
-            clear |= at_root[start] | at_root[start + 2:start + 2 + reach]
-            chords = np.flatnonzero(clear.all(axis=1))
-            kept.append(start + 2 + int(chords[-1]) if len(chords) else start + 1)
+            fan = int(blocked.argmax()) if blocked.any() else len(blocked)
+            along = np.clip(turn[1:fan + 1].real / length[1:fan + 1] ** 2, 0, 1)
+            gaps = np.abs(roots - a - along * chords[1:fan + 1])
+            clear = (gaps >= CHORD_CLEARANCE * length[1:fan + 1]) | at_root[start]
+            clear |= at_root[start + 2:start + 2 + fan]
+            ends = np.flatnonzero(clear.all(axis=1))
+            kept.append(start + 2 + int(ends[-1]) if len(ends) else start + 1)
     return PathPolyline(tuple(delta.nodes[k] for k in kept))
 
 
