@@ -20,7 +20,7 @@ fraction-free on dense integer rows (primitive remainder sequences).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -415,56 +415,20 @@ def squarefree_factorization(p: UniPoly) -> Tuple[Fraction, List[Tuple[UniPoly, 
     return p.leading_coefficient(), factors
 
 
-# Largest trial divisor of ``_prime_powers``.
-_TRIAL_BOUND = 10 ** 6
-# Most (numerator, denominator) candidate pairs ``rational_roots`` tries.
-_MAX_DIVISOR_PAIRS = 10 ** 5
-
-
-def _prime_powers(n: int) -> Dict[int, int]:
-    """The prime factorization ``{prime: multiplicity}`` of ``|n|``.
-
-    Trial division; raises ValueError when ``n`` has two prime factors above
-    ``_TRIAL_BOUND``, in which case the factorization cannot be certified.
-    """
-    n = abs(n)
-    if n == 0:
-        raise ValueError("zero has no finite divisor list")
-    prime_powers: Dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        if p > _TRIAL_BOUND:
-            raise ValueError(f"cannot certify the divisors of {n} by trial division")
-        while m % p == 0:
-            prime_powers[p] = prime_powers.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        prime_powers[m] = prime_powers.get(m, 0) + 1
-    return prime_powers
-
-
-def _positive_divisors(prime_powers: Mapping[int, int]) -> List[int]:
-    """All positive divisors, ascending, of the number factored as given."""
-    divisors = [1]
-    for prime, mult in prime_powers.items():
-        divisors = [d * prime ** k for d in divisors for k in range(mult + 1)]
-    return sorted(divisors)
-
-
 def rational_roots(p: UniPoly) -> List[Fraction]:
     """All rational roots of ``p``, each listed once, in ascending order.
 
-    Candidates come from the rational-root bound applied to the primitive
-    integer form f of ``p``; every candidate is confirmed by exact
-    evaluation, so the returned list is complete.  A root top/den in lowest
-    terms makes den*x - top a factor of f over the integers (Gauss's lemma),
-    so (den - top) | f(1) and (den + top) | f(-1); a candidate that fails
-    either test is skipped before f is evaluated, in integers, as
-    sum_k f_k top^k den^(n-k).  Raises ValueError for the zero polynomial,
-    when a coefficient resists factorization, or when there are more than
-    ``_MAX_DIVISOR_PAIRS`` candidate pairs, which bounds the work.
+    p-adic root finding (Loos 1983; von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, 15.4), with no factorization of coefficients.  After
+    x^k is shifted out, let f be the primitive square-free part, of degree n
+    and leading coefficient L.  A root x of f makes y = L x an integer root
+    of the monic g(y) = L^(n-1) f(y/L), with |y| <= B = sum_k |f_k|
+    (Cauchy's bound).  At the least odd prime p where every root of g mod p
+    is simple, which exists because g is square-free, each root mod p is
+    Newton-lifted to a modulus above 2B.  Its symmetric residue is the only
+    candidate for y, and each candidate is confirmed by exact evaluation,
+    so the returned list is complete.  Raises ValueError for the zero
+    polynomial.
     """
     if p.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
@@ -473,28 +437,33 @@ def rational_roots(p: UniPoly) -> List[Fraction]:
     row = _primitive(_cleared(p)[0][shift:])
     if len(row) == 1:
         return roots
-    at_one, at_minus_one = sum(row), sum(row[::2]) - sum(row[1::2])
+    f = _quotient(row, _row_gcd(row, _derivative(row)))
+    n, lead, bound = len(f) - 1, f[-1], sum(map(abs, f))
+    g = [c * lead ** (n - 1 - k) for k, c in enumerate(f[:-1])] + [1]
+    dg = _derivative(g)
 
-    def divides(m: int, n: int) -> bool:
-        return n == 0 if m == 0 else n % m == 0
+    def residue(row: Row, y: int, m: int) -> int:
+        acc = 0
+        for c in reversed(row):
+            acc = (acc * y + c) % m
+        return acc
 
-    numerators = _prime_powers(row[0])
-    denominators = _prime_powers(row[-1])
-    pairs = prod(m + 1 for m in [*numerators.values(), *denominators.values()])
-    if pairs > _MAX_DIVISOR_PAIRS:
-        raise ValueError(
-            f"{pairs} candidate roots exceed the limit of {_MAX_DIVISOR_PAIRS}"
-        )
-    dens = _positive_divisors(denominators)
-    for num in _positive_divisors(numerators):
-        for den in dens:
-            if gcd(num, den) != 1:
-                continue
-            for top in (num, -num):
-                if (divides(den - top, at_one) and divides(den + top, at_minus_one)
-                        and _vanishes_at(row, top, den)):
-                    roots.append(Fraction(top, den))
-    return sorted(set(roots))
+    prime = 3
+    while True:
+        if all(prime % q for q in range(3, isqrt(prime) + 1, 2)):
+            zeros = [r for r in range(prime) if not residue(g, r, prime)]
+            if all(residue(dg, r, prime) for r in zeros):
+                break
+        prime += 2
+    for y in zeros:
+        m = prime
+        while m <= 2 * bound:
+            m *= m
+            y = (y - residue(g, y, m) * pow(residue(dg, y, m), -1, m)) % m
+        y = y - m if 2 * y > m else y
+        if _vanishes_at(f, y, lead):
+            roots.append(Fraction(y, lead))
+    return sorted(roots)
 
 
 def _product(x: Row, y: Row) -> Row:

@@ -25,11 +25,10 @@ Three kernels:
 Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
 ``_horner``, gives p(z), p'(z) and the floored residual
 |p(z)| / max(1, sum_i |c_i| |z|^i) that certifies each continuation step;
-``CPoly.__call__`` and the Newton corrector read it.  Neither kernel
-multiplies ``CPoly`` values: ``continue_roots`` evaluates coefficient
-arrays by Horner, and the interpolation sweep forms its invariants by
-array convolution before ``batch_roots`` or ``all_roots`` solves them.
-``CPoly`` arithmetic is left to the tests.
+``CPoly.__call__`` and the Newton corrector read it.  ``CPoly`` has no
+arithmetic: ``continue_roots`` evaluates coefficient arrays by Horner,
+and the interpolation sweep forms its invariants by array convolution
+before ``batch_roots`` or ``all_roots`` solves them.
 """
 
 from __future__ import annotations
@@ -104,25 +103,6 @@ class CPoly:
 
     def __call__(self, z: complex) -> complex:
         return _horner(self.coeffs, z)[0]
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        mine = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        theirs = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return CPoly(tuple(a + b for a, b in zip(mine, theirs)))
-
-    def __mul__(self, other: "CPoly | complex | float | int") -> "CPoly":
-        if isinstance(other, CPoly):
-            if not self.coeffs or not other.coeffs:
-                return CPoly(())
-            out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return CPoly(tuple(out))
-        return CPoly(tuple(complex(other) * c for c in self.coeffs))
-
-    __rmul__ = __mul__
 
     def trimmed(self) -> "CPoly":
         """Drop leading coefficients below ``_TRIM_TOL`` times the largest."""

@@ -59,11 +59,9 @@ class FiberClassificationError(ValueError):
 
 
 class UncertifiedPlacesError(FiberClassificationError):
-    """Raised when the places of some discriminant factor cannot be certified.
-
-    Either its rational roots cannot be enumerated or it leaves a factor
-    over irrational places that is not certifiably nodal.
-    """
+    """Raised when a discriminant factor leaves, after its rational roots are
+    divided out, a factor over irrational places that is not certifiably
+    nodal."""
 
 
 @dataclass(frozen=True)
@@ -381,11 +379,13 @@ def classify_fiber_at(model: WeierstrassModel, place: Place) -> KodairaFiber:
 def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     """Classify every singular fiber over the projective line.
 
-    Rational zeros of the discriminant invariant are classified one by one.
-    An irreducible factor of degree >= 2 is accepted only when it is simple
-    and coprime to both coefficients, which certifies a nodal fiber at each
-    of its conjugate roots; anything else raises, reporting the factor,
-    rather than guessing.  The Euler numbers must add up to 12.
+    Rational zeros of the discriminant invariant, all of them found exactly
+    by ``rational_roots``, are classified one by one.  What is left of a
+    factor once they are divided out lies over irrational places; it is
+    accepted only when it is simple and coprime to both coefficients, which
+    certifies a nodal fiber at each of its conjugate roots, and otherwise
+    raises ``UncertifiedPlacesError``, reporting the factor, rather than
+    guessing.  The Euler numbers must add up to 12.
     """
     report = is_globally_minimal(model)
     if not report.is_minimal:
@@ -393,14 +393,8 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     _unit, factors = model._factors
     placements: List[FiberPlacement] = []
     for factor, multiplicity in factors:
-        try:
-            roots = rational_roots(factor)
-        except ValueError as exc:
-            raise UncertifiedPlacesError(
-                f"cannot enumerate rational places of factor {factor.to_pairs()}: {exc}"
-            ) from exc
         remainder = factor
-        for root in roots:
+        for root in rational_roots(factor):
             remainder, _ = remainder.divmod_exact(
                 UniPoly({1: 1, 0: -root}, factor.var)
             )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from dpmirror.exactpoly import (
     LaurentPoly,
     UniPoly,
-    _positive_divisors,
-    _prime_powers,
     depress_cubic,
     disc_cubic,
     disc_quadratic_in_y,
@@ -458,21 +456,13 @@ def rational_roots_by_fraction_evaluation(p: UniPoly) -> list:
     content = 0
     for c in ints.values():
         content = gcd(content, c)
-    for num in _positive_divisors(_prime_powers(ints[min(ints)] // content)):
-        for den in _positive_divisors(_prime_powers(ints[max(ints)] // content)):
+    for num in sp.divisors(ints[min(ints)] // content):
+        for den in sp.divisors(ints[max(ints)] // content):
             if gcd(num, den) == 1:
                 for candidate in (Fraction(num, den), Fraction(-num, den)):
                     if value_at(p, candidate) == 0:
                         roots.append(candidate)
     return sorted(set(roots))
-
-
-def test_rational_roots_cap_the_candidate_pairs():
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    product = prod(primes[:16])  # 2^16 candidate numerators
-    assert rational_roots(UniPoly({1: 1, 0: -product})) == [Fraction(product)]
-    with pytest.raises(ValueError, match="candidate roots exceed the limit"):
-        rational_roots(UniPoly({1: 1, 0: -product * primes[16]}))
 
 
 # Roots 0, 1 and -1 (top = +-den) drawn often, beside general small rationals.
@@ -504,3 +494,42 @@ def test_rational_roots_match_fraction_evaluation(roots, middle, trail, lead, sc
     expected = rational_roots_by_fraction_evaluation(p)
     assert rational_roots(p) == expected
     assert set(roots) <= set(expected)
+
+
+# Rational roots planted with multiplicity 1 or 2, numerators and
+# denominators of 1 to 300 digits, times a monic integer cofactor of
+# degree <= 3.
+sized_integers = st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.integers(min_value=10 ** (n - 1), max_value=10 ** n - 1)
+)
+sized_rationals = st.builds(
+    lambda sign, num, den: sign * Fraction(num, den),
+    st.sampled_from([1, -1]), sized_integers, sized_integers,
+)
+planted_roots = st.lists(
+    st.tuples(sized_rationals, st.integers(min_value=1, max_value=2)), max_size=3
+)
+cofactors = st.lists(st.integers(min_value=-BIG, max_value=BIG), max_size=3).map(
+    lambda coeffs: [*coeffs, 1]
+)
+
+
+@huge_settings
+@given(planted_roots, cofactors, st.integers(min_value=0, max_value=2), nonzero_huge)
+@example([(Fraction(2, 3), 2), (Fraction(-BIG, 7), 1)], [1], 0, Fraction(1))
+@example([(Fraction(5, 2), 1)], [1], 3, Fraction(-4, 9))
+@example([(Fraction(BIG - 1, 3), 1)], [-7, 0, 1], 0, Fraction(1))
+@example([(Fraction(1), 1), (Fraction(4), 1)], [1], 0, Fraction(1))
+def test_rational_roots_match_sympy_at_huge_roots(planted, cofactor, shift, unit):
+    """Every planted root is found, and the list is the rational zero set of
+    a sympy factorization over QQ.  The explicit examples are a repeated
+    root, an x^k shift, the cofactor x^2 - 7 (roots 1 and 2 mod 3, which
+    lift to no rational root) and roots 1 and 4, which meet mod 3."""
+    p = UniPoly({shift + k: unit * c for k, c in enumerate(cofactor) if c})
+    for r, m in planted:
+        p = p * UniPoly({1: r.denominator, 0: -r.numerator}) ** m
+    found = rational_roots(p)
+    zeros = sympy_poly(p).ground_roots()
+    expected = sorted(Fraction(int(r.p), int(r.q)) for r in zeros)
+    assert found == expected
+    assert {r for r, _ in planted} | ({Fraction(0)} if shift else set()) <= set(found)
