@@ -11,6 +11,7 @@ pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -126,36 +127,28 @@ def total_monodromy(classes: Sequence[HomologyClass]) -> SL2Matrix:
     return total
 
 
-# Coordinate bound of the search in ``infinity_cycle``.
-_SEARCH_BOUND = 3
-
-
 def infinity_cycle(
     classes: Sequence[HomologyClass], multiplicity: int
 ) -> HomologyClass:
     """The cycle whose ``multiplicity``-fold twist cancels the finite monodromy.
 
-    Searches coordinates up to ``_SEARCH_BOUND`` for a class ``c`` with
-    ``twist(c)^multiplicity @ total == identity`` and returns the
-    sign-normalized representative; raises if none or several (beyond the
-    unavoidable sign pair) exist.
+    The twist of ``c = (m, n)`` is ``I + N``, ``N = [[mn, -m^2], [n^2, -mn]]``,
+    and ``N^2 = 0``, so ``twist(c)^k @ total`` is the identity exactly when
+    ``total^-1 - I == k N``.  That fixes ``m^2``, ``n^2`` and the sign of
+    ``mn``, so the sign-normalized class returned is unique.  Raises
+    ``ValueError`` for a multiplicity below 1 or when no class solves it.
     """
+    if multiplicity < 1:
+        raise ValueError(f"multiplicity {multiplicity} is below 1")
     total = total_monodromy(classes)
-    found: List[HomologyClass] = []
-    for m in range(-_SEARCH_BOUND, _SEARCH_BOUND + 1):
-        for n in range(-_SEARCH_BOUND, _SEARCH_BOUND + 1):
-            if m == 0 and n == 0:
-                continue
-            candidate = HomologyClass(m, n)
-            if (dehn_twist(candidate).power(multiplicity) @ total).is_identity():
-                normalized = candidate.sign_normalized()
-                if normalized not in found:
-                    found.append(normalized)
-    primitive = [c for c in found if abs(c.m) <= 1 and abs(c.n) <= 1] or found
-    if not primitive:
-        raise ValueError("no cycle within the search bound cancels the monodromy")
-    smallest = min(primitive, key=lambda c: (abs(c.m) + abs(c.n), c.m, c.n))
-    return smallest
+    (a, b), (c, _) = total.inverse().rows
+    m = math.isqrt(max(-b // multiplicity, 0))
+    n = math.isqrt(max(c // multiplicity, 0))
+    cycle = HomologyClass(m, n if a >= 1 else -n)
+    cancels = (dehn_twist(cycle).power(multiplicity) @ total).is_identity()
+    if cycle.is_zero() or not cancels:
+        raise ValueError("no cycle cancels the monodromy")
+    return cycle.sign_normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -346,9 +346,10 @@ def _configuration(
     invariant = invariant.trimmed()
     if invariant.degree < 1:
         raise NumericsError(f"the invariant degenerates at time {s}")
-    tallest = max(abs(c) for c in invariant.coeffs)
-    if abs(invariant(0j)) <= 1e-12 * tallest:
-        raise NumericsError(f"a critical value hits the base point at time {s}")
+    ratio = abs(invariant(0j)) / max(abs(c) for c in invariant.coeffs)
+    if ratio <= 1e-12:
+        raise NumericsError(f"the invariant's constant term is {ratio:.3g} of its "
+                            f"largest coefficient, at most 1e-12, at time {s}")
     roots = all_roots(invariant, start=previous)
     affine = np.array([roots + [math.inf] * (bound - invariant.degree)], dtype=complex)
     return _rows(affine)[0]
@@ -364,9 +365,9 @@ def _grid(spec: FamilySpec, width: int) -> Iterator[Tuple[float, Optional[_Row]]
     ``CPoly.trimmed`` trims; each group is solved by one ``batch_roots``
     run, and the rows are built together.  A time gets None when its
     invariant fails one of the checks of ``_configuration`` (a non-finite
-    coefficient, a trimmed degree below 1, a root at the base point), when
-    its sphere degree is not ``width``, or when the batch cannot certify
-    its roots.
+    coefficient, a trimmed degree below 1, a constant term at most 1e-12
+    of the largest coefficient), when its sphere degree is not ``width``,
+    or when the batch cannot certify its roots.
     """
     for first in range(1, SAMPLES + 1, _GRID_BLOCK):
         times = np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
@@ -498,45 +499,6 @@ def _angular_slots(row: Sequence[ProjectivePoint], anchor: int) -> List[int]:
     return [anchor] + rest
 
 
-# Two tracks closer than this are treated as one unresolved tangle: the
-# matcher cannot certify which strand is which through such a core, so
-# swaps inside it carry no usable braiding information.
-_TANGLE_CORE = 5e-3
-# Once tangled, two tracks must separate beyond this gap before their
-# mutual swaps count again; a tangle that never releases contributes no
-# net moves.
-_TANGLE_RELEASE = 1e-2
-
-
-class _TangleLedger:
-    """Union bookkeeping for track pairs inside unresolved tangles."""
-
-    def __init__(self) -> None:
-        self._groups: List[set] = []
-
-    def _find(self, track: int) -> Optional[int]:
-        for index, group in enumerate(self._groups):
-            if track in group:
-                return index
-        return None
-
-    def suppresses(self, a: int, b: int, gap: float) -> bool:
-        """Record the pair when tangled; True when the swap is muted."""
-        ga, gb = self._find(a), self._find(b)
-        if gap < _TANGLE_CORE:
-            if ga is None and gb is None:
-                self._groups.append({a, b})
-            elif ga is None and gb is not None:
-                self._groups[gb].add(a)
-            elif gb is None and ga is not None:
-                self._groups[ga].add(b)
-            elif ga is not None and gb is not None and ga != gb:
-                self._groups[ga] |= self._groups[gb]
-                del self._groups[gb]
-            return True
-        return ga is not None and ga == gb and gap < _TANGLE_RELEASE
-
-
 def _is_cut_rotation(old: Sequence[int], new: Sequence[int]) -> bool:
     """True when the orders differ by one track crossing the sweep cut.
 
@@ -568,10 +530,7 @@ def transposition_word(trajectories: TrajectorySet) -> MutationWord:
     of the slot order and walks to its landing slot, one right move per
     slot; a departing track walks out symmetrically with left moves.  A
     track crossing the sweep ray of the anchor merely relabels the
-    cyclic order and is absorbed silently, and swaps inside an
-    unresolved tangle (tracks closer than the tangle core, until they
-    release) are muted, since the matcher carries no braiding
-    information through a near-collision.  The result is a proposal to
+    cyclic order and is absorbed silently.  The result is a proposal to
     be checked with exact mutation identities, never a certificate.
     """
     if not trajectories.positions:
@@ -582,7 +541,6 @@ def transposition_word(trajectories: TrajectorySet) -> MutationWord:
         raise NumericsError("no finite tracks to order at the first sample")
     anchor = max(finite0, key=lambda i: abs(first_row[i].affine()))
     events: List[MutationMove] = []
-    tangles = _TangleLedger()
     slots = _angular_slots(first_row, anchor)
     for k in range(1, len(trajectories.parameters)):
         row = trajectories.positions[k]
@@ -642,17 +600,15 @@ def transposition_word(trajectories: TrajectorySet) -> MutationWord:
                 outgoing, incoming = work[slot], work[slot + 1]
                 if rank[outgoing] <= rank[incoming]:
                     continue
-                gap = abs(position[outgoing] - position[incoming])
-                if not tangles.suppresses(outgoing, incoming, gap):
-                    r_in = abs(position[incoming])
-                    r_out = abs(position[outgoing])
-                    if math.isclose(r_in, r_out, rel_tol=1e-9, abs_tol=1e-12):
-                        raise NumericsError(
-                            f"ambiguous swap near time {time:.8f}: "
-                            "equal radii within tolerance"
-                        )
-                    side = "L" if r_in < r_out else "R"
-                    events.append(MutationMove(side, slot))
+                r_in = abs(position[incoming])
+                r_out = abs(position[outgoing])
+                if math.isclose(r_in, r_out, rel_tol=1e-9, abs_tol=1e-12):
+                    raise NumericsError(
+                        f"ambiguous swap near time {time:.8f}: "
+                        "equal radii within tolerance"
+                    )
+                side = "L" if r_in < r_out else "R"
+                events.append(MutationMove(side, slot))
                 work[slot], work[slot + 1] = incoming, outgoing
         slots = list(new_slots)
     return MutationWord(tuple(events))

@@ -406,7 +406,8 @@ def test_epsilon_exits_zero_or_with_a_typed_error(command, d, epsilon):
     ("1" + "0" * 300, "a coefficient exceeds the float range"),
     ("4" + "0" * 102, "a coefficient exceeds the float range"),  # 4 a^3 overflows
     ("1" + "0" * 50, "the invariant degenerates"),
-    ("1/1000000", "a critical value hits the base point"),
+    ("1/1000000", "the invariant's constant term is 5.79e-22 of its largest "
+                  "coefficient, at most 1e-12, at time 0.0"),
 ])
 def test_interpolate_at_extreme_epsilon_fails_with_a_typed_error(epsilon, message):
     """Float overflow stays silent, as in Python arithmetic: the only output

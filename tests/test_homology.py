@@ -154,3 +154,17 @@ def test_total_monodromy_applies_first_class_first():
 def test_infinity_cycle_reports_when_nothing_cancels():
     with pytest.raises(ValueError):
         infinity_cycle([A], multiplicity=5)
+
+
+def test_infinity_cycle_rejects_a_multiplicity_below_one():
+    for multiplicity in (0, -1):
+        with pytest.raises(ValueError, match="below 1"):
+            infinity_cycle([], multiplicity)
+
+
+def test_infinity_cycle_finds_a_cycle_with_large_coordinates():
+    classes = [HomologyClass(m, n) for m, n in
+               [(1, 2), (1, 1), (1, 2), (0, -1), (2, 1), (1, 1), (0, 1), (1, 2)]]
+    cycle = infinity_cycle(classes, multiplicity=4)
+    assert cycle == HomologyClass(3, 5)
+    assert (dehn_twist(cycle).power(4) @ total_monodromy(classes)).is_identity()

@@ -35,6 +35,7 @@ from dpmirror.interfam import (
 )
 from dpmirror.pathnum import NumericsError, all_roots, batch_roots
 from dpmirror.pseudolattice import (
+    MutationWord,
     from_boundaries,
     standard_word_identity,
     word_identity,
@@ -54,8 +55,10 @@ WORD_2_TO_1 = "R9 R8 R7 R6 R5 R4 L6 L1 R3 R2 R1 L3"
 
 
 @functools.lru_cache(maxsize=None)
-def _swept(d_from: int, d_to: int) -> TrajectorySet:
-    return sweep(FamilySpec.between_degrees(d_from, d_to))
+def _swept(
+    d_from: int, d_to: int, epsilon: Fraction = Fraction(1, 100)
+) -> TrajectorySet:
+    return sweep(FamilySpec.between_degrees(d_from, d_to, epsilon))
 
 
 def _point(z: complex) -> ProjectivePoint:
@@ -365,8 +368,15 @@ def test_csv_header_and_shape():
 # braid words: the real families
 
 
-def test_word_3_to_2_reduces_to_the_reference_word():
-    word = transposition_word(_swept(3, 2))
+# The default epsilon, four nearby values, and smaller values whose sweeps
+# pass tracks within a few thousandths of each other.
+WORD_EPSILONS = ("1/100", "1/200", "1/50", "3/100", "1/80",
+                 "1/250", "1/300", "1/400", "1/500")
+
+
+@pytest.mark.parametrize("epsilon", WORD_EPSILONS)
+def test_word_3_to_2_reduces_to_the_reference_word(epsilon):
+    word = transposition_word(_swept(3, 2, Fraction(epsilon)))
     assert str(word) == WORD_3_TO_2
     lattice, basis, _ = from_boundaries(extended_vanishing_classes(2))
     assert word_identity(lattice, basis, word, standard_word_identity(2)[0])
@@ -468,16 +478,33 @@ def test_synthetic_cut_crossing_is_absorbed():
     assert str(transposition_word(_rows_to_set([before, reverse]))) == ""
 
 
-def test_synthetic_tangle_swaps_are_muted():
+def test_synthetic_close_swap_and_swap_back_cancel_exactly():
+    # The inner track passes the outer one, 2e-3 away, and passes back.
+    # Each swap emits a move, and the mutation algebra cancels the pair.
+    inner, passed = 0.2 * cmath.exp(-0.40j), 0.2 * cmath.exp(-0.42j)
+    outer = 0.201 * cmath.exp(-0.41j)
+    rows = [
+        [_anchor(), _point(inner), _point(outer)],
+        [_anchor(), _point(passed), _point(outer)],
+        [_anchor(), _point(inner), _point(outer)],
+    ]
+    assert max(abs(inner - outer), abs(passed - outer)) < 5e-3
+    word = transposition_word(_rows_to_set(rows))
+    assert str(word) == "R1 L1"
+    lattice, basis, _ = from_boundaries(extended_vanishing_classes(2))
+    assert word_identity(lattice, basis, word, MutationWord(()))
+
+
+def test_synthetic_close_equal_radii_raise():
     tight_a = 0.2 * cmath.exp(-0.40j)
     tight_b = 0.2 * cmath.exp(-0.41j)
     rows = [
         [_anchor(), _point(tight_a), _point(tight_b)],
         [_anchor(), _point(tight_b), _point(tight_a)],
-        [_anchor(), _point(tight_a), _point(tight_b)],
     ]
     assert abs(tight_a - tight_b) < 5e-3
-    assert str(transposition_word(_rows_to_set(rows))) == ""
+    with pytest.raises(NumericsError, match="equal radii"):
+        transposition_word(_rows_to_set(rows))
 
 
 def test_synthetic_equal_radii_raise():
