@@ -10,15 +10,14 @@ candidate only: exact validation goes through the pseudolattice layer.
 The sweep runs on arrays.  A ``FamilySpec`` converts its endpoint
 coefficients to float rows once, ``family_at`` blends those rows (at one
 time or at an array of times), and ``ComplexModel.invariant_rows`` forms
-the invariant by convolution.  The invariants of all grid samples are
-formed in blocks and their roots found by one batched Aberth run per
-block and trimmed degree; only the bisection midpoints, and any grid
-sample the batch leaves out, are solved one by one, warm from the last
-accepted row.
-Each sample is a ``_Row`` of per-track arrays (finite-chart position,
-chart coordinate, finite-chart mask, homogeneous coordinates and pairwise
-chordal distances), so nothing is recomputed for the next interval;
-``ProjectivePoint`` rows are built once, for the returned
+the invariant by convolution.  One function, ``_samples``, solves every
+sample: it forms the invariants of an array of times together and finds
+their roots by one batched Aberth run per trimmed degree, for the grid
+in blocks and for the start and each bisection midpoint as a batch of
+one.  Each sample is a ``_Row`` of per-track arrays (finite-chart
+position, chart coordinate, finite-chart mask, homogeneous coordinates
+and pairwise chordal distances), so nothing is recomputed for the next
+interval; ``ProjectivePoint`` rows are built once, for the returned
 ``TrajectorySet``.
 """
 
@@ -27,16 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .exactpoly import UniPoly
 from .pathnum import (
+    _MAX_ITERATIONS,
     _TRIM_TOL,
     CPoly,
     NumericsError,
-    all_roots,
     batch_roots,
     match_tracks,
 )
@@ -329,68 +328,50 @@ def _rows(affine: np.ndarray) -> List[_Row]:
     return list(map(_Row, affine, coordinate, finite, homogeneous, closeness))
 
 
-def _configuration(
-    spec: FamilySpec, s: float, previous: Sequence[complex] = ()
-) -> _Row:
-    """All sphere positions of the invariant roots at time ``s``.
+def _samples(
+    spec: FamilySpec, times: np.ndarray, width: int
+) -> List[Union[_Row, str]]:
+    """The sweep row of each of ``times``, or the reason it is refused.
 
-    ``previous``, the finite positions of the configuration at a nearby
-    time, warm-starts the root solve (``all_roots`` starts cold when their
-    count is not the invariant's degree).
+    The invariants of all the times are formed together and grouped by
+    their degree once trimmed (leading coefficients at most ``_TRIM_TOL``
+    of the largest dropped); each group is solved by one ``batch_roots``
+    run, and the rows are built together.  A time is refused, in this
+    order, when its invariant has a coefficient beyond the float range,
+    has trimmed degree below 1 or a constant term at most 1e-12 of its
+    largest coefficient, when its sphere degree is not ``width``, and when
+    the batch cannot certify its roots.
     """
-    model = family_at(spec, s)
-    bound = int(model.sphere_degree())
-    invariant = model.invariant_scale()
-    if not np.isfinite(invariant.coeffs).all():
-        raise NumericsError(f"a coefficient exceeds the float range at time {s}")
-    invariant = invariant.trimmed()
-    if invariant.degree < 1:
-        raise NumericsError(f"the invariant degenerates at time {s}")
-    ratio = abs(invariant(0j)) / max(abs(c) for c in invariant.coeffs)
-    if ratio <= 1e-12:
-        raise NumericsError(f"the invariant's constant term is {ratio:.3g} of its "
-                            f"largest coefficient, at most 1e-12, at time {s}")
-    roots = all_roots(invariant, start=previous)
-    affine = np.array([roots + [math.inf] * (bound - invariant.degree)], dtype=complex)
-    return _rows(affine)[0]
-
-
-def _grid(spec: FamilySpec, width: int) -> Iterator[Tuple[float, Optional[_Row]]]:
-    """The grid times k / ``SAMPLES``, k = 1, ..., ``SAMPLES``, in order,
-    each with its row, or with None where ``sweep`` is to solve it with
-    ``_configuration``.
-
-    The times are solved ``_GRID_BLOCK`` at a time.  The invariants of a
-    block are formed together and grouped by their degree once trimmed as
-    ``CPoly.trimmed`` trims; each group is solved by one ``batch_roots``
-    run, and the rows are built together.  A time gets None when its
-    invariant fails one of the checks of ``_configuration`` (a non-finite
-    coefficient, a trimmed degree below 1, a constant term at most 1e-12
-    of the largest coefficient), when its sphere degree is not ``width``,
-    or when the batch cannot certify its roots.
-    """
-    for first in range(1, SAMPLES + 1, _GRID_BLOCK):
-        times = np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
-        model = family_at(spec, times)
-        invariant = model.invariant_rows()
-        magnitude = np.abs(invariant)
-        tallest = magnitude.max(axis=1)
-        trimmed = np.where(magnitude > _TRIM_TOL * tallest[:, None], invariant, 0)
-        degree = _degree(trimmed)
-        solvable = (
-            np.isfinite(invariant).all(axis=1)
-            & (degree >= 1)
-            & (magnitude[:, 0] > 1e-12 * tallest)
-            & (model.sphere_degree() == width)
-        )
-        affine = np.full((len(times), width), math.inf, dtype=complex)
-        for n in sorted(set(degree[solvable].tolist())):
-            members = np.flatnonzero(solvable & (degree == n))
-            affine[members, :n], certified = batch_roots(invariant[members, : n + 1])
-            solvable[members[~certified]] = False
-        rows = iter(_rows(affine[solvable]))
-        for time, solved in zip(times.tolist(), solvable.tolist()):
-            yield time, next(rows) if solved else None
+    model = family_at(spec, times)
+    invariant = model.invariant_rows()
+    magnitude = np.abs(invariant)
+    tallest = magnitude.max(axis=1)
+    trimmed = np.where(magnitude > _TRIM_TOL * tallest[:, None], invariant, 0)
+    degree = _degree(trimmed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = magnitude[:, 0] / tallest
+    refusals = (
+        (~np.isfinite(invariant).all(axis=1),
+         "a coefficient exceeds the float range at time {s}"),
+        (degree < 1, "the invariant degenerates at time {s}"),
+        (~(ratio > 1e-12), "the invariant's constant term is {ratio:.3g} of its "
+                           "largest coefficient, at most 1e-12, at time {s}"),
+        (model.sphere_degree() != width, "track count changed between samples"),
+    )
+    reason = np.select([failed for failed, _ in refusals], range(1, 5))
+    affine = np.full((len(times), width), math.inf, dtype=complex)
+    for n in sorted(set(degree[reason == 0].tolist())):
+        members = np.flatnonzero((reason == 0) & (degree == n))
+        affine[members, :n], certified = batch_roots(invariant[members, : n + 1])
+        reason[members[~certified]] = 5
+    texts = [text for _, text in refusals] + [
+        f"root iteration failed to converge in {_MAX_ITERATIONS} steps at time {{s}}"
+    ]
+    rows = iter(_rows(affine[reason == 0]))
+    return [
+        texts[why - 1].format(s=s, ratio=r) if why else next(rows)
+        for s, why, r in zip(times.tolist(), reason.tolist(), ratio.tolist())
+    ]
 
 
 def _in_boundary_annulus(coordinate: np.ndarray) -> np.ndarray:
@@ -420,35 +401,50 @@ def _interval_verdict(before: _Row, after: _Row, motion: np.ndarray) -> Optional
 def sweep(spec: FamilySpec) -> TrajectorySet:
     """Track all critical values of the family across the interval.
 
-    The grid has ``SAMPLES`` equal intervals, whose samples ``_grid``
-    solves in batches; a bisection midpoint, or a grid sample the batch
-    leaves out, is solved on its own, warm from the last accepted row.
-    Tracks are matched between samples by minimal total chordal motion.
-    An interval is bisected, down to ``WIDTH_FLOOR``, when a track moves
-    more than ``MAX_MOTION``, a pair closes in below ``PROXIMITY``, or a
-    track newly enters the annulus ``BOUNDARY < |z| <= 1`` of its chart.
-    A step that still moves tracks too far at the floor is reported as an
-    unresolved crossing.
+    Every sample (the start, the grid and each bisection midpoint) is
+    solved by ``_samples``: the grid of ``SAMPLES`` equal intervals in
+    blocks of ``_GRID_BLOCK`` times, the others one at a time.  A refused
+    sample raises ``NumericsError`` with its reason when the sweep reaches
+    it.  Tracks are matched between samples by minimal total chordal
+    motion.  An interval is bisected, down to ``WIDTH_FLOOR``, when a track
+    moves more than ``MAX_MOTION``, a pair closes in below ``PROXIMITY``,
+    or a track newly enters the annulus ``BOUNDARY < |z| <= 1`` of its
+    chart.  A step that still moves tracks too far at the floor is
+    reported as an unresolved crossing.
 
     Rows are kept as arrays (``_Row``), so each sample's homogeneous
     coordinates and pairwise chordal distances are computed once; the
     ``ProjectivePoint`` rows are built only for the result.
     """
-    rows = [_configuration(spec, 0.0)]
-    tracks = np.arange(len(rows[0].affine))
+    width = int(family_at(spec, 0.0).sphere_degree())
+
+    def solved(sample: Union[_Row, str]) -> _Row:
+        if isinstance(sample, str):
+            raise NumericsError(sample)
+        return sample
+
+    def alone(s: float) -> _Row:
+        return solved(_samples(spec, np.array([s]), width)[0])
+
+    rows = [alone(0.0)]
+    tracks = np.arange(width)
     parameters = [0.0]
     switches: List[Tuple[int, float]] = []
-    for grid_time, grid_row in _grid(spec, len(tracks)):
+    blocks = (
+        np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
+        for first in range(1, SAMPLES + 1, _GRID_BLOCK)
+    )
+    grid = (
+        sample
+        for times in blocks
+        for sample in zip(times.tolist(), _samples(spec, times, width))
+    )
+    for grid_time, grid_row in grid:
         pending = [grid_time]  # the times left in this interval, next one last
         while pending:
             target = pending[-1]
             here, last = parameters[-1], rows[-1]
-            if target == grid_time and grid_row is not None:
-                fresh = grid_row
-            else:
-                fresh = _configuration(
-                    spec, target, last.affine[np.isfinite(last.affine)]
-                )
+            fresh = solved(grid_row) if target == grid_time else alone(target)
             cost = _chordal_matrix(last.homogeneous, fresh.homogeneous)
             order = list(match_tracks(cost))
             motion = cost[tracks, order]

@@ -3,22 +3,22 @@
 Three kernels:
 
 - complete complex root finding: a numpy Aberth-Ehrlich iteration (Bini
-  1996, as in MPSolve) that starts cold from the circles of the Newton
-  polygon or warm from the roots of a nearby polynomial, and certifies each
-  root by its componentwise backward error |p(z)| / sum_i |c_i| |z|^i,
-  which means the same at every scale of |z|.  The iteration runs on a
-  batch of polynomials of one degree: ``all_roots`` solves one,
-  ``batch_roots`` many at once;
+  1996, as in MPSolve) that starts from the circles of the Newton polygon
+  and certifies each root by its componentwise backward error
+  |p(z)| / sum_i |c_i| |z|^i, which means the same at every scale of |z|.
+  The iteration runs on a batch of polynomials of one degree:
+  ``all_roots`` solves one, ``batch_roots`` many at once;
 - root continuation along polyline paths of a family given by coefficient
-  arrays, with steps sized by the tangent predictor and a separation
-  criterion for the track matching, that stops at a certified terminal
-  pair: inclusion discs of radius n |p(z)/p'(z)|
-  that are pairwise disjoint, and a disc around the closest pair in which
-  Rouche's theorem holds against the coefficient motion over the rest of
-  the path (the inclusion and Rouche tests of alpha-theory, Blum, Cucker,
-  Shub and Smale 1998, as in the certified univariate homotopy tracking of
-  Xu, Burr and Yap, ISSAC 2018).  If the fiber at the end of the path is
-  a cubic with a double root, the pair's tracks are the ones that make it;
+  arrays, each track carried by its own tangent-predicted Newton corrector,
+  with steps sized by the tangent and accepted by a separation criterion.
+  It stops at a certified terminal pair: inclusion discs of radius
+  n |p(z)/p'(z)| that are pairwise disjoint, and a disc around the closest
+  pair in which Rouche's theorem holds against the coefficient motion over
+  the rest of the path (the inclusion and Rouche tests of alpha-theory,
+  Blum, Cucker, Shub and Smale 1998, as in the certified univariate
+  homotopy tracking of Xu, Burr and Yap, ISSAC 2018).  If the fiber at the
+  end of the path is a cubic with a double root, the pair's tracks are the
+  ones that make it;
 - elliptic integrals ``dx / sqrt(cubic)`` whose endpoints are allowed to
   sit on branch points.
 
@@ -28,7 +28,7 @@ Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
 ``CPoly.__call__`` and the Newton corrector read it.  ``CPoly`` has no
 arithmetic: ``continue_roots`` evaluates coefficient arrays by Horner,
 and the interpolation sweep forms its invariants by array convolution
-before ``batch_roots`` or ``all_roots`` solves them.
+before ``batch_roots`` solves them.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def _aberth(
     return polished, converged
 
 
-def all_roots(p: CPoly, start: Optional[Sequence[complex]] = None) -> List[complex]:
+def all_roots(p: CPoly) -> List[complex]:
     """All roots of ``p`` by Aberth-Ehrlich iteration (Bini 1996).
 
     Returns exactly ``degree`` roots sorted by (re, im).  Each one is
@@ -294,13 +294,9 @@ def all_roots(p: CPoly, start: Optional[Sequence[complex]] = None) -> List[compl
     roots, spread about _ROOT_TOL**(1/m) times its modulus.
 
     Exact zero coefficients at the bottom are exact zero roots and are
-    returned as such.  The other roots start from ``start`` when it is a
-    warm start of ``degree`` distinct finite points (the roots of a nearby
-    polynomial, say); the ones nearest zero give way to exact zero roots.
-    When there is no usable warm start, or it does not converge, the roots
-    start cold from the circles of the Newton polygon of |c_i|, which put
-    roots of every modulus near their own scale.  Both runs answer to the
-    same certificate; a cold run that does not meet it within
+    returned as such.  The other roots start from the circles of the Newton
+    polygon of |c_i|, which put roots of every modulus near their own
+    scale.  A run that does not meet the certificate within
     ``_MAX_ITERATIONS`` steps raises ``NumericsError``.  So may a polynomial
     with a nonzero coefficient below ``np.finfo(float).tiny``: rounding in
     the subnormal range is absolute, so a root there may have no double
@@ -313,15 +309,7 @@ def all_roots(p: CPoly, start: Optional[Sequence[complex]] = None) -> List[compl
     roots = [0j] * zeros
     if zeros < n:
         coeffs = np.array(p.coeffs[zeros:], dtype=complex)
-        converged = False
-        if start is not None and len(start) == n:
-            warm = np.array(start, dtype=complex)
-            warm = warm[np.argsort(np.abs(warm), kind="stable")[zeros:]]
-            if np.isfinite(warm).all() and len(set(warm.tolist())) == len(warm):
-                found, converged = _aberth(coeffs, warm, _ROOT_TOL)
-        if not converged:
-            cold = _newton_polygon_start(coeffs)
-            found, converged = _aberth(coeffs, cold, _ROOT_TOL)
+        found, converged = _aberth(coeffs, _newton_polygon_start(coeffs), _ROOT_TOL)
         if not converged:
             raise NumericsError(
                 f"root iteration failed to converge in {_MAX_ITERATIONS} steps"
@@ -335,11 +323,11 @@ def batch_roots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     ``rows`` holds their coefficients, ascending, one polynomial per row,
     each with a nonzero constant and leading coefficient.  Every row starts
-    cold from the circles of its Newton polygon, as ``all_roots`` does when
-    it has no warm start.  Returns the roots as a ``(rows, n)`` array, each
-    row sorted by (re, im) as ``all_roots`` sorts, and the mask of the rows
-    whose roots all meet the certificate of ``all_roots``; the entries of
-    the other rows are not roots.
+    from the circles of its Newton polygon, as ``all_roots`` starts.
+    Returns the roots as a ``(rows, n)`` array, each row sorted by (re, im)
+    as ``all_roots`` sorts, and the mask of the rows whose roots all meet
+    the certificate of ``all_roots``; the entries of the other rows are not
+    roots.
     """
     starts = np.array([_newton_polygon_start(row) for row in rows])
     roots, certified = _aberth(rows, starts, _ROOT_TOL)
@@ -407,18 +395,12 @@ class TrackedRoots:
     parameters: Tuple[float, ...]  # accepted path parameters, from 0
     roots: Tuple[Tuple[complex, ...], ...]  # track-aligned roots per step
     residuals: Tuple[Tuple[float, ...], ...]  # backward-error residuals
-    matchings: Tuple[Tuple[int, ...], ...]  # raw-to-track permutation per step
     # the certified terminal pair (i < j), or None when the path ended first
     pair: Optional[Tuple[int, int]]
 
     def __post_init__(self) -> None:
-        steps = len(self.parameters)
-        if not (len(self.roots) == len(self.residuals) == len(self.matchings) == steps):
+        if not len(self.roots) == len(self.residuals) == len(self.parameters):
             raise NumericsError("per-step records have inconsistent lengths")
-        width = self.track_count
-        for row in self.matchings:
-            if sorted(row) != list(range(width)):
-                raise NumericsError("a step matching is not a bijection")
 
     @property
     def track_count(self) -> int:
@@ -643,15 +625,17 @@ def continue_roots(
     tracks start at ``roots``, the roots of the fiber at ``path.point(0.0)``
     as ``all_roots`` returns them.
 
-    Predictor-corrector continuation: tracks advance by Newton correction
-    from the tangent prediction z - (d_lam p)(z) / p'(z) (lam_next - lam),
-    with full recomputation and optimal matching as fallback.  Every
-    accepted root has a residual below ``_ROOT_TOL``.  A step moves no root,
-    by the tangent, more than the roots' separation over
-    ``_PREDICTED_SHARE``; it is at most ``_INITIAL_STEP`` of the path and
-    1.6 times the last step, at least ``_MIN_STEP``, and halves when
-    rejected.  A step is accepted only when the previous roots' minimal
-    pairwise distance exceeds three times the matching displacement.
+    Predictor-corrector continuation: each track advances by Newton
+    correction from the tangent prediction
+    z - (d_lam p)(z) / p'(z) (lam_next - lam), so track k stays track k.  A
+    step moves no root, by the tangent, more than the roots' separation
+    over ``_PREDICTED_SHARE``; it is at most ``_INITIAL_STEP`` of the path
+    and 1.6 times the last step, at least ``_MIN_STEP``, and halves when
+    rejected.  A step is accepted only when every corrected root has a
+    residual below ``_ROOT_TOL``, no two corrected roots come within
+    max(1e-13, 1e-6 separation) of each other (a lone track has no pair to
+    test), and the previous roots' minimal pairwise distance exceeds three
+    times the largest displacement.
 
     After every accepted step ``_terminal_pair`` tests for a certified
     terminal pair, bounding the motion of the coefficient of x^k over the
@@ -751,8 +735,7 @@ def continue_roots(
             f"family degree changed from {degree} to {len(poly_end) - 1} at t = 1"
         )
     current = tuple(roots)
-    steps = [(0.0, current, tuple(_horner(poly, z)[2] for z in current),
-              tuple(range(degree)))]
+    steps = [(0.0, current, tuple(_horner(poly, z)[2] for z in current))]
     pair: Optional[Tuple[int, int]] = None
     t = 0.0
     velocities, limit = tangents(lam, poly, current)
@@ -769,35 +752,14 @@ def continue_roots(
         move = lam_next - lam
         predicted = [z + v * move for z, v in zip(current, velocities)]
         corrected, corrected_res = zip(*(_newton(poly_next, z) for z in predicted))
-        duplicate_floor = max(1e-13, 1e-6 * separation)
         if (
             all(r < _ROOT_TOL for r in corrected_res)
-            and _min_pairwise(corrected) > duplicate_floor
+            and (degree == 1
+                 or _min_pairwise(corrected) > max(1e-13, 1e-6 * separation))
+            and separation > 3 * max(abs(a - b) for a, b in zip(corrected, current))
         ):
-            aligned = corrected
-            aligned_res = corrected_res
-            matching = tuple(range(degree))
-        else:
-            try:
-                raw = all_roots(CPoly(poly_next))
-            except NumericsError:
-                raw = None
-            if raw is None:
-                aligned = None
-            else:
-                matching = match_tracks(
-                    np.array([[abs(z - w) for w in raw] for z in current])
-                )
-                aligned = tuple(raw[j] for j in matching)
-                aligned_res = tuple(_horner(poly_next, z)[2] for z in aligned)
-        displacement = (
-            max(abs(a - b) for a, b in zip(aligned, current))
-            if aligned is not None
-            else math.inf
-        )
-        if aligned is not None and separation > 3 * displacement:
-            current, t, lam = aligned, t_next, lam_next
-            steps.append((t, aligned, aligned_res, matching))
+            current, t, lam = corrected, t_next, lam_next
+            steps.append((t, corrected, corrected_res))
             pair = _terminal_pair(poly_next, current, roots, drift(t, lam))
             if pair is not None:
                 break
@@ -814,7 +776,6 @@ def continue_roots(
         parameters=tuple(s[0] for s in steps),
         roots=tuple(s[1] for s in steps),
         residuals=tuple(s[2] for s in steps),
-        matchings=tuple(s[3] for s in steps),
         pair=pair,
     )
 
@@ -853,9 +814,7 @@ def _branch_signs(values: np.ndarray, anchor: complex) -> np.ndarray:
 
 
 def elliptic_integral(
-    cubic: CPoly,
-    path: PathPolyline,
-    roots: Optional[Sequence[complex]] = None,
+    cubic: CPoly, path: PathPolyline, roots: Sequence[complex]
 ) -> complex:
     """The integral of dx / y along ``path``, with y^2 = cubic(x).
 
@@ -872,13 +831,10 @@ def elliptic_integral(
     anchor -- the first node of the level-0 grid -- is the principal square
     root of the cubic there.  Panels double until the whole-path total moves
     by less than ``_QUADRATURE_TOL``, at most ``_MAX_LEVEL`` times.
-    ``roots``, when given, are the roots of ``cubic`` as ``all_roots``
-    returns them.
+    ``roots`` are the roots of ``cubic`` as ``all_roots`` returns them.
     """
     if cubic.degree != 3:
         raise NumericsError("elliptic integrals need a cubic")
-    if roots is None:
-        roots = all_roots(cubic)
     sqrt_lead = np.sqrt(complex(cubic.leading))
     scale = 1.0 + max(abs(r) for r in roots)
     snap = 1e-9 * scale

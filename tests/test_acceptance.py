@@ -289,9 +289,10 @@ def test_criterion_12_property_suites():
             assert a * e - b * c == 1
     # Period-integral path additivity at 1e-8.
     cubic = CPoly((0j, 0.01 + 0j, 0j, 1 + 0j))
-    seg12 = elliptic_integral(cubic, PathPolyline((1 + 0j, 2 + 0j)))
-    seg23 = elliptic_integral(cubic, PathPolyline((2 + 0j, 3 + 0j)))
-    seg13 = elliptic_integral(cubic, PathPolyline((1 + 0j, 3 + 0j)))
+    roots = all_roots(cubic)
+    seg12 = elliptic_integral(cubic, PathPolyline((1 + 0j, 2 + 0j)), roots)
+    seg23 = elliptic_integral(cubic, PathPolyline((2 + 0j, 3 + 0j)), roots)
+    seg13 = elliptic_integral(cubic, PathPolyline((1 + 0j, 3 + 0j)), roots)
     assert abs(seg12 + seg23 - seg13) < 1e-8
     # Root-residual certificates.
     invariant = CPoly.from_unipoly(catalog(3, Fraction(1, 100)).discriminant_scale())

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpmirror import interfam
+from dpmirror import interfam, pathnum
 from dpmirror.exactpoly import UniPoly
 from dpmirror.homology import extended_vanishing_classes
 from dpmirror.interfam import (
@@ -52,6 +52,9 @@ FINITE_COUNTS = {3: 9, 2: 10, 1: 11}
 # the component that flags it.
 WORD_3_TO_2 = "R8 R7 R6 R5 R4 R3 R2 R1 R8 R7 L4"
 WORD_2_TO_1 = "R9 R8 R7 R6 R5 R4 L6 L1 R3 R2 R1 L3"
+# The 2 -> 1 word at larger epsilon, where the extra crossing is gone and the
+# word reduces to the reference word.
+WORD_2_TO_1_REDUCING = "R9 R8 R7 R6 R5 R4 L6"
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,11 +219,12 @@ def test_sweep_exactly_one_track_leaves_infinity():
         assert not ascended
 
 
-# The default sweeps' work: accepted samples, rows solved by the batch, one-row
-# solves (the start row and the bisection midpoints) and chart switches.
+# The default sweeps' work: accepted samples, rows solved by the batch (every
+# sample: the start, the grid and the bisection midpoints), one-row
+# `all_roots` solves, and chart switches.
 SWEEP_WORK = {
-    (3, 2): (413, 400, 23, ((11, 0.595),)),
-    (2, 1): (413, 400, 24, ((11, 0.35),)),
+    (3, 2): (413, 423, 0, ((11, 0.595),)),
+    (2, 1): (413, 424, 0, ((11, 0.35),)),
 }
 
 
@@ -236,7 +240,7 @@ def test_sweep_work_at_the_default_epsilon_is_pinned(pair, monkeypatch):
         batched.append(len(rows))
         return batch_roots(rows)
 
-    monkeypatch.setattr(interfam, "all_roots", counted)
+    monkeypatch.setattr(pathnum, "all_roots", counted)
     monkeypatch.setattr(interfam, "batch_roots", counted_batch)
     traj = sweep(FamilySpec.between_degrees(*pair))
     samples, expected_batched, expected_solves, switches = SWEEP_WORK[pair]
@@ -246,39 +250,26 @@ def test_sweep_work_at_the_default_epsilon_is_pinned(pair, monkeypatch):
     assert traj.chart_switches == switches
 
 
-def test_sweep_solves_a_sample_the_batch_cannot_certify_on_its_own(monkeypatch):
-    """A grid sample the batch leaves uncertified is solved warm from the
-    last accepted row, and the trajectories do not change."""
-    spec = FamilySpec.between_degrees(3, 2)
-    reference = sweep(spec)
-    solves = []
+def test_sweep_refuses_a_sample_the_batch_cannot_certify(monkeypatch):
+    """A grid sample whose roots the batch leaves uncertified is not solved
+    another way: the sweep stops with a typed error that names its time."""
 
-    def counted(*args, **kwargs):
-        solves.append(1)
-        return all_roots(*args, **kwargs)
-
-    failed = []
-
-    def failing_first(rows):
+    def failing_first_grid_row(rows):
         roots, certified = batch_roots(rows)
-        if not failed:
+        if len(rows) > 1:
             certified[0] = False
-            failed.append(1)
         return roots, certified
 
-    monkeypatch.setattr(interfam, "all_roots", counted)
-    monkeypatch.setattr(interfam, "batch_roots", failing_first)
-    traj = sweep(spec)
-    assert len(solves) == SWEEP_WORK[(3, 2)][2] + 1
-    assert traj.parameters == reference.parameters
-    for row, ref in zip(traj.positions, reference.positions):
-        assert max(chordal(p, q) for p, q in zip(row, ref)) < 1e-12
+    monkeypatch.setattr(interfam, "batch_roots", failing_first_grid_row)
+    with pytest.raises(NumericsError, match=r"^root iteration failed to converge "
+                       r"in 200 steps at time 0\.0025$"):
+        sweep(FamilySpec.between_degrees(3, 2))
 
 
-def test_grid_leaves_a_non_finite_invariant_to_the_one_row_path(monkeypatch):
-    """A grid time whose invariant is not finite is handed to
-    ``_configuration``, which names the overflow; the batch sees only
-    finite rows."""
+def test_sweep_refuses_a_non_finite_invariant(monkeypatch):
+    """A grid time whose invariant is not finite is kept out of the batch,
+    which sees only finite rows, and the sweep names the overflow when it
+    reaches that time."""
     spec = FamilySpec.between_degrees(3, 2)
     spoiled = 7 / interfam.SAMPLES
 
@@ -295,11 +286,10 @@ def test_grid_leaves_a_non_finite_invariant_to_the_one_row_path(monkeypatch):
 
     monkeypatch.setattr(interfam, "family_at", overflowing)
     monkeypatch.setattr(interfam, "batch_roots", checked)
-    grid = list(interfam._grid(spec, 12))
+    with pytest.raises(NumericsError, match=r"^a coefficient exceeds the float "
+                       r"range at time 0\.0175$"):
+        sweep(spec)
     assert batches and all(batches)
-    assert [s for s, row in grid if row is None] == [spoiled]
-    with pytest.raises(NumericsError, match="a coefficient exceeds the float range"):
-        interfam._configuration(spec, spoiled)
 
 
 def test_sweep_reports_an_unresolved_crossing(monkeypatch):
@@ -368,18 +358,28 @@ def test_csv_header_and_shape():
 # braid words: the real families
 
 
-# The default epsilon, four nearby values, and smaller values whose sweeps
-# pass tracks within a few thousandths of each other.
+# The default epsilon, four nearby values, smaller values whose sweeps
+# pass tracks within a few thousandths of each other, and three large values
+# at which the 2 -> 1 word reduces as well.
 WORD_EPSILONS = ("1/100", "1/200", "1/50", "3/100", "1/80",
                  "1/250", "1/300", "1/400", "1/500")
+BOTH_WORDS_EPSILONS = ("3/10", "1", "3")
 
 
-@pytest.mark.parametrize("epsilon", WORD_EPSILONS)
+@pytest.mark.parametrize("epsilon", WORD_EPSILONS + BOTH_WORDS_EPSILONS)
 def test_word_3_to_2_reduces_to_the_reference_word(epsilon):
     word = transposition_word(_swept(3, 2, Fraction(epsilon)))
     assert str(word) == WORD_3_TO_2
     lattice, basis, _ = from_boundaries(extended_vanishing_classes(2))
     assert word_identity(lattice, basis, word, standard_word_identity(2)[0])
+
+
+@pytest.mark.parametrize("epsilon", BOTH_WORDS_EPSILONS)
+def test_word_2_to_1_reduces_to_the_reference_word(epsilon):
+    word = transposition_word(_swept(2, 1, Fraction(epsilon)))
+    assert str(word) == WORD_2_TO_1_REDUCING
+    lattice, basis, _ = from_boundaries(extended_vanishing_classes(1))
+    assert word_identity(lattice, basis, word, standard_word_identity(1)[0])
 
 
 def test_word_2_to_1_is_frozen_and_flagged_by_validation():

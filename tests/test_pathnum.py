@@ -429,56 +429,6 @@ def test_all_roots_polish_never_merges_iterates() -> None:
         assert min(gaps) > 1e-6, s
 
 
-def _cold_starts(monkeypatch) -> List[int]:
-    """Count the cold starts ``all_roots`` makes from now on."""
-    from dpmirror import pathnum
-
-    calls: List[int] = []
-    original = pathnum._newton_polygon_start
-
-    def counted(coeffs):
-        calls.append(len(coeffs) - 1)
-        return original(coeffs)
-
-    monkeypatch.setattr(pathnum, "_newton_polygon_start", counted)
-    return calls
-
-
-def test_all_roots_warm_starts(monkeypatch) -> None:
-    poly = _invariant_3_to_2(0.995)
-    cold = all_roots(poly)
-    nearby = all_roots(_invariant_3_to_2(0.99))
-    n = poly.degree
-    cases = {
-        "nearby": (nearby, False),
-        "permuted": (nearby[::-1], False),
-        "perturbed": ([z * (1 + 1e-3j) + 1e-4 for z in cold], False),
-        "far off": ([1e3 * cmath.rect(1, k) for k in range(n)], None),
-        "duplicated": (nearby[:-1] + nearby[:1], True),
-        "too short": (nearby[:-1], True),
-        "too long": (nearby + [1 + 0j], True),
-        "not finite": (nearby[:-1] + [complex("nan")], True),
-    }
-    for name, (start, falls_back) in cases.items():
-        cold_starts = _cold_starts(monkeypatch)
-        warm = all_roots(poly, start=start)
-        assert len(warm) == n, name
-        for z, w in zip(cold, warm):
-            assert abs(z - w) <= 1e-12 * (1 + abs(z)), name
-        if falls_back is not None:
-            assert len(cold_starts) == int(falls_back), name
-        monkeypatch.undo()
-
-
-def test_all_roots_warm_start_gives_way_to_exact_zeros(monkeypatch) -> None:
-    poly = CPoly((0, -1, 0, 1))
-    cold_starts = _cold_starts(monkeypatch)
-    roots = all_roots(poly, start=[0.9 + 0.1j, -1.1, 1e-3])
-    assert roots[1] == 0
-    assert abs(roots[0] + 1) < 1e-15 and abs(roots[2] - 1) < 1e-15
-    assert cold_starts == []
-
-
 def test_all_roots_is_silent_at_the_edge_of_the_float_range() -> None:
     """The derivative weight 2 c_2 of this quadratic overflows; the kernel
     forms it under its floating-point guard, so the only outcome is the
@@ -715,13 +665,12 @@ def test_path_arclength_parameterization() -> None:
 # tracked roots
 
 
-def test_tracked_roots_rejects_non_bijection() -> None:
-    with pytest.raises(NumericsError):
+def test_tracked_roots_rejects_unequal_step_records() -> None:
+    with pytest.raises(NumericsError, match="inconsistent lengths"):
         TrackedRoots(
-            parameters=(0.0,),
+            parameters=(0.0, 0.5),
             roots=((0j, 1 + 0j),),
             residuals=((0.0, 0.0),),
-            matchings=((0, 0),),
             pair=None,
         )
 
@@ -859,13 +808,16 @@ def test_continuation_stops_at_its_evaluation_budget(monkeypatch) -> None:
 
 
 def test_quadrature_takes_known_roots() -> None:
-    """Roots handed in as ``all_roots`` returns them give the same result
-    as the solve they replace."""
+    """The roots handed in are the cubic's roots as a set: in another order
+    they snap the path's start to the same branch point and give the same
+    integral up to rounding."""
     _, family = _perturbed_family(1)
     base = _fiber(family, 0j)
     roots = all_roots(base)
     path = PathPolyline((roots[0], roots[0] + 0.1 + 0.1j))
-    assert elliptic_integral(base, path, roots=roots) == elliptic_integral(base, path)
+    value = elliptic_integral(base, path, roots)
+    for order in itertools.permutations(roots):
+        assert abs(elliptic_integral(base, path, order) - value) <= 1e-12 * abs(value)
 
 
 def test_continuation_detects_midpath_singularity() -> None:
@@ -907,15 +859,8 @@ def test_continuation_collisions_at_critical_values() -> None:
         assert abs(partners[mirror] - partner.conjugate()) < 1e-7
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_continuation_residuals_match_a_recomputation(monkeypatch, fallback) -> None:
-    """Each recorded residual is that of its root in the family at its step,
-    whether the Newton corrector carried it or the fallback solve produced
-    the row."""
-    from dpmirror import pathnum
-
-    if fallback:
-        monkeypatch.setattr(pathnum, "_newton", lambda p, z: (z, math.inf))
+def test_continuation_residuals_match_a_recomputation() -> None:
+    """Each recorded residual is that of its root in the family at its step."""
     model, family = _perturbed_family(3)
     disc = CPoly.from_unipoly(model.discriminant_scale())
     path = PathPolyline((0j, min(all_roots(disc), key=abs)))
@@ -926,11 +871,12 @@ def test_continuation_residuals_match_a_recomputation(monkeypatch, fallback) -> 
         assert res == tuple(residual(poly, z) for z in row)
 
 
-def test_continuation_matchings_are_bijections() -> None:
-    tracked = _continue(_SQUARE_ROOTS, PathPolyline((1 + 0j, 1j)))
-    width = tracked.track_count
-    for row in tracked.matchings:
-        assert sorted(row) == list(range(width))
+def test_continuation_has_no_path_but_the_corrector(monkeypatch) -> None:
+    """With the Newton corrector unable to certify any root, every step is
+    rejected and halves until it underflows: nothing else carries a track."""
+    monkeypatch.setattr(pathnum, "_newton", lambda p, z: (z, math.inf))
+    with pytest.raises(NumericsError, match="step size underflow at t = 0,"):
+        _continue(_SQUARE_ROOTS, PathPolyline((1 + 0j, 1j)))
 
 
 # ---------------------------------------------------------------------------
@@ -938,36 +884,42 @@ def test_continuation_matchings_are_bijections() -> None:
 
 
 def test_elliptic_integral_requires_cubic() -> None:
+    quadratic = CPoly((-1, 0, 1))
+    roots = all_roots(quadratic)
     with pytest.raises(NumericsError, match="cubic"):
-        elliptic_integral(CPoly((-1, 0, 1)), PathPolyline((2 + 0j, 3 + 0j)))
+        elliptic_integral(quadratic, PathPolyline((2 + 0j, 3 + 0j)), roots)
 
 
 def test_elliptic_integral_additive_and_antisymmetric() -> None:
     cubic = CPoly((0j, 0.01 + 0j, 0j, 1 + 0j))
-    seg12 = elliptic_integral(cubic, PathPolyline((1 + 0j, 2 + 0j)))
-    seg23 = elliptic_integral(cubic, PathPolyline((2 + 0j, 3 + 0j)))
-    seg13 = elliptic_integral(cubic, PathPolyline((1 + 0j, 3 + 0j)))
+    roots = all_roots(cubic)
+    seg12 = elliptic_integral(cubic, PathPolyline((1 + 0j, 2 + 0j)), roots)
+    seg23 = elliptic_integral(cubic, PathPolyline((2 + 0j, 3 + 0j)), roots)
+    seg13 = elliptic_integral(cubic, PathPolyline((1 + 0j, 3 + 0j)), roots)
     assert abs(seg12 + seg23 - seg13) < 1e-8
-    reverse = elliptic_integral(cubic, PathPolyline((2 + 0j, 1 + 0j)))
+    reverse = elliptic_integral(cubic, PathPolyline((2 + 0j, 1 + 0j)), roots)
     assert abs(seg12 + reverse) < 1e-8
 
 
 def test_elliptic_integral_closed_contour_vanishes() -> None:
     cubic = CPoly((0j, 0.01 + 0j, 0j, 1 + 0j))
+    roots = all_roots(cubic)
     loop = PathPolyline((1 + 0j, 1 + 1j, 2 + 1j, 2 + 0j, 1 + 0j))
-    assert abs(elliptic_integral(cubic, loop)) < 1e-8
+    assert abs(elliptic_integral(cubic, loop, roots)) < 1e-8
 
 
 def test_elliptic_integral_rejects_interior_root_node() -> None:
     cubic = CPoly((0j, 0.01 + 0j, 0j, 1 + 0j))
+    roots = all_roots(cubic)
     with pytest.raises(NumericsError, match="interior"):
-        elliptic_integral(cubic, PathPolyline((-1 + 0j, 0j, 1 + 0j)))
+        elliptic_integral(cubic, PathPolyline((-1 + 0j, 0j, 1 + 0j)), roots)
 
 
 def test_elliptic_integral_detects_root_crossing() -> None:
     cubic = CPoly((0j, 0.01 + 0j, 0j, 1 + 0j))
+    roots = all_roots(cubic)
     with pytest.raises(NumericsError):
-        elliptic_integral(cubic, PathPolyline((-1 + 0j, 1 + 0j)))
+        elliptic_integral(cubic, PathPolyline((-1 + 0j, 1 + 0j)), roots)
 
 
 _ORACLE_NODES, _ORACLE_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -1134,7 +1086,7 @@ def _outcome(integral, *args):
 def test_elliptic_integral_matches_node_by_node_oracle(case) -> None:
     cubic, path = case
     oracle = _outcome(_node_by_node_integral, cubic, path)
-    value = _outcome(elliptic_integral, cubic, path)
+    value = _outcome(lambda c, p: elliptic_integral(c, p, all_roots(c)), cubic, path)
     if oracle is None or value is None:
         assert oracle is None and value is None
     else:
@@ -1143,7 +1095,8 @@ def test_elliptic_integral_matches_node_by_node_oracle(case) -> None:
 
 def test_elliptic_integral_returns_a_python_complex() -> None:
     cubic = CPoly((0j, 0.01 + 0j, 0j, 1 + 0j))
-    value = elliptic_integral(cubic, PathPolyline((-0.1j, 0j)))
+    roots = all_roots(cubic)
+    value = elliptic_integral(cubic, PathPolyline((-0.1j, 0j)), roots)
     assert type(value) is complex
 
 
@@ -1209,9 +1162,10 @@ def test_period_lattice_closed_form_matches_quadrature(epsilon: float) -> None:
     segments from -i sqrt(eps) to 0 and from 0 to +i sqrt(eps)."""
     root = math.sqrt(epsilon)
     cubic = CPoly((0j, complex(epsilon), 0j, 1 + 0j))
+    roots = all_roots(cubic)
     oracle = (
-        2 * elliptic_integral(cubic, PathPolyline((complex(0, -root), 0j))),
-        2 * elliptic_integral(cubic, PathPolyline((0j, complex(0, root)))),
+        2 * elliptic_integral(cubic, PathPolyline((complex(0, -root), 0j)), roots),
+        2 * elliptic_integral(cubic, PathPolyline((0j, complex(0, root))), roots),
     )
     for closed, quadrature in zip(period_lattice(epsilon), oracle):
         assert abs(closed - quadrature) < 1e-12 * abs(quadrature)

@@ -31,6 +31,10 @@ TEST_ONLY = {"hv_to_weierstrass"}
 TEST_ONLY_MEMBERS = {
     ("_Parser", "error"),  # argparse calls it
     ("MutationWord", "slots"),  # perfbench checks generated words with it
+    # perfbench/tests/test_oracles.py:92 solves a sweep invariant with them;
+    # a change on the benchmark side can rewrite that line and delete both
+    ("CPoly", "trimmed"),
+    ("ComplexModel", "invariant_scale"),
 }
 
 
@@ -143,9 +147,6 @@ SETTINGS = {
     ("exactpoly", "LaurentPoly.__init__", "terms"): "data: the zero polynomial",
     ("exactpoly", "LaurentPoly.__init__", "nvars"): "data: the variable count",
     ("interfam", "FamilySpec.between_degrees", "epsilon"): "CLI flag --epsilon",
-    ("interfam", "_configuration", "previous"): "two values: none at sample 0",
-    ("pathnum", "all_roots", "start"): "two values: the sweep's warm start",
-    ("pathnum", "elliptic_integral", "roots"): "two values: the base fiber's roots",
     ("pathnum", "elliptic_integral.branch_values", "ridx"): "two values: substituted",
     ("pathnum", "elliptic_integral.branch_values", "factor"): "two values: substituted",
     ("periods", "quantum_period", "order"): "CLI flag --order",

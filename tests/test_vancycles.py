@@ -182,9 +182,9 @@ def test_seifert_gram_is_unimodular_and_matches_the_frozen_matrix():
 
 
 # Work of `cycles --epsilon 1/64` per degree: accepted continuation steps,
-# Newton solves, fallback `all_roots` solves inside the tracker, and the
+# Newton solves, `all_roots` solves inside the tracker (it has none), and the
 # segments of the paths handed to `elliptic_integral`.
-CYCLES_WORK = {1: (155, 558, 8, 24), 2: (157, 516, 6, 23), 3: (118, 435, 5, 18)}
+CYCLES_WORK = {1: (155, 558, 0, 24), 2: (157, 516, 0, 23), 3: (118, 435, 0, 18)}
 
 
 @pytest.mark.parametrize("d", sorted(CYCLES_WORK))
