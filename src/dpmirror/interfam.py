@@ -18,7 +18,7 @@ one.  Each sample is a ``_Row`` of per-track arrays (finite-chart
 position, chart coordinate, finite-chart mask, homogeneous coordinates
 and pairwise chordal distances), so nothing is recomputed for the next
 interval; ``ProjectivePoint`` rows are built once, for the returned
-``TrajectorySet``.
+``TrajectorySet``.  A block's grid intervals are decided in one array pass.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ class TrajectorySet:
 
 
 class _Row(NamedTuple):
-    """One sample of the sweep as arrays indexed by track."""
+    """One sample of the sweep as arrays indexed by track (or a stack)."""
 
     affine: np.ndarray  # position in the finite chart, infinite when parked
     coordinate: np.ndarray  # position in the track's chart
@@ -299,19 +299,24 @@ class _Row(NamedTuple):
     homogeneous: np.ndarray  # the (2, tracks) array of ``_homogeneous``
     closeness: np.ndarray  # ``_chordal_matrix`` of the row with itself
 
-    def take(self, order: Sequence[int]) -> "_Row":
-        """The same positions with the tracks listed in ``order``."""
+    def points(self, order: np.ndarray) -> Tuple[ProjectivePoint, ...]:
+        """The row, tracks listed in ``order``, as ``ProjectivePoint`` values."""
+        return tuple(map(ProjectivePoint.from_affine, self.affine[order].tolist()))
+
+    def take(self, order: np.ndarray) -> "_Row":
+        """The same positions with the tracks listed in ``order`` (per sample)."""
+        order, along = np.asarray(order), np.take_along_axis
+        rows, columns = order[..., :, None], order[..., None, :]
         return _Row(
-            self.affine[order],
-            self.coordinate[order],
-            self.finite[order],
-            self.homogeneous[:, order],
-            self.closeness[order][:, order],
+            *(along(field, order, -1) for field in self[:3]),
+            along(self.homogeneous, columns, -1),
+            along(along(self.closeness, rows, -2), columns, -1),
         )
 
-    def points(self) -> Tuple[ProjectivePoint, ...]:
-        """The row as ``ProjectivePoint`` values, for the result."""
-        return tuple(map(ProjectivePoint.from_affine, self.affine.tolist()))
+
+def _stack(*rows: _Row) -> _Row:
+    """The rows stacked along a new leading axis."""
+    return _Row(*map(np.stack, zip(*rows)))
 
 
 def _rows(affine: np.ndarray) -> List[_Row]:
@@ -374,28 +379,65 @@ def _samples(
     ]
 
 
-def _in_boundary_annulus(coordinate: np.ndarray) -> np.ndarray:
-    magnitude = np.abs(coordinate)
-    return (BOUNDARY < magnitude) & (magnitude <= 1.0)
+def _interval_verdict(before: _Row, after: _Row, motion: np.ndarray) -> np.ndarray:
+    """For each interval of a stack, the reason it needs refinement, or "".
 
-
-def _interval_verdict(before: _Row, after: _Row, motion: np.ndarray) -> Optional[str]:
-    """The reason the interval needs refinement, or None to accept.
-
-    ``motion`` holds each track's chordal distance from ``before`` to
-    ``after``.
+    ``after`` is in the track order of ``before``; ``motion`` holds each step.
     """
-    if motion.max() > MAX_MOTION:
-        return "motion"
     parked = np.isinf(before.affine)
-    pairs = ~(parked[:, None] & parked)
+    pairs = ~(parked[..., :, None] & parked[..., None, :])
     now, was = after.closeness, before.closeness
-    if (pairs & (now < PROXIMITY) & (now < was)).any():
-        return "proximity"
-    entering = _in_boundary_annulus(after.coordinate)
-    if (entering & ~_in_boundary_annulus(before.coordinate)).any():
-        return "boundary"
-    return None
+    magnitude = np.abs([before.coordinate, after.coordinate])
+    inside = (BOUNDARY < magnitude) & (magnitude <= 1.0)  # the boundary annulus
+    flags = [
+        motion.max(axis=-1) > MAX_MOTION,
+        (pairs & (now < PROXIMITY) & (now < was)).any(axis=(-2, -1)),
+        (inside[1] & ~inside[0]).any(axis=-1),
+    ]
+    return np.select(flags, ["motion", "proximity", "boundary"], "")
+
+
+def _certified_matches(
+    cost: np.ndarray, parked: np.ndarray, parked_columns: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns ``match_tracks``' row-minimum certificate gives the rows
+    of each cost matrix of a stack, and whether it gives them in any row
+    order (``parked`` rows up to ``_relabeled``): row i takes the k-th column
+    at its minimum, k counting the parked rows before it.  Each unparked row
+    must attain its minimum once, each parked row exactly at the
+    ``parked_columns``, one per parked row, and no column be taken twice."""
+    hits = cost == cost.min(axis=-1, keepdims=True)
+    rank = np.where(parked, np.cumsum(parked, axis=-1) - 1, 0)
+    columns = np.argmax(np.cumsum(hits, axis=-1) > rank[..., None], axis=-1)
+    unique = np.where(parked, (hits == parked_columns[..., None, :]).all(-1),
+                      hits.sum(axis=-1) == 1)
+    counts = parked.sum(axis=-1) == parked_columns.sum(axis=-1)
+    distinct = (np.sort(columns, axis=-1) == np.arange(cost.shape[-1])).all(axis=-1)
+    return columns, unique.all(axis=-1) & counts & distinct
+
+
+def _relabeled(columns: np.ndarray, row: _Row, order: np.ndarray) -> np.ndarray:
+    """The certified ``columns`` of the rows of ``row``, for tracks holding its
+    rows ``order``: parked tracks take the parked columns in increasing order."""
+    moved, held = columns[order], np.isinf(row.affine[order])
+    moved[held] = np.sort(moved[held])
+    return moved
+
+
+def _settled(samples: Sequence[Union[_Row, str]]) -> List[Optional[np.ndarray]]:
+    """The array pass: for each interval between consecutive ``samples``, its
+    certified columns if its verdict accepts it, else None.  A refused
+    sample leaves every interval to the loop, which stops there."""
+    if any(isinstance(sample, str) for sample in samples):
+        return [None] * (len(samples) - 1)
+    before, after = _stack(*samples[:-1]), _stack(*samples[1:])
+    cost = _chordal_matrix(before.homogeneous, after.homogeneous)
+    parked = np.isinf([before.affine, after.affine])
+    columns, certified = _certified_matches(cost, *parked)
+    motion = np.take_along_axis(cost, columns[..., None], -1)[..., 0]
+    verdicts = _interval_verdict(before, after.take(columns), motion)
+    return [c if ok and not v else None
+            for c, ok, v in zip(columns, certified.tolist(), verdicts)]
 
 
 def sweep(spec: FamilySpec) -> TrajectorySet:
@@ -412,9 +454,9 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     chart.  A step that still moves tracks too far at the floor is
     reported as an unresolved crossing.
 
-    Rows are kept as arrays (``_Row``), so each sample's homogeneous
-    coordinates and pairwise chordal distances are computed once; the
-    ``ProjectivePoint`` rows are built only for the result.
+    Grid intervals are decided a block at a time by the array pass
+    ``_settled``; the others (a refused sample, an uncertified assignment, a
+    flagged verdict) and their bisection go through a loop, one at a time.
     """
     width = int(family_at(spec, 0.0).sphere_degree())
 
@@ -426,52 +468,50 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     def alone(s: float) -> _Row:
         return solved(_samples(spec, np.array([s]), width)[0])
 
-    rows = [alone(0.0)]
     tracks = np.arange(width)
-    parameters = [0.0]
-    switches: List[Tuple[int, float]] = []
-    blocks = (
-        np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
-        for first in range(1, SAMPLES + 1, _GRID_BLOCK)
-    )
-    grid = (
-        sample
-        for times in blocks
-        for sample in zip(times.tolist(), _samples(spec, times, width))
-    )
-    for grid_time, grid_row in grid:
-        pending = [grid_time]  # the times left in this interval, next one last
-        while pending:
-            target = pending[-1]
-            here, last = parameters[-1], rows[-1]
-            fresh = solved(grid_row) if target == grid_time else alone(target)
-            cost = _chordal_matrix(last.homogeneous, fresh.homogeneous)
-            order = list(match_tracks(cost))
-            motion = cost[tracks, order]
-            matched = fresh.take(order)
-            verdict = _interval_verdict(last, matched, motion)
-            if verdict is not None and target - here > WIDTH_FLOOR:
-                pending.append(here + (target - here) / 2)
+    # (time, sample as solved, the row of it that each track holds)
+    accepted = [(0.0, alone(0.0), tracks)]
+    for first in range(1, SAMPLES + 1, _GRID_BLOCK):
+        times = np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
+        block = _samples(spec, times, width)
+        settled = _settled([accepted[-1][1], *block])
+        for grid_time, grid_row, columns in zip(times.tolist(), block, settled):
+            if columns is not None:
+                _, row, order = accepted[-1]
+                accepted.append((grid_time, grid_row, _relabeled(columns, row, order)))
                 continue
-            if verdict == "motion":
-                worst = int(np.argmax(motion))
-                step = chordal(last.points()[worst], matched.points()[worst])
-                raise NumericsError(
-                    f"unresolved track crossing between times {here:.8f} and "
-                    f"{target:.8f}; track {worst} moved {step:.3g} at the width "
-                    "floor"
-                )
-            switches.extend(
-                (int(index), target)
-                for index in np.flatnonzero(last.finite != matched.finite)
-            )
-            parameters.append(target)
-            rows.append(matched)
-            pending.pop()
+            pending = [grid_time]  # the times left in this interval, next one last
+            while pending:
+                target = pending[-1]
+                here, row, order = accepted[-1]
+                last = row.take(order)
+                fresh = solved(grid_row) if target == grid_time else alone(target)
+                cost = _chordal_matrix(last.homogeneous, fresh.homogeneous)
+                columns = np.array(match_tracks(cost))
+                motion = cost[None, tracks, columns]  # a stack of one interval
+                after = fresh.take(columns)
+                verdict = _interval_verdict(_stack(last), _stack(after), motion)[0]
+                if verdict and target - here > WIDTH_FLOOR:
+                    pending.append(here + (target - here) / 2)
+                    continue
+                if verdict == "motion":
+                    worst = int(np.argmax(motion))
+                    step = chordal(*last.points([worst]), *after.points([worst]))
+                    raise NumericsError(
+                        f"unresolved track crossing between times {here:.8f} and "
+                        f"{target:.8f}; track {worst} moved {step:.3g} at the width "
+                        "floor"
+                    )
+                accepted.append((target, fresh, columns))
+                pending.pop()
     return TrajectorySet(
-        parameters=tuple(parameters),
-        positions=tuple(row.points() for row in rows),
-        chart_switches=tuple(switches),
+        parameters=tuple(time for time, _, _ in accepted),
+        positions=tuple(row.points(order) for _, row, order in accepted),
+        chart_switches=tuple(
+            (int(index), time)
+            for (_, before, was), (time, after, now) in zip(accepted, accepted[1:])
+            for index in np.flatnonzero(before.finite[was] != after.finite[now])
+        ),
     )
 
 

@@ -783,7 +783,25 @@ def continue_roots(
 # ---------------------------------------------------------------------------
 # elliptic integrals with branch-point endpoints
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1], written out as
+# numpy.polynomial.legendre.leggauss(16) gives it, bit for bit, so that
+# importing this module does not import numpy.polynomial.
+_GAUSS_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499,
+])
+_GAUSS_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176,
+])
 # Most panel doublings before the quadrature gives up.
 _MAX_LEVEL = 9
 # The quadrature stops once a doubling moves the whole-path total by less.

@@ -509,3 +509,16 @@ def test_importing_the_cli_loads_no_scipy():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_numpy_polynomial():
+    """The Gauss-Legendre table is written out, so a fresh interpreter
+    imports ``dpmirror.cli`` without ``numpy.polynomial``."""
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    code = ("import sys, dpmirror.cli; "
+            "print([m for m in sys.modules if m.startswith('numpy.polynomial')])")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dpmirror import interfam, pathnum
@@ -23,17 +23,20 @@ from dpmirror.interfam import (
     FamilySpec,
     ProjectivePoint,
     TrajectorySet,
+    _certified_matches,
     _chordal_matrix,
     _homogeneous,
     _interval_verdict,
+    _relabeled,
     _rows,
+    _stack,
     chordal,
     family_at,
     render_svg,
     sweep,
     transposition_word,
 )
-from dpmirror.pathnum import NumericsError, all_roots, batch_roots
+from dpmirror.pathnum import NumericsError, all_roots, batch_roots, match_tracks
 from dpmirror.pseudolattice import (
     MutationWord,
     from_boundaries,
@@ -299,6 +302,61 @@ def test_sweep_reports_an_unresolved_crossing(monkeypatch):
     with pytest.raises(NumericsError, match=r"unresolved track crossing .* track "
                        r"\d+ moved [0-9.e-]+ at the width floor"):
         sweep(FamilySpec.between_degrees(3, 2))
+
+
+# `match_tracks` calls of the default sweeps: the array pass leaves three grid
+# intervals to the loop, which bisects them 12 times.
+LOOP_MATCHES = {(3, 2): 27, (2, 1): 27}
+
+
+@pytest.mark.parametrize("epsilon", ["1/100", "1/50", "3/10"])
+@pytest.mark.parametrize("pair", sorted(LOOP_MATCHES))
+def test_sweep_without_the_array_pass_is_the_same(pair, epsilon, monkeypatch):
+    """The array pass settles grid intervals exactly as the loop would: with
+    a pass that settles nothing the sweep gives the same rows, times, chart
+    switches and track order, from a `match_tracks` call per interval."""
+    calls = []
+
+    def counted(cost):
+        calls.append(1)
+        return match_tracks(cost)
+
+    monkeypatch.setattr(interfam, "match_tracks", counted)
+    spec = FamilySpec.between_degrees(*pair, Fraction(epsilon))
+    ours = sweep(spec)
+    if epsilon == "1/100":
+        assert len(calls) == LOOP_MATCHES[pair]
+    monkeypatch.setattr(interfam, "_settled", lambda rows: [None] * (len(rows) - 1))
+    calls.clear()
+    loop = sweep(spec)
+    assert len(calls) >= interfam.SAMPLES
+    assert ours.to_csv() == loop.to_csv()
+    assert ours.parameters == loop.parameters
+    assert ours.chart_switches == loop.chart_switches
+
+
+def _as_rows(cost: np.ndarray):
+    """A cost matrix as the sorted tuple of its rows, blind to row order."""
+    return tuple(sorted(map(tuple, cost.tolist())))
+
+
+@pytest.mark.parametrize("pair", sorted(LOOP_MATCHES))
+def test_sweep_hands_every_uncertified_interval_to_match_tracks(pair, monkeypatch):
+    refused, matched = [], []
+
+    def certificate(cost, parked, parked_columns):
+        columns, certified = _certified_matches(cost, parked, parked_columns)
+        refused.extend(map(_as_rows, cost[~certified]))
+        return columns, certified
+
+    def matcher(cost):
+        matched.append(_as_rows(cost))
+        return match_tracks(cost)
+
+    monkeypatch.setattr(interfam, "_certified_matches", certificate)
+    monkeypatch.setattr(interfam, "match_tracks", matcher)
+    sweep(FamilySpec.between_degrees(*pair))
+    assert refused and set(refused) <= set(matched)
 
 
 def test_sweep_steps_stay_bounded():
@@ -619,10 +677,10 @@ def _in_annulus(point: ProjectivePoint) -> bool:
 
 
 @st.composite
-def _intervals(draw):
+def _intervals(draw, n=None):
     """A row of points and a nearby row, some tracks parked at infinity,
-    some pairs closing in on each other."""
-    n = draw(st.integers(2, 8))
+    some pairs closing in on each other; ``n`` points, or 2 to 8."""
+    n = draw(st.integers(2, 8)) if n is None else n
     before = draw(st.lists(_sphere_points, min_size=n, max_size=n))
     after = []
     for p in before:
@@ -645,9 +703,75 @@ def _affine(points) -> np.ndarray:
     return np.array([np.inf if p.parked else p.affine() for p in points], dtype=complex)
 
 
-@given(_intervals())
-def test_interval_verdict_matches_the_scalar_reading(interval):
-    before, after = interval
-    rows = _rows(np.stack([_affine(before), _affine(after)]))
-    motion = np.diagonal(_chordal_matrix(rows[0].homogeneous, rows[1].homogeneous))
-    assert _interval_verdict(*rows, motion) == _scalar_verdict(before, after)
+@given(st.integers(2, 8).flatmap(lambda n: st.lists(_intervals(n), min_size=1,
+                                                    max_size=6)))
+def test_interval_verdict_matches_the_scalar_reading(intervals):
+    """A stack of intervals gets the scalar verdict interval by interval."""
+    rows = _rows(np.stack([_affine(points) for pair in intervals for points in pair]))
+    before, after = _stack(*rows[::2]), _stack(*rows[1::2])
+    motion = np.diagonal(
+        _chordal_matrix(before.homogeneous, after.homogeneous), axis1=-2, axis2=-1
+    )
+    verdicts = _interval_verdict(before, after, motion).tolist()
+    assert [verdict or None for verdict in verdicts] == [
+        _scalar_verdict(*interval) for interval in intervals
+    ]
+
+
+@st.composite
+def _relabelings(draw):
+    """Two rows of points a short step apart, the later one in a random
+    column order, with tracks parked at infinity (tied at cost 0), sometimes
+    one point repeated (a tied minimum) and a random order of the tracks."""
+    n = draw(st.integers(2, 7))
+    before = draw(st.lists(_sphere_points, min_size=n, max_size=n))
+    after = []
+    for p in before:
+        step = cmath.rect(10 ** draw(st.floats(-6, -1)), draw(st.floats(0, 6.3)))
+        after.append(p if p.parked else ProjectivePoint.from_affine(p.affine() + step))
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        after[j] = after[i]
+    after = [after[j] for j in draw(st.permutations(range(n)))]
+    return before, after, np.array(draw(st.permutations(range(n))))
+
+
+# Track 0 at 0 is equally far from the columns at 0.01 and -0.01, whose
+# first one no other track takes: a tied minimum inside a permutation.
+_TIED = (
+    [ProjectivePoint.from_affine(z) for z in (0j, -0.011 + 0j)],
+    [ProjectivePoint.from_affine(z) for z in (0.01 + 0j, -0.01 + 0j)],
+    np.array([1, 0]),
+)
+
+
+@given(_relabelings())
+@example(_TIED)
+def test_certified_matches_agree_with_match_tracks_in_every_track_order(case):
+    """Where the certificate gives an assignment, ``match_tracks`` gives the
+    same one, through ``_relabeled``, to the rows in any order; a row with a
+    tied minimum is never certified."""
+    before, after, order = case
+    cost = _chordal_matrix(_homogeneous_of(before), _homogeneous_of(after))
+    parked = np.array([p.parked for p in before])
+    parked_columns = np.array([q.parked for q in after])
+    (columns,), (certified,) = _certified_matches(
+        cost[None], parked[None], parked_columns[None]
+    )
+    tied = any((row == row.min()).sum() > 1 for row in cost[~parked])
+    if certified:
+        assert not tied
+        assert tuple(columns.tolist()) == match_tracks(cost)
+        relabeled = _relabeled(columns, _rows(_affine(before)[None])[0], order)
+        assert tuple(relabeled.tolist()) == match_tracks(cost[order])
+
+
+def test_certified_matches_refuse_a_non_finite_cost():
+    """``match_tracks`` raises on a NaN cost, so no such matrix is certified,
+    whether the NaN sits in a parked row or an unparked one."""
+    parked = np.array([[True, True, False]] * 2)
+    cost = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.1]])
+    spoiled = np.stack([cost, cost])
+    spoiled[0, 2, 0] = spoiled[1, 0, 2] = np.nan
+    assert _certified_matches(cost[None], parked[:1], parked[:1])[1].tolist() == [True]
+    assert _certified_matches(spoiled, parked, parked)[1].tolist() == [False, False]

@@ -925,6 +925,15 @@ def test_elliptic_integral_detects_root_crossing() -> None:
 _ORACLE_NODES, _ORACLE_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def test_gauss_table_is_leggauss_bit_for_bit() -> None:
+    for table, oracle in (
+        (pathnum._GAUSS_NODES, _ORACLE_NODES),
+        (pathnum._GAUSS_WEIGHTS, _ORACLE_WEIGHTS),
+    ):
+        assert table.dtype == oracle.dtype and table.shape == oracle.shape
+        assert table.tobytes() == oracle.tobytes()
+
+
 def _node_by_node_integral(cubic: CPoly, path: PathPolyline) -> complex:
     """Oracle: the scalar quadrature that ``elliptic_integral`` replaced, one
     Gauss node and one branch step at a time, with the same substitutions,
