@@ -443,16 +443,18 @@ def _settled(samples: Sequence[Union[_Row, str]]) -> List[Optional[np.ndarray]]:
 def sweep(spec: FamilySpec) -> TrajectorySet:
     """Track all critical values of the family across the interval.
 
-    Every sample (the start, the grid and each bisection midpoint) is
-    solved by ``_samples``: the grid of ``SAMPLES`` equal intervals in
-    blocks of ``_GRID_BLOCK`` times, the others one at a time.  A refused
-    sample raises ``NumericsError`` with its reason when the sweep reaches
-    it.  Tracks are matched between samples by minimal total chordal
-    motion.  An interval is bisected, down to ``WIDTH_FLOOR``, when a track
-    moves more than ``MAX_MOTION``, a pair closes in below ``PROXIMITY``,
-    or a track newly enters the annulus ``BOUNDARY < |z| <= 1`` of its
-    chart.  A step that still moves tracks too far at the floor is
-    reported as an unresolved crossing.
+    Every sample is solved by ``_samples``, and each once: the two ends
+    first, together, so that a refused end model raises ``NumericsError``
+    before any other work; then the grid of ``SAMPLES`` equal intervals in
+    blocks of ``_GRID_BLOCK`` times (the last block ends on the solved end);
+    then each bisection midpoint alone, kept with its time until the sweep
+    accepts it.  A refused grid sample or midpoint raises ``NumericsError``
+    with its reason when the sweep reaches it.  Tracks are matched between
+    samples by minimal total chordal motion.  An interval is bisected, down
+    to ``WIDTH_FLOOR``, when a track moves more than ``MAX_MOTION``, a pair
+    closes in below ``PROXIMITY``, or a track newly enters the annulus
+    ``BOUNDARY < |z| <= 1`` of its chart.  A step that still moves tracks
+    too far at the floor is reported as an unresolved crossing.
 
     Grid intervals are decided a block at a time by the array pass
     ``_settled``; the others (a refused sample, an uncertified assignment, a
@@ -465,34 +467,35 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
             raise NumericsError(sample)
         return sample
 
-    def alone(s: float) -> _Row:
-        return solved(_samples(spec, np.array([s]), width)[0])
-
+    start, end = map(solved, _samples(spec, np.array([0.0, 1.0]), width))
     tracks = np.arange(width)
     # (time, sample as solved, the row of it that each track holds)
-    accepted = [(0.0, alone(0.0), tracks)]
+    accepted = [(0.0, start, tracks)]
     for first in range(1, SAMPLES + 1, _GRID_BLOCK):
         times = np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
-        block = _samples(spec, times, width)
+        block = _samples(spec, times[times < 1.0], width)
+        block += [end] * (len(times) - len(block))  # the end closes the last block
         settled = _settled([accepted[-1][1], *block])
         for grid_time, grid_row, columns in zip(times.tolist(), block, settled):
             if columns is not None:
                 _, row, order = accepted[-1]
                 accepted.append((grid_time, grid_row, _relabeled(columns, row, order)))
                 continue
-            pending = [grid_time]  # the times left in this interval, next one last
+            # the samples left in this interval, each with its time, next one last
+            pending = [(grid_time, solved(grid_row))]
             while pending:
-                target = pending[-1]
+                target, fresh = pending[-1]
                 here, row, order = accepted[-1]
                 last = row.take(order)
-                fresh = solved(grid_row) if target == grid_time else alone(target)
                 cost = _chordal_matrix(last.homogeneous, fresh.homogeneous)
                 columns = np.array(match_tracks(cost))
                 motion = cost[None, tracks, columns]  # a stack of one interval
                 after = fresh.take(columns)
                 verdict = _interval_verdict(_stack(last), _stack(after), motion)[0]
                 if verdict and target - here > WIDTH_FLOOR:
-                    pending.append(here + (target - here) / 2)
+                    midpoint = here + (target - here) / 2
+                    (sample,) = _samples(spec, np.array([midpoint]), width)
+                    pending.append((midpoint, solved(sample)))
                     continue
                 if verdict == "motion":
                     worst = int(np.argmax(motion))

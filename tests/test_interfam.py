@@ -29,6 +29,7 @@ from dpmirror.interfam import (
     _interval_verdict,
     _relabeled,
     _rows,
+    _samples,
     _stack,
     chordal,
     family_at,
@@ -201,7 +202,9 @@ def test_sweep_endpoint_counts_and_track_total():
         traj = _swept(d_from, d_to)
         assert traj.track_count == 12
         assert traj.finite_count(0) == FINITE_COUNTS[d_from]
-        assert traj.finite_count(len(traj.parameters) - 1) == FINITE_COUNTS[d_to]
+        # one track arrives from infinity at once and none leaves again
+        assert {traj.finite_count(k) for k in range(1, len(traj.parameters))} \
+            == {FINITE_COUNTS[d_to]}
 
 
 def test_sweep_exactly_one_track_leaves_infinity():
@@ -223,11 +226,11 @@ def test_sweep_exactly_one_track_leaves_infinity():
 
 
 # The default sweeps' work: accepted samples, rows solved by the batch (every
-# sample: the start, the grid and the bisection midpoints), one-row
+# sample once: the ends, the grid and the bisection midpoints), one-row
 # `all_roots` solves, and chart switches.
 SWEEP_WORK = {
-    (3, 2): (413, 423, 0, ((11, 0.595),)),
-    (2, 1): (413, 424, 0, ((11, 0.35),)),
+    (3, 2): (413, 413, 0, ((11, 0.595),)),
+    (2, 1): (413, 413, 0, ((11, 0.35),)),
 }
 
 
@@ -251,6 +254,22 @@ def test_sweep_work_at_the_default_epsilon_is_pinned(pair, monkeypatch):
     assert sum(batched) == expected_batched
     assert len(solves) == expected_solves
     assert traj.chart_switches == switches
+
+
+@pytest.mark.parametrize("pair", sorted(SWEEP_WORK))
+def test_sweep_solves_the_ends_first_and_each_time_once(pair, monkeypatch):
+    """The ends are solved before the grid, and a bisection midpoint is kept
+    with its time, not solved again when the sweep comes back to it."""
+    solved = []
+
+    def counted(spec, times, width):
+        solved.extend(times.tolist())
+        return _samples(spec, times, width)
+
+    monkeypatch.setattr(interfam, "_samples", counted)
+    traj = sweep(FamilySpec.between_degrees(*pair))
+    assert solved[:2] == [0.0, 1.0]
+    assert sorted(solved) == list(traj.parameters)
 
 
 def test_sweep_refuses_a_sample_the_batch_cannot_certify(monkeypatch):

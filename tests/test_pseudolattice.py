@@ -20,6 +20,7 @@ from dpmirror.pseudolattice import (
     MutationWord,
     Pseudolattice,
     PseudolatticeError,
+    _D3_ROWS,
     _matches_up_to_sign,
     del_pezzo_gram,
     from_boundaries,
@@ -49,9 +50,18 @@ GRAM3_EXPECTED = [
     [0, 0, 0, 0, 0, 0, 0, 0, 1],
 ]
 
-# Boundary classes after the first display group of the degree-3 word.
-D3_FIRST_ROW = [
-    (1, 1), (1, -1), (0, 1), (0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (1, 0),
+# The displayed boundary-class rows of the degree-3 reduction, each after the
+# given number of moves of its word (applied right to left).  The computed
+# classes match the first seven rows exactly and the last up to sign.
+D3_ROWS = [
+    (1, [(1, 1), (1, -1), (0, 1), (0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (1, 0)]),
+    (3, [(1, 1), (1, -1), (1, -2), (0, 1), (0, 1), (0, 1), (1, 0), (0, 1), (1, 0)]),
+    (6, [(1, 1), (1, -1), (1, -2), (1, -3), (0, 1), (0, 1), (0, 1), (0, 1), (1, 0)]),
+    (10, [(1, 1), (1, -1), (1, -2), (1, -3), (1, -4), (0, 1), (0, 1), (0, 1), (0, 1)]),
+    (12, [(1, 1), (0, -1), (1, -1), (0, -1), (1, -3), (0, 1), (0, 1), (0, 1), (0, 1)]),
+    (13, [(1, 1), (1, -2), (0, -1), (0, -1), (1, -3), (0, 1), (0, 1), (0, 1), (0, 1)]),
+    (15, [(1, 1), (1, -2), (1, -5), (0, -1), (0, -1), (0, 1), (0, 1), (0, 1), (0, 1)]),
+    (16, [(1, 1), (2, -1), (1, -2), (0, -1), (0, -1), (0, 1), (0, 1), (0, 1), (0, 1)]),
 ]
 
 # Boundary classes (up to per-class sign) after the three extra moves that
@@ -60,6 +70,13 @@ D2_INTERMEDIATE = [
     (1, 1), (1, 0), (0, 1), (1, 0), (0, 1), (1, 0),
     (0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (0, 1),
 ]
+
+# The torus-model sequences, with the signs that `dpmirror ghs` reports.
+GHS_SEQUENCES = {
+    6: [(1, 0), (-1, -1)] * 4,
+    7: [(1, 0), (0, -1), (1, 1)] * 2 + [(1, 0), (0, 1), (1, 1)],
+    8: [(1, 0), (1, 1)] * 5,
+}
 
 FIBRATION_POINT = [1, 1, -1, 0, -1, -1, 0, -1, 1]
 M6_POINT = [1, -1, 1, 0, 0, 0, 0, 0, 0]
@@ -149,11 +166,19 @@ def test_reduction_words_never_touch_slot_zero():
 # mutation action
 
 
-def test_left_mutation_first_row_of_degree_3_trace():
+@pytest.mark.parametrize("row", range(len(D3_ROWS)))
+def test_degree_3_trace_matches_the_displayed_rows(row):
+    """The library's rows are the displayed ones, and the reduction word's
+    suffixes carry the fibration basis through them."""
+    moves, expected = D3_ROWS[row]
+    assert list(_D3_ROWS[row]) == expected
     lattice, basis, charge = from_boundaries(reference_vanishing_classes(3))
-    mutated = mutate(lattice, basis, MutationWord.parse("L1"))
-    got = [c.to_pair() for c in charge.charges(mutated)]
-    assert got == D3_FIRST_ROW
+    word = reduction_word(3)
+    mutated = mutate(lattice, basis, MutationWord(word.moves[len(word) - moves:]))
+    got = charge.charges(mutated)
+    if row < 7:
+        assert [c.to_pair() for c in got] == expected
+    assert _matches_up_to_sign(got, classes(expected)) is None
 
 
 def test_left_mutation_on_degree_2_extension_creates_negative_fiber_class():
@@ -387,6 +412,7 @@ def test_del_pezzo_gram_shape():
 @pytest.mark.parametrize("ell", [6, 7, 8])
 def test_ghs_sequences_match_targets_up_to_sign(ell):
     sequence = ghs_sequences(ell)
+    assert [c.to_pair() for c in sequence] == GHS_SEQUENCES[ell]
     target = ghs_target(ell)
     assert len(sequence) == len(target)
     for got, expected in zip(sequence, target):

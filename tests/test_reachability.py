@@ -3,14 +3,14 @@ of its classes, is reached by code.
 
 A definition that only tests call is dead weight: it can drift from the
 pipeline it claims to serve without any subcommand noticing.  This guard
-parses ``src/dpmirror`` and ``scripts/`` and requires, for each module-level
-``def`` or ``class`` of the library, a name or attribute that refers to it
-from somewhere other than its own body.  A non-dunder method ``C.m`` needs
-an attribute ``.m`` outside its own body.  Where the receiver's class is
-plain from the code (``self`` or ``cls`` in C's methods, a call of C, or a
-local assigned from one, or from a module-level function annotated to
-return C) the reference counts for that class only; any other receiver
-counts for every class that defines ``m``.
+parses ``src/dpmirror`` and requires, for each module-level ``def`` or
+``class``, a name or attribute that refers to it from somewhere other than
+its own body.  A non-dunder method ``C.m`` needs an attribute ``.m``
+outside its own body.  Where the receiver's class is plain from the code
+(``self`` or ``cls`` in C's methods, a call of C, or a local assigned from
+one, or from a module-level function annotated to return C) the reference
+counts for that class only; any other receiver counts for every class that
+defines ``m``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Dict, Iterator, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "dpmirror"
-SCRIPTS = ROOT / "scripts"
-FILES = sorted(LIBRARY.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+FILES = sorted(LIBRARY.glob("*.py"))
 
 # The catalog models are written by hand; this conversion is kept as the
 # independent oracle that tests/test_acceptance.py checks them against.
@@ -53,9 +52,7 @@ def _unreferenced() -> Set[str]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for statement in tree.body:
             own = None
-            if path.parent == LIBRARY and isinstance(
-                statement, (ast.FunctionDef, ast.ClassDef)
-            ):
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
                 own = statement.name
                 definitions.add(own)
             referenced.update(n for n in _references(statement) if n != own)
@@ -63,12 +60,12 @@ def _unreferenced() -> Set[str]:
 
 
 def _unreferenced_members() -> Set[Tuple[str, str]]:
-    trees = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in FILES]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in FILES]
     members: Dict[str, Set[str]] = {}
     returns: Dict[str, str] = {}
-    for path, tree in trees:
+    for tree in trees:
         for statement in tree.body:
-            if path.parent == LIBRARY and isinstance(statement, ast.ClassDef):
+            if isinstance(statement, ast.ClassDef):
                 members[statement.name] = {
                     item.name
                     for item in statement.body
@@ -106,7 +103,7 @@ def _unreferenced_members() -> Set[Tuple[str, str]]:
         return found
 
     seen: Set[Tuple[str, str]] = set()
-    for _, tree in trees:
+    for tree in trees:
         for statement in tree.body:
             if not isinstance(statement, ast.ClassDef):
                 seen |= reached(statement, {})
@@ -197,7 +194,7 @@ def _settings() -> Set[Tuple[str, str, str]]:
             else:
                 visit(child, module, owner)
 
-    for path in sorted(LIBRARY.glob("*.py")):
+    for path in FILES:
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
     return found
 
