@@ -15,9 +15,9 @@ sample: it forms the invariants of an array of times together and finds
 their roots by one batched Aberth run per trimmed degree, for the grid
 in blocks and for the start and each bisection midpoint as a batch of
 one.  Each sample is a ``_Row`` of per-track arrays (finite-chart
-position, chart coordinate, finite-chart mask, homogeneous coordinates
-and pairwise chordal distances), so nothing is recomputed for the next
-interval; ``ProjectivePoint`` rows are built once, for the returned
+position, homogeneous coordinates and pairwise chordal distances), so
+nothing is recomputed for the next interval; ``ProjectivePoint`` rows, the
+only ones that carry charts, are built once, for the returned
 ``TrajectorySet``.  A block's grid intervals are decided in one array pass.
 """
 
@@ -242,7 +242,9 @@ SAMPLES = 400  # uniform grid intervals over [0, 1]
 PROXIMITY = 1e-3  # chordal distance that triggers refinement
 MAX_MOTION = 0.02  # largest accepted chordal step per track
 WIDTH_FLOOR = 1e-6  # refinement stops below this interval width
-BOUNDARY = 0.9  # chart-boundary annulus is (BOUNDARY, 1/BOUNDARY)
+# Most samples one sweep solves: 8x the most (480) of any `interpolate` call that
+# exits 0 at 10^k (k = -12, -10, ..., 12) or at 28 epsilons from 1/1000 to 100000.
+_MAX_SWEEP_SAMPLES = 4000
 # Grid samples solved together.  Blocks of 32 to 100 samples run equally
 # fast; with 50 the peak resident memory of `interpolate --d 3` and `--d 2`
 # is 0.5 MiB above that of one-row solves, against 1 MiB with 100 and 4 MiB
@@ -294,8 +296,6 @@ class _Row(NamedTuple):
     """One sample of the sweep as arrays indexed by track (or a stack)."""
 
     affine: np.ndarray  # position in the finite chart, infinite when parked
-    coordinate: np.ndarray  # position in the track's chart
-    finite: np.ndarray  # True where that chart is FINITE
     homogeneous: np.ndarray  # the (2, tracks) array of ``_homogeneous``
     closeness: np.ndarray  # ``_chordal_matrix`` of the row with itself
 
@@ -308,7 +308,7 @@ class _Row(NamedTuple):
         order, along = np.asarray(order), np.take_along_axis
         rows, columns = order[..., :, None], order[..., None, :]
         return _Row(
-            *(along(field, order, -1) for field in self[:3]),
+            along(self.affine, order, -1),
             along(self.homogeneous, columns, -1),
             along(along(self.closeness, rows, -2), columns, -1),
         )
@@ -322,15 +322,11 @@ def _stack(*rows: _Row) -> _Row:
 def _rows(affine: np.ndarray) -> List[_Row]:
     """The sweep rows of the finite-chart positions in the rows of
     ``affine``; an infinite position is parked at the point at infinity."""
-    # The chart rule of ``ProjectivePoint.from_affine``, with the same
-    # ``abs`` (numpy's may differ in the last bit), so that the charts of
-    # the result's points agree with ``finite``.
-    finite = np.array([abs(z) <= 1.0 for z in affine.ravel().tolist()], dtype=bool)
-    finite = finite.reshape(affine.shape)
+    finite = np.abs(affine) <= 1.0
     coordinate = np.divide(1, affine, out=affine.copy(), where=~finite)
     homogeneous = _homogeneous(coordinate, finite)
     closeness = _chordal_matrix(homogeneous, homogeneous)
-    return list(map(_Row, affine, coordinate, finite, homogeneous, closeness))
+    return list(map(_Row, affine, homogeneous, closeness))
 
 
 def _samples(
@@ -380,21 +376,19 @@ def _samples(
 
 
 def _interval_verdict(before: _Row, after: _Row, motion: np.ndarray) -> np.ndarray:
-    """For each interval of a stack, the reason it needs refinement, or "".
+    """For each interval of a stack, the reason it needs refinement ("motion"
+    or "proximity", the two triggers of ``sweep``), or "".
 
     ``after`` is in the track order of ``before``; ``motion`` holds each step.
     """
     parked = np.isinf(before.affine)
     pairs = ~(parked[..., :, None] & parked[..., None, :])
     now, was = after.closeness, before.closeness
-    magnitude = np.abs([before.coordinate, after.coordinate])
-    inside = (BOUNDARY < magnitude) & (magnitude <= 1.0)  # the boundary annulus
     flags = [
         motion.max(axis=-1) > MAX_MOTION,
         (pairs & (now < PROXIMITY) & (now < was)).any(axis=(-2, -1)),
-        (inside[1] & ~inside[0]).any(axis=-1),
     ]
-    return np.select(flags, ["motion", "proximity", "boundary"], "")
+    return np.select(flags, ["motion", "proximity"], "")
 
 
 def _certified_matches(
@@ -451,10 +445,11 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     accepts it.  A refused grid sample or midpoint raises ``NumericsError``
     with its reason when the sweep reaches it.  Tracks are matched between
     samples by minimal total chordal motion.  An interval is bisected, down
-    to ``WIDTH_FLOOR``, when a track moves more than ``MAX_MOTION``, a pair
-    closes in below ``PROXIMITY``, or a track newly enters the annulus
-    ``BOUNDARY < |z| <= 1`` of its chart.  A step that still moves tracks
-    too far at the floor is reported as an unresolved crossing.
+    to ``WIDTH_FLOOR``, when a track moves more than ``MAX_MOTION`` or a pair
+    closes in below ``PROXIMITY``.  A step that still moves tracks too far
+    at the floor is reported as an unresolved crossing, and a midpoint past
+    ``_MAX_SWEEP_SAMPLES`` solved samples as a ``NumericsError`` that names
+    the time reached.  Chart switches are read off the accepted samples.
 
     Grid intervals are decided a block at a time by the array pass
     ``_settled``; the others (a refused sample, an uncertified assignment, a
@@ -471,9 +466,11 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     tracks = np.arange(width)
     # (time, sample as solved, the row of it that each track holds)
     accepted = [(0.0, start, tracks)]
+    count = 2  # samples solved so far
     for first in range(1, SAMPLES + 1, _GRID_BLOCK):
         times = np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
         block = _samples(spec, times[times < 1.0], width)
+        count += len(block)
         block += [end] * (len(times) - len(block))  # the end closes the last block
         settled = _settled([accepted[-1][1], *block])
         for grid_time, grid_row, columns in zip(times.tolist(), block, settled):
@@ -493,6 +490,10 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
                 after = fresh.take(columns)
                 verdict = _interval_verdict(_stack(last), _stack(after), motion)[0]
                 if verdict and target - here > WIDTH_FLOOR:
+                    if count >= _MAX_SWEEP_SAMPLES:
+                        raise NumericsError(f"the sweep solved {count} samples, its "
+                                            f"budget, and reached time {here:.8f}")
+                    count += 1
                     midpoint = here + (target - here) / 2
                     (sample,) = _samples(spec, np.array([midpoint]), width)
                     pending.append((midpoint, solved(sample)))
@@ -507,15 +508,13 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
                     )
                 accepted.append((target, fresh, columns))
                 pending.pop()
-    return TrajectorySet(
-        parameters=tuple(time for time, _, _ in accepted),
-        positions=tuple(row.points(order) for _, row, order in accepted),
-        chart_switches=tuple(
-            (int(index), time)
-            for (_, before, was), (time, after, now) in zip(accepted, accepted[1:])
-            for index in np.flatnonzero(before.finite[was] != after.finite[now])
-        ),
-    )
+    times = tuple(time for time, _, _ in accepted)
+    positions = tuple(row.points(order) for _, row, order in accepted)
+    return TrajectorySet(times, positions, chart_switches=tuple(
+        (index, time)
+        for before, after, time in zip(positions, positions[1:], times[1:])
+        for index, (p, q) in enumerate(zip(before, after)) if p.chart != q.chart
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -427,13 +427,16 @@ def test_interpolate_at_extreme_epsilon_fails_with_a_typed_error(epsilon, messag
     ("interpolate", "--d", "3", "--epsilon", "1" + "0" * 300),
     ("fibers", "--d", "3", "--variant", "perturbed", "--epsilon", "1/1" + "0" * 100),
     ("interpolate", "--d", "2", "--epsilon", "1" + "0" * 12),
+    ("interpolate", "--d", "3", "--epsilon", "300000"),
+    ("interpolate", "--d", "3", "--epsilon", "1" + "0" * 12),
 ])
 def test_extreme_epsilon_finishes_within_five_seconds(argv):
     """The content division of the integer remainder sequence and the step
     budget of ``continue_roots`` bound the work at extreme perturbations;
     the perturbed fiber tables, whose rational places ``rational_roots``
     finds by Hensel lifting, pass.  The sweep checks both end models before
-    its grid, so a refused end model fails at once."""
+    its grid, so a refused end model fails at once, and its sample budget
+    stops a sweep that keeps bisecting."""
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=source_root)
     result = subprocess.run(

@@ -17,7 +17,6 @@ from dpmirror import interfam, pathnum
 from dpmirror.exactpoly import UniPoly
 from dpmirror.homology import extended_vanishing_classes
 from dpmirror.interfam import (
-    BOUNDARY,
     MAX_MOTION,
     PROXIMITY,
     FamilySpec,
@@ -225,17 +224,25 @@ def test_sweep_exactly_one_track_leaves_infinity():
         assert not ascended
 
 
-# The default sweeps' work: accepted samples, rows solved by the batch (every
-# sample once: the ends, the grid and the bisection midpoints), one-row
-# `all_roots` solves, and chart switches.
+# The sweeps' work, by family and epsilon: accepted samples, rows solved by
+# the batch (every sample once: the ends, the grid and any bisection
+# midpoints), one-row `all_roots` solves, and chart switches.  None of these
+# sweeps bisects an interval.
 SWEEP_WORK = {
-    (3, 2): (413, 413, 0, ((11, 0.595),)),
-    (2, 1): (413, 413, 0, ((11, 0.35),)),
+    ((3, 2), "1/100"): (401, 401, 0, ((11, 0.595),)),
+    ((2, 1), "1/100"): (401, 401, 0, ((11, 0.35),)),
+    ((3, 2), "3"): (401, 401, 0, ((2, 0.26), (2, 0.5525), (11, 0.735))),
+    ((2, 1), "3"): (401, 401, 0, ((11, 0.425),)),
+    ((3, 2), "30"): (401, 401, 0, ()),
+    ((2, 1), "30"): (401, 401, 0, (
+        (1, 0.555), (4, 0.6275), (6, 0.64), (8, 0.7375), (0, 0.845), (11, 0.9425),
+        (7, 0.9825), (3, 0.985), (2, 0.99), (0, 1.0), (6, 1.0), (11, 1.0),
+    )),
 }
+PAIRS = [(2, 1), (3, 2)]
 
 
-@pytest.mark.parametrize("pair", sorted(SWEEP_WORK))
-def test_sweep_work_at_the_default_epsilon_is_pinned(pair, monkeypatch):
+def _assert_sweep_work(pair, epsilon, monkeypatch):
     solves, batched = [], []
 
     def counted(*args, **kwargs):
@@ -248,15 +255,38 @@ def test_sweep_work_at_the_default_epsilon_is_pinned(pair, monkeypatch):
 
     monkeypatch.setattr(pathnum, "all_roots", counted)
     monkeypatch.setattr(interfam, "batch_roots", counted_batch)
-    traj = sweep(FamilySpec.between_degrees(*pair))
-    samples, expected_batched, expected_solves, switches = SWEEP_WORK[pair]
+    traj = sweep(FamilySpec.between_degrees(*pair, Fraction(epsilon)))
+    samples, expected_batched, expected_solves, switches = SWEEP_WORK[pair, epsilon]
     assert len(traj.parameters) == samples
     assert sum(batched) == expected_batched
     assert len(solves) == expected_solves
     assert traj.chart_switches == switches
 
 
-@pytest.mark.parametrize("pair", sorted(SWEEP_WORK))
+@pytest.mark.parametrize("pair", PAIRS)
+def test_sweep_work_at_the_default_epsilon_is_pinned(pair, monkeypatch):
+    _assert_sweep_work(pair, "1/100", monkeypatch)
+
+
+@pytest.mark.parametrize("epsilon", ["3", "30"])
+@pytest.mark.parametrize("pair", PAIRS)
+def test_sweep_work_at_larger_epsilon_is_pinned(pair, epsilon, monkeypatch):
+    _assert_sweep_work(pair, epsilon, monkeypatch)
+
+
+def test_sweep_stops_at_its_sample_budget(monkeypatch):
+    """Past its budget of solved samples the sweep raises a typed error that
+    names the time it has reached, instead of bisecting on.  With no allowed
+    motion it bisects the first interval, after the two ends and the first
+    block of 50 grid samples; the eighth midpoint would be the 61st sample."""
+    monkeypatch.setattr(interfam, "_MAX_SWEEP_SAMPLES", 60)
+    monkeypatch.setattr(interfam, "MAX_MOTION", 0.0)
+    with pytest.raises(NumericsError, match=r"^the sweep solved 60 samples, its "
+                       r"budget, and reached time 0\.00000000$"):
+        sweep(FamilySpec.between_degrees(3, 2))
+
+
+@pytest.mark.parametrize("pair", PAIRS)
 def test_sweep_solves_the_ends_first_and_each_time_once(pair, monkeypatch):
     """The ends are solved before the grid, and a bisection midpoint is kept
     with its time, not solved again when the sweep comes back to it."""
@@ -323,9 +353,9 @@ def test_sweep_reports_an_unresolved_crossing(monkeypatch):
         sweep(FamilySpec.between_degrees(3, 2))
 
 
-# `match_tracks` calls of the default sweeps: the array pass leaves three grid
-# intervals to the loop, which bisects them 12 times.
-LOOP_MATCHES = {(3, 2): 27, (2, 1): 27}
+# `match_tracks` calls of the default sweeps: the array pass leaves two grid
+# intervals to the loop, which accepts both without bisecting them.
+LOOP_MATCHES = {(3, 2): 2, (2, 1): 2}
 
 
 @pytest.mark.parametrize("epsilon", ["1/100", "1/50", "3/10"])
@@ -442,10 +472,26 @@ WORD_EPSILONS = ("1/100", "1/200", "1/50", "3/100", "1/80",
                  "1/250", "1/300", "1/400", "1/500")
 BOTH_WORDS_EPSILONS = ("3/10", "1", "3")
 
+# Chart switches (track, time) of the sweeps whose words are pinned.
+CHART_SWITCHES = {
+    **{((3, 2), eps): ((11, 0.595),) for eps in ("1/100", "1/200", "1/50", "1/80",
+                                                 "1/250", "1/300", "1/400", "1/500")},
+    ((3, 2), "3/100"): ((11, 0.5975),),
+    ((3, 2), "3/10"): ((11, 0.6125),),
+    ((3, 2), "1"): ((11, 0.655),),
+    ((3, 2), "3"): ((2, 0.26), (2, 0.5525), (11, 0.735)),
+    ((2, 1), "1/100"): ((11, 0.35),),
+    ((2, 1), "3/10"): ((11, 0.3525),),
+    ((2, 1), "1"): ((11, 0.3675),),
+    ((2, 1), "3"): ((11, 0.425),),
+}
+
 
 @pytest.mark.parametrize("epsilon", WORD_EPSILONS + BOTH_WORDS_EPSILONS)
 def test_word_3_to_2_reduces_to_the_reference_word(epsilon):
-    word = transposition_word(_swept(3, 2, Fraction(epsilon)))
+    traj = _swept(3, 2, Fraction(epsilon))
+    assert traj.chart_switches == CHART_SWITCHES[(3, 2), epsilon]
+    word = transposition_word(traj)
     assert str(word) == WORD_3_TO_2
     lattice, basis, _ = from_boundaries(extended_vanishing_classes(2))
     assert word_identity(lattice, basis, word, standard_word_identity(2)[0])
@@ -453,14 +499,18 @@ def test_word_3_to_2_reduces_to_the_reference_word(epsilon):
 
 @pytest.mark.parametrize("epsilon", BOTH_WORDS_EPSILONS)
 def test_word_2_to_1_reduces_to_the_reference_word(epsilon):
-    word = transposition_word(_swept(2, 1, Fraction(epsilon)))
+    traj = _swept(2, 1, Fraction(epsilon))
+    assert traj.chart_switches == CHART_SWITCHES[(2, 1), epsilon]
+    word = transposition_word(traj)
     assert str(word) == WORD_2_TO_1_REDUCING
     lattice, basis, _ = from_boundaries(extended_vanishing_classes(1))
     assert word_identity(lattice, basis, word, standard_word_identity(1)[0])
 
 
 def test_word_2_to_1_is_frozen_and_flagged_by_validation():
-    word = transposition_word(_swept(2, 1))
+    traj = _swept(2, 1)
+    assert traj.chart_switches == CHART_SWITCHES[(2, 1), "1/100"]
+    word = transposition_word(traj)
     assert str(word) == WORD_2_TO_1
     lattice, basis, _ = from_boundaries(extended_vanishing_classes(1))
     assert not word_identity(lattice, basis, word, standard_word_identity(1)[0])
@@ -685,14 +735,7 @@ def _scalar_verdict(before, after):
             now = chordal(after[i], after[j])
             if now < PROXIMITY and now < chordal(before[i], before[j]):
                 return "proximity"
-    for p, q in zip(before, after):
-        if _in_annulus(q) and not _in_annulus(p):
-            return "boundary"
     return None
-
-
-def _in_annulus(point: ProjectivePoint) -> bool:
-    return BOUNDARY < abs(point.coordinate) <= 1.0
 
 
 @st.composite
