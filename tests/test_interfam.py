@@ -278,7 +278,8 @@ def test_sweep_stops_at_its_sample_budget(monkeypatch):
     """Past its budget of solved samples the sweep raises a typed error that
     names the time it has reached, instead of bisecting on.  With no allowed
     motion it bisects the first interval, after the two ends and the first
-    block of 50 grid samples; the eighth midpoint would be the 61st sample."""
+    block of 50 grid samples; eight midpoints reach 60 samples, and the
+    ninth is refused."""
     monkeypatch.setattr(interfam, "_MAX_SWEEP_SAMPLES", 60)
     monkeypatch.setattr(interfam, "MAX_MOTION", 0.0)
     with pytest.raises(NumericsError, match=r"^the sweep solved 60 samples, its "
