@@ -32,11 +32,6 @@ UniTerms = Dict[int, Fraction]
 LaurentTerms = Dict[Tuple[int, ...], Fraction]
 
 
-def rational_from_string(text: str) -> Fraction:
-    """Parse ``"num/den"`` (or ``"num"``) into an exact Fraction."""
-    return Fraction(text)
-
-
 def rational_to_string(value: Fraction) -> str:
     """Render a Fraction as ``"num/den"`` (or ``"num"`` when integral)."""
     if value.denominator == 1:
@@ -49,12 +44,6 @@ def rational_to_num_den(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _coerce(value: RationalLike) -> Fraction:
-    if isinstance(value, str):
-        return rational_from_string(value)
-    return Fraction(value)
-
-
 class UniPoly:
     """A sparse univariate polynomial with exact rational coefficients."""
 
@@ -64,7 +53,7 @@ class UniPoly:
                  var: str = "lam") -> None:
         clean: UniTerms = {}
         for exp, coeff in (terms or {}).items():
-            c = _coerce(coeff)
+            c = Fraction(coeff)
             if c:
                 if exp < 0:
                     raise ValueError("UniPoly exponents must be non-negative")
@@ -135,7 +124,7 @@ class UniPoly:
 
     def __mul__(self, other: "UniPoly | RationalLike") -> "UniPoly":
         if not isinstance(other, UniPoly):
-            scalar = _coerce(other)
+            scalar = Fraction(other)
             return UniPoly({e: c * scalar for e, c in self.terms.items()}, self.var)
         self._check_var(other)
         terms: UniTerms = {}
@@ -204,7 +193,7 @@ class LaurentPoly:
                  nvars: int = 1) -> None:
         clean: LaurentTerms = {}
         for key, coeff in (terms or {}).items():
-            c = _coerce(coeff)
+            c = Fraction(coeff)
             if c:
                 if len(key) != nvars:
                     raise ValueError("exponent vector length mismatch")
@@ -262,7 +251,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            scalar = _coerce(other)
+            scalar = Fraction(other)
             return LaurentPoly({k: c * scalar for k, c in self.terms.items()},
                                self.nvars)
         self._check(other)
@@ -304,7 +293,7 @@ def valuation_at(p: UniPoly, point: RationalLike) -> int:
     """
     if p.is_zero():
         raise ValueError("valuation of the zero polynomial is undefined")
-    top, den = _coerce(point).as_integer_ratio()
+    top, den = Fraction(point).as_integer_ratio()
     row, order = _cleared(p)[0], 0
     while _vanishes_at(row, top, den):
         row, order = _quotient(row, [-top, den]), order + 1

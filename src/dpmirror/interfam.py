@@ -18,7 +18,11 @@ one.  Each sample is a ``_Row`` of per-track arrays (finite-chart
 position, homogeneous coordinates and pairwise chordal distances), so
 nothing is recomputed for the next interval; ``ProjectivePoint`` rows, the
 only ones that carry charts, are built once, for the returned
-``TrajectorySet``.  A block's grid intervals are decided in one array pass.
+``TrajectorySet``.  Every interval, on the grid or between bisection
+midpoints, is decided by one rule: it is accepted when each track's
+nearest new position is unique and taken by no other track and neither
+refinement trigger fires, and bisected otherwise.  A block's grid
+intervals are decided by that rule in one array pass.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .pathnum import (
     CPoly,
     NumericsError,
     batch_roots,
-    match_tracks,
 )
 from .pseudolattice import MutationMove, MutationWord
 from .vancycles import svg_preamble, sweep_key
@@ -242,8 +245,9 @@ SAMPLES = 400  # uniform grid intervals over [0, 1]
 PROXIMITY = 1e-3  # chordal distance that triggers refinement
 MAX_MOTION = 0.02  # largest accepted chordal step per track
 WIDTH_FLOOR = 1e-6  # refinement stops below this interval width
-# Most samples one sweep solves: 8x the most (480) of any `interpolate` call that
-# exits 0 at 10^k (k = -12, -10, ..., 12) or at 28 epsilons from 1/1000 to 100000.
+# Most samples one sweep solves: about 10x the most (403, `--d 2` at epsilon
+# 10^-0.9) of any `interpolate` call that exits 0 at 181 log-spaced epsilons from
+# 10^-3 to 10^6, at 10^k (k = -12, -10, ..., 12) and at eight more.
 _MAX_SWEEP_SAMPLES = 4000
 # Grid samples solved together.  Blocks of 32 to 100 samples run equally
 # fast; with 50 the peak resident memory of `interpolate --d 3` and `--d 2`
@@ -330,18 +334,20 @@ def _rows(affine: np.ndarray) -> List[_Row]:
 
 
 def _samples(
-    spec: FamilySpec, times: np.ndarray, width: int
+    spec: FamilySpec, times: np.ndarray, width: int, tracks: int
 ) -> List[Union[_Row, str]]:
     """The sweep row of each of ``times``, or the reason it is refused.
 
     The invariants of all the times are formed together and grouped by
     their degree once trimmed (leading coefficients at most ``_TRIM_TOL``
     of the largest dropped); each group is solved by one ``batch_roots``
-    run, and the rows are built together.  A time is refused, in this
+    run, and the rows are built together.  A row holds ``tracks`` points:
+    the roots, then the point at infinity.  A time is refused, in this
     order, when its invariant has a coefficient beyond the float range,
     has trimmed degree below 1 or a constant term at most 1e-12 of its
-    largest coefficient, when its sphere degree is not ``width``, and when
-    the batch cannot certify its roots.
+    largest coefficient, when its sphere degree is not ``width``, when it
+    has more than ``tracks`` roots, and when the batch cannot certify its
+    roots.
     """
     model = family_at(spec, times)
     invariant = model.invariant_rows()
@@ -358,20 +364,23 @@ def _samples(
         (~(ratio > 1e-12), "the invariant's constant term is {ratio:.3g} of its "
                            "largest coefficient, at most 1e-12, at time {s}"),
         (model.sphere_degree() != width, "track count changed between samples"),
+        (degree > tracks, "track count changed: {n} finite roots at time {s}, "
+                          f"more than the {tracks} of the end model"),
     )
-    reason = np.select([failed for failed, _ in refusals], range(1, 5))
-    affine = np.full((len(times), width), math.inf, dtype=complex)
+    reason = np.select([failed for failed, _ in refusals], range(1, 6))
+    affine = np.full((len(times), tracks), math.inf, dtype=complex)
     for n in sorted(set(degree[reason == 0].tolist())):
         members = np.flatnonzero((reason == 0) & (degree == n))
         affine[members, :n], certified = batch_roots(invariant[members, : n + 1])
-        reason[members[~certified]] = 5
+        reason[members[~certified]] = 6
     texts = [text for _, text in refusals] + [
         f"root iteration failed to converge in {_MAX_ITERATIONS} steps at time {{s}}"
     ]
     rows = iter(_rows(affine[reason == 0]))
     return [
-        texts[why - 1].format(s=s, ratio=r) if why else next(rows)
-        for s, why, r in zip(times.tolist(), reason.tolist(), ratio.tolist())
+        texts[why - 1].format(s=s, ratio=r, n=n) if why else next(rows)
+        for s, why, r, n in zip(times.tolist(), reason.tolist(), ratio.tolist(),
+                                degree.tolist())
     ]
 
 
@@ -381,57 +390,45 @@ def _interval_verdict(before: _Row, after: _Row, motion: np.ndarray) -> np.ndarr
 
     ``after`` is in the track order of ``before``; ``motion`` holds each step.
     """
-    parked = np.isinf(before.affine)
-    pairs = ~(parked[..., :, None] & parked[..., None, :])
     now, was = after.closeness, before.closeness
     flags = [
         motion.max(axis=-1) > MAX_MOTION,
-        (pairs & (now < PROXIMITY) & (now < was)).any(axis=(-2, -1)),
+        ((now < PROXIMITY) & (now < was)).any(axis=(-2, -1)),
     ]
     return np.select(flags, ["motion", "proximity"], "")
 
 
-def _certified_matches(
-    cost: np.ndarray, parked: np.ndarray, parked_columns: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The columns ``match_tracks``' row-minimum certificate gives the rows
-    of each cost matrix of a stack, and whether it gives them in any row
-    order (``parked`` rows up to ``_relabeled``): row i takes the k-th column
-    at its minimum, k counting the parked rows before it.  Each unparked row
-    must attain its minimum once, each parked row exactly at the
-    ``parked_columns``, one per parked row, and no column be taken twice."""
+def _certified_matches(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The column at each row's minimum, for each cost matrix of a stack, and
+    whether they certify the assignment: each row must attain its minimum at
+    exactly one column, and no column be taken twice.  The total is then the
+    sum of the row minima, below that of every other assignment."""
     hits = cost == cost.min(axis=-1, keepdims=True)
-    rank = np.where(parked, np.cumsum(parked, axis=-1) - 1, 0)
-    columns = np.argmax(np.cumsum(hits, axis=-1) > rank[..., None], axis=-1)
-    unique = np.where(parked, (hits == parked_columns[..., None, :]).all(-1),
-                      hits.sum(axis=-1) == 1)
-    counts = parked.sum(axis=-1) == parked_columns.sum(axis=-1)
+    columns = np.argmax(hits, axis=-1)
     distinct = (np.sort(columns, axis=-1) == np.arange(cost.shape[-1])).all(axis=-1)
-    return columns, unique.all(axis=-1) & counts & distinct
+    return columns, (hits.sum(axis=-1) == 1).all(axis=-1) & distinct
 
 
-def _relabeled(columns: np.ndarray, row: _Row, order: np.ndarray) -> np.ndarray:
-    """The certified ``columns`` of the rows of ``row``, for tracks holding its
-    rows ``order``: parked tracks take the parked columns in increasing order."""
-    moved, held = columns[order], np.isinf(row.affine[order])
-    moved[held] = np.sort(moved[held])
-    return moved
+def _decided(before: _Row, after: _Row) -> Tuple[np.ndarray, ...]:
+    """The sweep's one interval rule, for each interval of a stack: the
+    columns of ``after`` that continue the rows of ``before``, each row's
+    chordal step, and the reason to bisect the interval ("uncertified",
+    "motion" or "proximity"), or "" when the interval is accepted."""
+    cost = _chordal_matrix(before.homogeneous, after.homogeneous)
+    columns, certified = _certified_matches(cost)
+    motion = np.take_along_axis(cost, columns[..., None], -1)[..., 0]
+    verdicts = _interval_verdict(before, after.take(columns), motion)
+    return columns, motion, np.where(certified, verdicts, "uncertified")
 
 
 def _settled(samples: Sequence[Union[_Row, str]]) -> List[Optional[np.ndarray]]:
     """The array pass: for each interval between consecutive ``samples``, its
-    certified columns if its verdict accepts it, else None.  A refused
-    sample leaves every interval to the loop, which stops there."""
+    columns if ``_decided`` accepts it, else None.  A refused sample leaves
+    every interval to the loop, which stops there."""
     if any(isinstance(sample, str) for sample in samples):
         return [None] * (len(samples) - 1)
-    before, after = _stack(*samples[:-1]), _stack(*samples[1:])
-    cost = _chordal_matrix(before.homogeneous, after.homogeneous)
-    parked = np.isinf([before.affine, after.affine])
-    columns, certified = _certified_matches(cost, *parked)
-    motion = np.take_along_axis(cost, columns[..., None], -1)[..., 0]
-    verdicts = _interval_verdict(before, after.take(columns), motion)
-    return [c if ok and not v else None
-            for c, ok, v in zip(columns, certified.tolist(), verdicts)]
+    columns, _, verdicts = _decided(_stack(*samples[:-1]), _stack(*samples[1:]))
+    return [c if not v else None for c, v in zip(columns, verdicts)]
 
 
 def sweep(spec: FamilySpec) -> TrajectorySet:
@@ -443,17 +440,26 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     blocks of ``_GRID_BLOCK`` times (the last block ends on the solved end);
     then each bisection midpoint alone, kept with its time until the sweep
     accepts it.  A refused grid sample or midpoint raises ``NumericsError``
-    with its reason when the sweep reaches it.  Tracks are matched between
-    samples by minimal total chordal motion.  An interval is bisected, down
-    to ``WIDTH_FLOOR``, when a track moves more than ``MAX_MOTION`` or a pair
-    closes in below ``PROXIMITY``.  A step that still moves tracks too far
-    at the floor is reported as an unresolved crossing, and a midpoint past
-    ``_MAX_SWEEP_SAMPLES`` solved samples as a ``NumericsError`` that names
-    the time reached.  Chart switches are read off the accepted samples.
+    with its reason when the sweep reaches it.
 
-    Grid intervals are decided a block at a time by the array pass
-    ``_settled``; the others (a refused sample, an uncertified assignment, a
-    flagged verdict) and their bisection go through a loop, one at a time.
+    The sweep follows as many tracks as the end model has roots, and a
+    sample with more roots is refused.  A track that arrives from infinity
+    starts as the point at infinity, matched like any other point; the
+    other points at infinity of the sphere stay parked and take no part.
+    Every interval is decided by one rule, ``_decided``: it is accepted
+    when each track's nearest new position (in chordal distance) is unique
+    and taken by no other track (``_certified_matches``), no track moves
+    more than ``MAX_MOTION`` and no pair closes in below ``PROXIMITY``.
+    Any other interval is bisected; at ``WIDTH_FLOOR`` it raises
+    ``NumericsError`` with the reason, and a midpoint past
+    ``_MAX_SWEEP_SAMPLES`` solved samples raises one that names the time
+    reached.  Grid intervals are decided a block at a time by the array
+    pass ``_settled``, the others one at a time.
+
+    Rows list every point of the sphere: tracks that start finite keep
+    their numbers, the arriving track takes the highest, and the parked
+    points the numbers in between.  Chart switches are read off the
+    accepted samples.
     """
     width = int(family_at(spec, 0.0).sphere_degree())
 
@@ -462,54 +468,62 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
             raise NumericsError(sample)
         return sample
 
-    start, end = map(solved, _samples(spec, np.array([0.0, 1.0]), width))
-    tracks = np.arange(width)
+    start, end = map(solved, _samples(spec, np.array([0.0, 1.0]), width, width))
+    finite, tracks = (int(np.isfinite(row.affine).sum()) for row in (start, end))
+    if finite > tracks:
+        raise NumericsError(f"track count changed: {finite} finite roots at time "
+                            f"0.0, more than the {tracks} of the end model")
+    start, end = (row.take(np.arange(tracks)) for row in (start, end))
     # (time, sample as solved, the row of it that each track holds)
-    accepted = [(0.0, start, tracks)]
+    accepted = [(0.0, start, np.arange(tracks))]
     count = 2  # samples solved so far
     for first in range(1, SAMPLES + 1, _GRID_BLOCK):
         times = np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
-        block = _samples(spec, times[times < 1.0], width)
+        block = _samples(spec, times[times < 1.0], width, tracks)
         count += len(block)
         block += [end] * (len(times) - len(block))  # the end closes the last block
         settled = _settled([accepted[-1][1], *block])
         for grid_time, grid_row, columns in zip(times.tolist(), block, settled):
             if columns is not None:
-                _, row, order = accepted[-1]
-                accepted.append((grid_time, grid_row, _relabeled(columns, row, order)))
+                accepted.append((grid_time, grid_row, columns[accepted[-1][2]]))
                 continue
             # the samples left in this interval, each with its time, next one last
             pending = [(grid_time, solved(grid_row))]
             while pending:
                 target, fresh = pending[-1]
                 here, row, order = accepted[-1]
-                last = row.take(order)
-                cost = _chordal_matrix(last.homogeneous, fresh.homogeneous)
-                columns = np.array(match_tracks(cost))
-                motion = cost[None, tracks, columns]  # a stack of one interval
-                after = fresh.take(columns)
-                verdict = _interval_verdict(_stack(last), _stack(after), motion)[0]
-                if verdict and target - here > WIDTH_FLOOR:
-                    if count >= _MAX_SWEEP_SAMPLES:
-                        raise NumericsError(f"the sweep solved {count} samples, its "
-                                            f"budget, and reached time {here:.8f}")
-                    count += 1
-                    midpoint = here + (target - here) / 2
-                    (sample,) = _samples(spec, np.array([midpoint]), width)
-                    pending.append((midpoint, solved(sample)))
+                (columns,), (motion,), (verdict,) = _decided(_stack(row), _stack(fresh))
+                if not verdict:
+                    accepted.append((target, fresh, columns[order]))
+                    pending.pop()
                     continue
-                if verdict == "motion":
-                    worst = int(np.argmax(motion))
-                    step = chordal(*last.points([worst]), *after.points([worst]))
+                if target - here <= WIDTH_FLOOR:
+                    track = int(np.argmax(motion[order]))  # the one that moved most
+                    step = chordal(*row.points(order[[track]]),
+                                   *fresh.points(columns[order][[track]]))
+                    label = track + (width - tracks) * (track >= finite)
+                    reason = {
+                        "uncertified": "no track assignment is certified",
+                        "motion": f"track {label} moved {step:.3g}",
+                        "proximity": f"two tracks closed in below {PROXIMITY}",
+                    }[verdict]
                     raise NumericsError(
                         f"unresolved track crossing between times {here:.8f} and "
-                        f"{target:.8f}; track {worst} moved {step:.3g} at the width "
-                        "floor"
+                        f"{target:.8f}; {reason} at the width floor"
                     )
-                accepted.append((target, fresh, columns))
-                pending.pop()
+                if count >= _MAX_SWEEP_SAMPLES:
+                    raise NumericsError(f"the sweep solved {count} samples, its "
+                                        f"budget, and reached time {here:.8f}")
+                count += 1
+                midpoint = here + (target - here) / 2
+                (sample,) = _samples(spec, np.array([midpoint]), width, tracks)
+                pending.append((midpoint, solved(sample)))
     times = tuple(time for time, _, _ in accepted)
-    positions = tuple(row.points(order) for _, row, order in accepted)
+    parked = (ProjectivePoint(INFINITE, 0j),) * (width - tracks)
+    positions = tuple(
+        points[:finite] + parked + points[finite:]
+        for points in (row.points(order) for _, row, order in accepted)
+    )
     return TrajectorySet(times, positions, chart_switches=tuple(
         (index, time)
         for before, after, time in zip(positions, positions[1:], times[1:])

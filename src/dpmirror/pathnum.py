@@ -50,7 +50,6 @@ __all__ = [
     "TrackedRoots",
     "all_roots",
     "batch_roots",
-    "match_tracks",
     "continue_roots",
     "elliptic_integral",
     "period_lattice",
@@ -437,107 +436,6 @@ def _min_pairwise(values: Sequence[complex]) -> float:
         for i in range(len(values))
         for j in range(i + 1, len(values))
     )
-
-
-def match_tracks(cost: np.ndarray) -> Tuple[int, ...]:
-    """A bijection track -> candidate for a square cost matrix.
-
-    Entry i is the column that continues row i, in the assignment of least
-    total cost.  Two exact steps, neither with a tolerance:
-
-    - the row-minimum certificate: each row in turn takes the first free
-      column that attains its row minimum.  If every row gets one, the total
-      is the sum of the row minima, a lower bound on every assignment, so
-      the assignment is optimal;
-    - otherwise the shortest augmenting path solver of Kuhn (1955) and
-      Munkres (1957) in the form of Crouse (IEEE TAES 2016),
-      ``_shortest_augmenting_paths``.
-
-    On a tie the solver picks what ``scipy.optimize.linear_sum_assignment``
-    picks, and when the certificate succeeds it is the solver's own first
-    pass, so the columns are the same as scipy's.  Raises NumericsError for
-    a non-square matrix or a NaN or infinite cost.
-    """
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise NumericsError("track count changed between samples")
-    if not np.isfinite(cost).all():
-        raise NumericsError("track cost is NaN or infinite")
-    rows = cost.tolist()
-    taken = [False] * len(rows)
-    columns = []
-    for row, low in zip(rows, cost.min(axis=1).tolist()):
-        j = row.index(low)
-        try:
-            while taken[j]:
-                j = row.index(low, j + 1)
-        except ValueError:
-            return _shortest_augmenting_paths(rows)
-        taken[j] = True
-        columns.append(j)
-    return tuple(columns)
-
-
-def _shortest_augmenting_paths(rows: List[List[float]]) -> Tuple[int, ...]:
-    """Least-cost assignment of a square finite cost matrix, row by row.
-
-    Each row in turn joins the assignment along a shortest augmenting path
-    in the reduced costs (Dijkstra over the columns), and the duals ``u``,
-    ``v`` keep those costs non-negative.  The row order, the order of the
-    ``remaining`` columns (highest index first) and the tie rule (on equal
-    path cost, prefer a free column) are those of scipy's
-    ``rectangular_lsap.cpp``, so ties resolve as they do there.
-    """
-    n = len(rows)
-    u = [0.0] * n
-    v = [0.0] * n
-    col4row = [-1] * n
-    row4col = [-1] * n
-    path = [-1] * n
-    for current in range(n):
-        shortest = [math.inf] * n
-        remaining = list(range(n - 1, -1, -1))
-        seen_rows = []
-        seen_columns = []
-        low = 0.0
-        i = current
-        sink = -1
-        while sink == -1:
-            seen_rows.append(i)
-            row, ui = rows[i], u[i]
-            lowest = math.inf
-            index = -1
-            for k, j in enumerate(remaining):
-                reduced = low + row[j] - ui - v[j]
-                if reduced < shortest[j]:
-                    path[j] = i
-                    shortest[j] = reduced
-                if shortest[j] < lowest or (
-                    shortest[j] == lowest and row4col[j] == -1
-                ):
-                    lowest = shortest[j]
-                    index = k
-            low = lowest
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            seen_columns.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[current] += low
-        for i in seen_rows[1:]:
-            u[i] += low - shortest[col4row[i]]
-        for j in seen_columns:
-            v[j] -= low - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == current:
-                break
-    return tuple(col4row)
 
 
 def _terminal_pair(

@@ -31,7 +31,6 @@ from .exactpoly import (
     disc_cubic,
     disc_quadratic_in_y,
     poly_gcd,
-    rational_from_string,
     rational_roots,
     rational_to_string,
     squarefree_factorization,
@@ -338,7 +337,7 @@ def classify_fiber_at(model: WeierstrassModel, place: Place) -> KodairaFiber:
     """Kodaira type at one place from exact coefficient valuations."""
     if place == "inf":
         return classify_fiber_at(model._at_infinity, Fraction(0))
-    point = place if isinstance(place, Fraction) else rational_from_string(str(place))
+    point = place if isinstance(place, Fraction) else Fraction(str(place))
     disc = model.discriminant_scale()
     v_disc = valuation_at(disc, point)
     big = v_disc + 12  # stand-in for "infinite" valuation of a zero polynomial

@@ -435,8 +435,8 @@ def test_extreme_epsilon_finishes_within_five_seconds(argv):
     budget of ``continue_roots`` bound the work at extreme perturbations;
     the perturbed fiber tables, whose rational places ``rational_roots``
     finds by Hensel lifting, pass.  The sweep checks both end models before
-    its grid, so a refused end model fails at once, and its sample budget
-    stops a sweep that keeps bisecting."""
+    its grid, so a refused end model fails at once, and an interval it
+    cannot decide stops it at the width floor."""
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=source_root)
     result = subprocess.run(
@@ -448,6 +448,22 @@ def test_extreme_epsilon_finishes_within_five_seconds(argv):
     assert result.returncode in (EXIT_PASS, EXIT_USAGE)
     if result.returncode == EXIT_USAGE:
         assert result.stderr.startswith("error: ")
+
+
+def test_interpolate_refuses_more_start_roots_than_end_roots():
+    """At epsilon 10^6 the 2 -> 1 start has 7 finite roots and the end model,
+    once trimmed, 4: a typed error within 5 s, not a word read from tracks
+    that vanish."""
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "dpmirror.cli", "interpolate", "--d", "2",
+         "--epsilon", "1000000", "--out", os.devnull],
+        env=dict(os.environ, PYTHONPATH=source_root), capture_output=True,
+        text=True, timeout=5,
+    )
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == ("error: track count changed: 7 finite roots at time "
+                             "0.0, more than the 4 of the end model\n")
 
 
 @pytest.mark.parametrize("d", ["1", "3"])

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmirror import interfam, pathnum
@@ -26,7 +27,6 @@ from dpmirror.interfam import (
     _chordal_matrix,
     _homogeneous,
     _interval_verdict,
-    _relabeled,
     _rows,
     _samples,
     _stack,
@@ -36,7 +36,7 @@ from dpmirror.interfam import (
     sweep,
     transposition_word,
 )
-from dpmirror.pathnum import NumericsError, all_roots, batch_roots, match_tracks
+from dpmirror.pathnum import NumericsError, all_roots, batch_roots
 from dpmirror.pseudolattice import (
     MutationWord,
     from_boundaries,
@@ -293,9 +293,9 @@ def test_sweep_solves_the_ends_first_and_each_time_once(pair, monkeypatch):
     with its time, not solved again when the sweep comes back to it."""
     solved = []
 
-    def counted(spec, times, width):
+    def counted(spec, times, width, tracks):
         solved.extend(times.tolist())
-        return _samples(spec, times, width)
+        return _samples(spec, times, width, tracks)
 
     monkeypatch.setattr(interfam, "_samples", counted)
     traj = sweep(FamilySpec.between_degrees(*pair))
@@ -354,59 +354,45 @@ def test_sweep_reports_an_unresolved_crossing(monkeypatch):
         sweep(FamilySpec.between_degrees(3, 2))
 
 
-# `match_tracks` calls of the default sweeps: the array pass leaves two grid
-# intervals to the loop, which accepts both without bisecting them.
-LOOP_MATCHES = {(3, 2): 2, (2, 1): 2}
-
-
 @pytest.mark.parametrize("epsilon", ["1/100", "1/50", "3/10"])
-@pytest.mark.parametrize("pair", sorted(LOOP_MATCHES))
+@pytest.mark.parametrize("pair", PAIRS)
 def test_sweep_without_the_array_pass_is_the_same(pair, epsilon, monkeypatch):
     """The array pass settles grid intervals exactly as the loop would: with
     a pass that settles nothing the sweep gives the same rows, times, chart
-    switches and track order, from a `match_tracks` call per interval."""
-    calls = []
-
-    def counted(cost):
-        calls.append(1)
-        return match_tracks(cost)
-
-    monkeypatch.setattr(interfam, "match_tracks", counted)
+    switches and track order."""
     spec = FamilySpec.between_degrees(*pair, Fraction(epsilon))
     ours = sweep(spec)
-    if epsilon == "1/100":
-        assert len(calls) == LOOP_MATCHES[pair]
     monkeypatch.setattr(interfam, "_settled", lambda rows: [None] * (len(rows) - 1))
-    calls.clear()
     loop = sweep(spec)
-    assert len(calls) >= interfam.SAMPLES
     assert ours.to_csv() == loop.to_csv()
     assert ours.parameters == loop.parameters
     assert ours.chart_switches == loop.chart_switches
 
 
-def _as_rows(cost: np.ndarray):
-    """A cost matrix as the sorted tuple of its rows, blind to row order."""
-    return tuple(sorted(map(tuple, cost.tolist())))
+@pytest.mark.parametrize("detail, patch", [
+    (r"no track assignment is certified",
+     ("_certified_matches", lambda cost: (np.argmax(cost, axis=-1),
+                                          np.zeros(cost.shape[:-2], dtype=bool)))),
+    (r"two tracks closed in below 2\.0", ("PROXIMITY", 2.0)),
+], ids=["uncertified", "proximity"])
+def test_sweep_bisects_down_to_the_floor_and_names_the_reason(detail, patch,
+                                                              monkeypatch):
+    """An interval the rule refuses for any reason is bisected, not matched
+    another way, and at the width floor the sweep raises with that reason:
+    twelve midpoints take the first grid interval below 1e-6."""
+    solved = []
 
+    def counted(spec, times, width, tracks):
+        solved.extend(times.tolist())
+        return _samples(spec, times, width, tracks)
 
-@pytest.mark.parametrize("pair", sorted(LOOP_MATCHES))
-def test_sweep_hands_every_uncertified_interval_to_match_tracks(pair, monkeypatch):
-    refused, matched = [], []
-
-    def certificate(cost, parked, parked_columns):
-        columns, certified = _certified_matches(cost, parked, parked_columns)
-        refused.extend(map(_as_rows, cost[~certified]))
-        return columns, certified
-
-    def matcher(cost):
-        matched.append(_as_rows(cost))
-        return match_tracks(cost)
-
-    monkeypatch.setattr(interfam, "_certified_matches", certificate)
-    monkeypatch.setattr(interfam, "match_tracks", matcher)
-    sweep(FamilySpec.between_degrees(*pair))
-    assert refused and set(refused) <= set(matched)
+    monkeypatch.setattr(interfam, "_samples", counted)
+    monkeypatch.setattr(interfam, *patch)
+    with pytest.raises(NumericsError, match=r"^unresolved track crossing between "
+                       r"times 0\.00000000 and 0\.00000061; " + detail +
+                       " at the width floor$"):
+        sweep(FamilySpec.between_degrees(3, 2))
+    assert solved[-12:] == [interfam.SAMPLES ** -1 / 2 ** k for k in range(1, 13)]
 
 
 def test_sweep_steps_stay_bounded():
@@ -731,8 +717,6 @@ def _scalar_verdict(before, after):
     n = len(after)
     for i in range(n):
         for j in range(i + 1, n):
-            if before[i].parked and before[j].parked:
-                continue
             now = chordal(after[i], after[j])
             if now < PROXIMITY and now < chordal(before[i], before[j]):
                 return "proximity"
@@ -781,60 +765,85 @@ def test_interval_verdict_matches_the_scalar_reading(intervals):
     ]
 
 
-@st.composite
-def _relabelings(draw):
-    """Two rows of points a short step apart, the later one in a random
-    column order, with tracks parked at infinity (tied at cost 0), sometimes
-    one point repeated (a tied minimum) and a random order of the tracks."""
-    n = draw(st.integers(2, 7))
-    before = draw(st.lists(_sphere_points, min_size=n, max_size=n))
-    after = []
-    for p in before:
-        step = cmath.rect(10 ** draw(st.floats(-6, -1)), draw(st.floats(0, 6.3)))
-        after.append(p if p.parked else ProjectivePoint.from_affine(p.affine() + step))
-    if draw(st.booleans()):
-        i, j = draw(st.permutations(range(n)))[:2]
-        after[j] = after[i]
-    after = [after[j] for j in draw(st.permutations(range(n)))]
-    return before, after, np.array(draw(st.permutations(range(n))))
+def _square(n: int, entries: st.SearchStrategy[int]) -> st.SearchStrategy:
+    return st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+    )
 
 
-# Track 0 at 0 is equally far from the columns at 0.01 and -0.01, whose
-# first one no other track takes: a tied minimum inside a permutation.
-_TIED = (
-    [ProjectivePoint.from_affine(z) for z in (0j, -0.011 + 0j)],
-    [ProjectivePoint.from_affine(z) for z in (0.01 + 0j, -0.01 + 0j)],
-    np.array([1, 0]),
+# Small integer costs: exact ties are common and sums compare exactly.
+small_integer_costs = st.integers(1, 7).flatmap(
+    lambda n: _square(n, st.integers(0, 6))
 )
 
 
-@given(_relabelings())
-@example(_TIED)
-def test_certified_matches_agree_with_match_tracks_in_every_track_order(case):
-    """Where the certificate gives an assignment, ``match_tracks`` gives the
-    same one, through ``_relabeled``, to the rows in any order; a row with a
-    tied minimum is never certified."""
-    before, after, order = case
-    cost = _chordal_matrix(_homogeneous_of(before), _homogeneous_of(after))
-    parked = np.array([p.parked for p in before])
-    parked_columns = np.array([q.parked for q in after])
-    (columns,), (certified,) = _certified_matches(
-        cost[None], parked[None], parked_columns[None]
-    )
-    tied = any((row == row.min()).sum() > 1 for row in cost[~parked])
+@st.composite
+def certified_costs(draw):
+    """Costs whose row minima sit, each strictly, on a permutation."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    lows = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    rows = draw(_square(n, st.integers(1, 6)))
+    return [
+        [lows[i] if j == perm[i] else lows[i] + rows[i][j] for j in range(n)]
+        for i in range(n)
+    ], list(perm)
+
+
+@st.composite
+def contested_costs(draw):
+    """Costs where rows 0 and 1 have their only minimum in the same column."""
+    n = draw(st.integers(2, 7))
+    rows = draw(_square(n, st.integers(1, 6)))
+    column = draw(st.integers(0, n - 1))
+    for i in (0, 1):
+        rows[i][column] = 0
+    return rows
+
+
+def _least_total(rows, excluded=None):
+    """The least total cost of an assignment other than ``excluded``."""
+    return min((
+        sum(row[j] for row, j in zip(rows, perm))
+        for perm in itertools.permutations(range(len(rows))) if perm != excluded
+    ), default=math.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_integer_costs, certified_costs().map(lambda c: c[0]),
+                 contested_costs()), st.data())
+def test_certified_matches_are_the_unique_least_cost_assignment(rows, data):
+    """Brute force over every permutation, n <= 7: wherever the certificate
+    holds, its assignment is the one of least total cost and every other
+    costs more, and the certificate reads the same with the rows and the
+    columns in any order (a tied row minimum would make it depend on them)."""
+    cost = np.array(rows, dtype=float)
+    (columns,), (certified,) = _certified_matches(cost[None])
+    n = len(rows)
+    order, shuffle = (np.array(data.draw(st.permutations(range(n)))) for _ in "rc")
+    (moved,), (still,) = _certified_matches(cost[order][:, shuffle][None])
+    assert still == certified
     if certified:
-        assert not tied
-        assert tuple(columns.tolist()) == match_tracks(cost)
-        relabeled = _relabeled(columns, _rows(_affine(before)[None])[0], order)
-        assert tuple(relabeled.tolist()) == match_tracks(cost[order])
+        assignment = tuple(columns.tolist())
+        total = sum(row[j] for row, j in zip(rows, assignment))
+        assert total == _least_total(rows) < _least_total(rows, assignment)
+        assert (shuffle[moved] == columns[order]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(certified_costs())
+def test_certified_matches_certify_strict_row_minima(case):
+    rows, perm = case
+    (columns,), (certified,) = _certified_matches(np.array([rows], dtype=float))
+    assert certified
+    assert columns.tolist() == perm
 
 
 def test_certified_matches_refuse_a_non_finite_cost():
-    """``match_tracks`` raises on a NaN cost, so no such matrix is certified,
-    whether the NaN sits in a parked row or an unparked one."""
-    parked = np.array([[True, True, False]] * 2)
-    cost = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.1]])
+    """A NaN anywhere in a row leaves its minimum unattained, so no matrix
+    with one is certified."""
+    cost = np.array([[0.0, 0.7, 0.5], [0.7, 0.0, 0.5], [0.5, 0.6, 0.1]])
     spoiled = np.stack([cost, cost])
     spoiled[0, 2, 0] = spoiled[1, 0, 2] = np.nan
-    assert _certified_matches(cost[None], parked[:1], parked[:1])[1].tolist() == [True]
-    assert _certified_matches(spoiled, parked, parked)[1].tolist() == [False, False]
+    assert _certified_matches(cost[None])[1].tolist() == [True]
+    assert _certified_matches(spoiled)[1].tolist() == [False, False]

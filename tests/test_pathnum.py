@@ -33,7 +33,6 @@ from dpmirror.pathnum import (
     batch_roots,
     continue_roots,
     elliptic_integral,
-    match_tracks,
     period_lattice,
 )
 from dpmirror.vancycles import _fiber_family
@@ -528,113 +527,6 @@ def test_batch_roots_under_a_low_iteration_cap_match_all_roots(rows, cap) -> Non
             assert ok == (single is not None)
             if ok:
                 assert found.tolist() == single
-
-
-def _square(n: int, entries: st.SearchStrategy[int]) -> st.SearchStrategy:
-    return st.lists(
-        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
-    )
-
-
-# Small integer costs: exact ties are common and sums compare exactly.
-small_integer_costs = st.integers(1, 7).flatmap(
-    lambda n: _square(n, st.integers(0, 6))
-)
-
-
-@st.composite
-def certified_costs(draw) -> Tuple[List[List[int]], List[int]]:
-    """Costs whose row minima sit, each strictly, on a permutation."""
-    n = draw(st.integers(1, 7))
-    perm = draw(st.permutations(range(n)))
-    lows = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    rows = draw(_square(n, st.integers(1, 6)))
-    return [
-        [lows[i] if j == perm[i] else lows[i] + rows[i][j] for j in range(n)]
-        for i in range(n)
-    ], list(perm)
-
-
-@st.composite
-def contested_costs(draw) -> List[List[int]]:
-    """Costs where rows 0 and 1 have their only minimum in the same column."""
-    n = draw(st.integers(2, 7))
-    rows = draw(_square(n, st.integers(1, 6)))
-    column = draw(st.integers(0, n - 1))
-    for i in (0, 1):
-        rows[i][column] = 0
-    return rows
-
-
-def _least_total(rows: List[List[int]]) -> int:
-    return min(
-        sum(row[j] for row, j in zip(rows, perm))
-        for perm in itertools.permutations(range(len(rows)))
-    )
-
-
-def _assert_optimal(rows: List[List[int]], matching: Tuple[int, ...]) -> None:
-    assert sorted(matching) == list(range(len(rows)))
-    assert sum(row[j] for row, j in zip(rows, matching)) == _least_total(rows)
-
-
-def _spy_on_solver():
-    return mock.patch.object(
-        pathnum, "_shortest_augmenting_paths",
-        wraps=pathnum._shortest_augmenting_paths,
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(small_integer_costs, certified_costs().map(lambda c: c[0]),
-                 contested_costs()))
-def test_match_tracks_is_an_optimal_assignment(rows: List[List[int]]) -> None:
-    """Brute force over every permutation, n <= 7."""
-    _assert_optimal(rows, match_tracks(np.array(rows, dtype=float)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(certified_costs())
-def test_match_tracks_certificate_settles_strict_row_minima(case) -> None:
-    rows, perm = case
-    with _spy_on_solver() as solver:
-        matching = match_tracks(np.array(rows, dtype=float))
-    assert not solver.called
-    assert list(matching) == perm
-    _assert_optimal(rows, matching)
-
-
-@settings(max_examples=60, deadline=None)
-@given(contested_costs())
-def test_match_tracks_solver_runs_when_row_minima_collide(rows) -> None:
-    with _spy_on_solver() as solver:
-        matching = match_tracks(np.array(rows, dtype=float))
-    assert solver.call_count == 1
-    _assert_optimal(rows, matching)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: _square(n, st.integers(0, 3))))
-def test_match_tracks_breaks_ties_as_scipy_does(rows: List[List[int]]) -> None:
-    """Pins the tie rule the artifacts depend on to scipy's, where installed."""
-    optimize = pytest.importorskip("scipy.optimize")
-    cost = np.array(rows, dtype=float)
-    expected = tuple(int(j) for j in optimize.linear_sum_assignment(cost)[1])
-    assert match_tracks(cost) == expected
-    assert pathnum._shortest_augmenting_paths(rows) == expected
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_match_tracks_rejects_a_non_finite_cost(bad: float) -> None:
-    cost = np.ones((3, 3))
-    cost[1, 2] = bad
-    with pytest.raises(NumericsError, match="NaN or infinite"):
-        match_tracks(cost)
-
-
-def test_match_tracks_rejects_a_changed_track_count() -> None:
-    with pytest.raises(NumericsError, match="track count"):
-        match_tracks(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
