@@ -5,8 +5,9 @@ vectors are lists of ints.  Everything here is exact: Hermite column
 reduction with a recorded unimodular transform, saturated integer kernels,
 completion of a primitive vector to a unimodular matrix, Bareiss
 determinants, exact linear solves over the integers, inverses of unimodular
-matrices by integer row reduction, and signatures of symmetric matrices by
-fraction-free (Bareiss) symmetric elimination.  No step leaves the integers.
+matrices by integer row reduction, and the step of fraction-free (Bareiss)
+symmetric elimination that short-vector enumeration runs on.  No step leaves
+the integers.
 """
 
 from __future__ import annotations
@@ -151,31 +152,25 @@ def complete_unimodular(column: Sequence[int]) -> IntMatrix:
         raise ValueError("empty vector")
     if vector_gcd(column) != 1:
         raise ValueError("vector must be primitive to span a unimodular column")
-    forward = identity_matrix(n)  # forward @ column == e_0 (up to sign)
-    inverse = identity_matrix(n)  # running inverse of `forward`
+    # `work` is reduced to e_0 by row operations of determinant one;
+    # `inverse` accumulates their inverses, so its first column is `column`.
+    inverse = identity_matrix(n)
     work = list(column)
     for i in range(1, n):
         a, b = work[0], work[i]
         if b == 0:
             continue
         g, s, t = extended_gcd(a, b)
-        # rows (0, i) of `forward` by [[s, t], [-b/g, a/g]] (determinant 1) ...
-        for j in range(n):
-            f0, fi = forward[0][j], forward[i][j]
-            forward[0][j] = s * f0 + t * fi
-            forward[i][j] = -(b // g) * f0 + (a // g) * fi
-        # ... and columns (0, i) of `inverse` by the inverse block.
+        # rows (0, i) of `work` by [[s, t], [-b/g, a/g]]: columns (0, i) of
+        # `inverse` by the inverse block.
         for r in range(n):
             v0, vi = inverse[r][0], inverse[r][i]
             inverse[r][0] = (a // g) * v0 + (b // g) * vi
             inverse[r][i] = -t * v0 + s * vi
         work[0], work[i] = g, 0
     if work[0] == -1:
-        for j in range(n):
-            forward[0][j] = -forward[0][j]
         for r in range(n):
             inverse[r][0] = -inverse[r][0]
-        work[0] = 1
     if [inverse[r][0] for r in range(n)] != list(column):
         raise AssertionError("unimodular completion failed to reproduce the column")
     return inverse
@@ -263,62 +258,6 @@ def unimodular_inverse(matrix: Sequence[Sequence[int]]) -> IntMatrix:
             if factor:
                 work[i] = [x - factor * y for x, y in zip(work[i], work[k])]
     return [row[n:] for row in work]
-
-
-def symmetric_signature(matrix: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
-    """Exact inertia ``(positive, negative, zero)`` of a symmetric matrix.
-
-    Symmetric Bareiss elimination: after ``k`` steps the trailing block is
-    ``D_k`` times the Schur complement, where ``D_k`` is the leading k-by-k
-    minor, so every entry stays an integer minor and each division is
-    exact.  The k-th diagonal entry of the LDL^T form is ``D_(k+1) / D_k``;
-    its sign is that of the product of the two pivots (Sylvester's law).
-    When the trailing diagonal vanishes but an off-diagonal entry survives,
-    the integer basis change ``e_i <- e_i + e_j`` restores a usable pivot.
-    """
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix is not symmetric")
-    pos = neg = zero = 0
-    previous = 1
-    k = 0
-    while k < n:
-        pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
-        if pivot is None:
-            pair = next(
-                (
-                    (i, j)
-                    for i in range(k, n)
-                    for j in range(i + 1, n)
-                    if m[i][j] != 0
-                ),
-                None,
-            )
-            if pair is None:
-                zero += n - k
-                break
-            i, j = pair
-            for c in range(k, n):
-                m[i][c] += m[j][c]
-            for r in range(k, n):
-                m[r][i] += m[r][j]
-            pivot = i
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            for r in range(k, n):
-                m[r][k], m[r][pivot] = m[r][pivot], m[r][k]
-        d = m[k][k]
-        if d * previous > 0:
-            pos += 1
-        else:
-            neg += 1
-        symmetric_bareiss_step(m, k, previous)
-        previous = d
-        k += 1
-    return pos, neg, zero
 
 
 def symmetric_bareiss_step(m: IntMatrix, k: int, previous: int) -> None:

@@ -68,8 +68,7 @@ _FLAGS: Dict[str, Dict[str, object]] = {
                          "(default 1/100)"),
     "order": dict(type=int, help="series truncation order, at least 2 (default 12)"),
     "variant": dict(choices=("exact", "perturbed"),
-                    help="model selection (default: exact for fibers, "
-                         "perturbed for critvals)"),
+                    help="model selection (default exact)"),
     "word": dict(required=True, help='mutation word such as "L1 R3"'),
 }
 
@@ -174,19 +173,16 @@ def _pair(z: complex) -> List[float]:
     return [z.real, z.imag]
 
 
-def _model_for(config: RunConfig, default_variant: str):
-    variant = config.variant or default_variant
-    if variant == "exact":
-        return catalog(config.d), variant
-    return catalog(config.d, config.epsilon), variant
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_fibers(config: RunConfig) -> Tuple[int, str]:
-    model, variant = _model_for(config, "exact")
+    variant = config.variant or "exact"
+    if variant == "exact":
+        model = catalog(config.d)
+    else:
+        model = catalog(config.d, config.epsilon)
     table = fiber_configuration(model)
     if config.fmt == "csv":
         lines = ["place,type,count"]
@@ -212,8 +208,7 @@ def _cmd_mirror(config: RunConfig) -> Tuple[int, str]:
 
 
 def _cmd_critvals(config: RunConfig) -> Tuple[int, str]:
-    model, variant = _model_for(config, "perturbed")
-    values = critical_values_ordered(model)
+    values = critical_values_ordered(catalog(config.d, config.epsilon))
     if config.fmt == "csv":
         lines = ["index,re,im"]
         for index, z in enumerate(values):
@@ -221,7 +216,7 @@ def _cmd_critvals(config: RunConfig) -> Tuple[int, str]:
         return EXIT_PASS, "\n".join(lines) + "\n"
     payload = {
         "d": config.d,
-        "variant": variant,
+        "variant": "perturbed",
         "count": len(values),
         "values": [_pair(z) for z in values],
     }
@@ -422,8 +417,7 @@ class _Command(NamedTuple):
 COMMANDS: Dict[str, _Command] = {
     "fibers": _Command(_cmd_fibers, ("d", "epsilon", "variant"), ("json", "csv")),
     "mirror": _Command(_cmd_mirror, ("d", "order"), ()),
-    "critvals": _Command(_cmd_critvals, ("d", "epsilon", "variant"),
-                         ("json", "csv")),
+    "critvals": _Command(_cmd_critvals, ("d", "epsilon"), ("json", "csv")),
     "cycles": _Command(_cmd_cycles, ("d", "epsilon"), ("json", "csv", "svg")),
     "verify": _Command(_cmd_verify, ("d",), ()),
     "junction": _Command(_cmd_junction, ("d",), ()),

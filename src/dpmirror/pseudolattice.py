@@ -329,7 +329,6 @@ def neron_severi(lattice: Pseudolattice) -> QuotientLattice:
     quotient is checked to be symmetric.
     """
     p = point_like(lattice)
-    n = lattice.rank
     if lattice.pairing(p, p) != 0:
         raise PseudolatticeError("point-like vector has nonzero self-pairing")
     gram_rows = [list(row) for row in lattice.gram]
@@ -342,13 +341,7 @@ def neron_severi(lattice: Pseudolattice) -> QuotientLattice:
     if coords is None:
         raise PseudolatticeError("point-like vector escapes its own orthogonal")
     completion = complete_unimodular(coords)
-    ambient = [
-        [
-            sum(completion[i][j] * perp[i][k] for i in range(len(perp)))
-            for k in range(n)
-        ]
-        for j in range(len(perp))
-    ]
+    ambient = matrix_multiply(transpose(completion), perp)
     if ambient[0] != p:
         raise PseudolatticeError("completion failed to place the point first")
     reps = ambient[1:]
@@ -553,36 +546,31 @@ def verify_mutation_equivalence(d: int) -> MutationVerificationReport:
     lattice, basis, charge = from_boundaries(classes)
     word = reduction_word(d)
 
-    intermediates_ok: Optional[bool] = None
-    intermediate_exact: Optional[Tuple[bool, ...]] = None
+    # Degree 3 applies its word one display group at a time and compares the
+    # rows in between; every group, and the rest of the word, goes through
+    # `mutate`, which re-checks exceptionality after each move.
+    rows = tuple(zip(_D3_ROW_LENGTHS, _D3_ROWS)) if d == 3 else ()
+    moves = word.applied_order()
+    final = basis
+    position = 0
+    ok_flags: List[bool] = []
+    exact_flags: List[bool] = []
     failure: Optional[str] = None
-
-    if d == 3:
-        vectors = basis.as_lists()
-        moves = word.applied_order()
-        position = 0
-        ok_flags: List[bool] = []
-        exact_flags: List[bool] = []
-        for row_index, (length, row) in enumerate(
-            zip(_D3_ROW_LENGTHS, _D3_ROWS)
-        ):
-            for move in moves[position : position + length]:
-                _apply_move(lattice, vectors, move)
-            position += length
-            got = [charge.charge(v) for v in vectors[:9]]
-            expected = [HomologyClass(m, n) for m, n in row]
-            mismatch = _matches_up_to_sign(got, expected)
-            ok_flags.append(mismatch is None)
-            exact_flags.append(got == expected)
-            if mismatch is not None and failure is None:
-                failure = (
-                    f"intermediate row {row_index} differs at class {mismatch}"
-                )
-        intermediates_ok = all(ok_flags)
-        intermediate_exact = tuple(exact_flags)
-        final = ExceptionalBasis(tuple(tuple(v) for v in vectors))
-    else:
-        final = mutate(lattice, basis, word)
+    for row_index, (length, row) in enumerate(rows):
+        group = moves[position : position + length]
+        final = mutate(lattice, final, MutationWord(group[::-1]))
+        position += length
+        got = [charge.charge(v) for v in final.vectors[:9]]
+        expected = [HomologyClass(m, n) for m, n in row]
+        mismatch = _matches_up_to_sign(got, expected)
+        ok_flags.append(mismatch is None)
+        exact_flags.append(got == expected)
+        if mismatch is not None and failure is None:
+            failure = f"intermediate row {row_index} differs at class {mismatch}"
+    if position < len(moves):
+        final = mutate(lattice, final, MutationWord(moves[position:][::-1]))
+    intermediates_ok = all(ok_flags) if rows else None
+    intermediate_exact = tuple(exact_flags) if rows else None
 
     boundaries = charge.charges(final)
     target = target_boundary_classes(d)

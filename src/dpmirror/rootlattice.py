@@ -10,7 +10,8 @@ whose Gram matrix exhibits the half-integer canonical-class entries and the
 Cartan block.
 
 All of it runs in integers.  Short vectors come from Fincke-Pohst
-enumeration over a fraction-free (Bareiss) LDL^T with an integer budget;
+enumeration over a fraction-free (Bareiss) LDL^T with an integer budget,
+and the same leading minors decide definiteness (Sylvester's criterion);
 the surface basis is half-integral, so its Gram is paired from the doubled
 basis and divided by 4 once, and only the reported basis and Gram are
 ``Fraction``s.
@@ -27,12 +28,12 @@ from ._intlin import (
     complete_unimodular,
     determinant_integer,
     integer_kernel,
+    matrix_multiply,
     matrix_vector,
     primitive_vector,
     rank_integer,
     solve_integer,
     symmetric_bareiss_step,
-    symmetric_signature,
     transpose,
 )
 from .exactpoly import rational_to_num_den
@@ -82,9 +83,6 @@ class IntLattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def radical_rank(self) -> int:
-        return len(integer_kernel([list(row) for row in self.gram]))
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
         total = 0
@@ -296,20 +294,20 @@ class RootSystemReport:
 def root_system_identify(lattice: IntLattice) -> RootSystemReport:
     """Identify the A/D/E root system spanned by the norm-2 vectors.
 
-    The form is flipped to positive definite if necessary; simple roots are
-    the positive roots (for a deterministic generic functional) that are not
-    sums of two positive roots, found in increasing height; the resulting
-    Dynkin graph is matched
-    against the A/D/E catalog and returned in a canonical node order.
+    A degenerate form is refused by its determinant, an indefinite one by
+    ``short_vectors``.  The form is flipped to positive definite if
+    necessary; simple roots are the positive roots (for a deterministic
+    generic functional) that are not sums of two positive roots, found in
+    increasing height; the resulting Dynkin graph is matched against the
+    A/D/E catalog and returned in a canonical node order.
     """
-    if lattice.radical_rank() > 0:
+    abs_det = abs(determinant_integer([list(r) for r in lattice.gram]))
+    if abs_det == 0:
         raise RootLatticeError("quotient the radical before identification")
-    pos, neg, zero = symmetric_signature([list(r) for r in lattice.gram])
-    if zero or (pos and neg):
-        raise RootLatticeError("root systems live in definite lattices")
-    sign = 1 if neg == 0 else -1
+    vectors = short_vectors(lattice, 2)
+    sign = 1 if vectors and lattice.norm(vectors[0]) > 0 else -1
     work = lattice if sign == 1 else lattice.negated()
-    roots = [v for v in short_vectors(work, 2) if work.norm(v) == 2]
+    roots = [v for v in vectors if work.norm(v) == 2]
     if not roots or rank_integer(roots) < lattice.rank:
         raise RootLatticeError("norm-2 vectors do not span the lattice")
     radius = max(abs(x) for v in roots for x in v)
@@ -384,7 +382,7 @@ def root_system_identify(lattice: IntLattice) -> RootSystemReport:
     )
     return RootSystemReport(
         sign=sign,
-        abs_det=abs(determinant_integer([list(r) for r in lattice.gram])),
+        abs_det=abs_det,
         root_count=len(roots),
         cartan=tuple(tuple(row) for row in cartan),
         dynkin_type="+".join(f"{letter}{rank}" for letter, rank, _ in components),
@@ -440,11 +438,7 @@ def hyperbolic_model(ell: int) -> HyperbolicModelReport:
     restricted = [[lattice.pairing(u, v) for v in kernel] for u in kernel]
     report = root_system_identify(IntLattice(tuple(tuple(r) for r in restricted)))
     ambient_roots = tuple(
-        tuple(
-            sum(root[j] * kernel[j][i] for j in range(len(kernel)))
-            for i in range(n)
-        )
-        for root in report.simple_roots
+        tuple(r) for r in matrix_multiply(report.simple_roots, kernel)
     )
     passed = (
         norm == 9 - ell
@@ -507,7 +501,6 @@ class KernelDecompositionReport:
     """Splitting of a charge kernel into a root factor and the radical."""
 
     kernel_rank: int
-    restricted_gram: Tuple[Tuple[int, ...], ...]
     radical_rank: int
     radical_generator: Tuple[int, ...]  # kernel coordinates
     radical_is_point: bool
@@ -557,10 +550,7 @@ def kernel_decomposition(
     generator = radical[0] if radical_ok else [0] * len(kernel)
     if radical_ok and next((x for x in generator if x), 1) < 0:
         generator = [-x for x in generator]
-    ambient_radical = [
-        sum(generator[j] * kernel[j][i] for j in range(len(kernel)))
-        for i in range(lattice.rank)
-    ]
+    ambient_radical = matrix_vector(transpose(kernel), generator)
     radical_is_point = radical_ok and ambient_radical in (p, [-x for x in p])
     if not radical_ok:
         failure = f"radical has rank {len(radical)}, expected 1"
@@ -569,18 +559,9 @@ def kernel_decomposition(
 
     completion = complete_unimodular(generator) if radical_ok else None
     if completion is not None:
-        m = len(kernel)
-        full = [
-            [
-                sum(
-                    completion[a][i] * restricted[a][b] * completion[b][j]
-                    for a in range(m)
-                    for b in range(m)
-                )
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
+        full = matrix_multiply(
+            matrix_multiply(transpose(completion), restricted), completion
+        )
         quotient = [row[1:] for row in full[1:]]
     else:
         quotient = [row[1:] for row in restricted[1:]]
@@ -607,7 +588,6 @@ def kernel_decomposition(
         )
     return KernelDecompositionReport(
         kernel_rank=len(kernel),
-        restricted_gram=tuple(tuple(r) for r in restricted),
         radical_rank=len(radical),
         radical_generator=tuple(generator),
         radical_is_point=radical_is_point,
@@ -670,11 +650,11 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
     model = Pseudolattice(tuple(tuple(r) for r in del_pezzo_gram(ell)))
     n = model.rank
     s = serre(model)
-    p = point_like(model)
+    quotient = neron_severi(model)
+    p = list(quotient.point)
     unit = [1] + [0] * (n - 1)
     k = [a - b for a, b in zip(matrix_vector(s, unit), unit)]
 
-    quotient = neron_severi(model)
     reps = [list(r) for r in quotient.representatives]
     columns = transpose([p] + reps)
     k_coords = solve_integer(columns, k)
@@ -694,15 +674,8 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
         )
 
     roots_ambient: List[IntVector] = []
-    for root in report.simple_roots:
-        ns_vector = [
-            sum(root[j] * kernel[j][i] for j in range(len(kernel)))
-            for i in range(len(ns_gram))
-        ]
-        ambient = [
-            sum(ns_vector[j] * reps[j][i] for j in range(len(reps)))
-            for i in range(n)
-        ]
+    ns_roots = matrix_multiply(report.simple_roots, kernel)
+    for ambient in matrix_multiply(ns_roots, reps):
         shift = model.pairing(unit, ambient)  # <unit, p> = 1, so subtract
         roots_ambient.append([a - shift * b for a, b in zip(ambient, p)])
 

@@ -210,7 +210,6 @@ class VanishingData:
     d: int
     epsilon: Fraction  # the perturbation actually used (after retries)
     critical_values: Tuple[complex, ...]
-    arcs: Tuple[PathPolyline, ...]  # straight arcs from the base point
     colliding_pairs: Tuple[Tuple[int, int], ...]  # track indices per arc
     deltas: Tuple[PathPolyline, ...]  # vanishing arcs through each collision
     classes: Tuple[HomologyClass, ...]
@@ -219,8 +218,7 @@ class VanishingData:
 
     def __post_init__(self) -> None:
         count = len(self.critical_values)
-        records = (self.arcs, self.colliding_pairs, self.deltas, self.classes,
-                   self.residuals)
+        records = (self.colliding_pairs, self.deltas, self.classes, self.residuals)
         if any(len(r) != count for r in records):
             raise NumericsError("per-arc records have inconsistent lengths")
         for cls in self.classes:
@@ -313,14 +311,12 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
     base_cubic = CPoly(tuple(row[0] for row in family))
     base_roots = all_roots(base_cubic)  # every arc starts on the base fiber
 
-    arcs: List[PathPolyline] = []
     pairs: List[Tuple[int, int]] = []
     deltas: List[PathPolyline] = []
     classes: List[HomologyClass] = []
     residuals: List[float] = []
     for lam in critical:
-        arc = PathPolyline((0j, lam))
-        tracked = continue_roots(family, arc, roots=base_roots)
+        tracked = continue_roots(family, PathPolyline((0j, lam)), roots=base_roots)
         pair = tracked.pair
         if pair is None:
             raise NumericsError(
@@ -337,7 +333,6 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
                 f"period solve residual {residual:.3g} for critical value "
                 f"{lam:.6g}; the integer certificate failed"
             )
-        arcs.append(arc)
         pairs.append(pair)
         deltas.append(delta)
         classes.append(cls)
@@ -354,7 +349,6 @@ def _vanishing_classes_once(d: int, eps: Fraction) -> VanishingData:
         d=d,
         epsilon=eps,
         critical_values=tuple(critical),
-        arcs=tuple(arcs),
         colliding_pairs=tuple(pairs),
         deltas=tuple(deltas),
         classes=tuple(normalized),

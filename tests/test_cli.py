@@ -215,11 +215,13 @@ def test_critvals_csv_shape(capsys):
     assert len(lines) == 1 + 9
 
 
-def test_critvals_exact_model_is_a_numeric_error(capsys):
+def test_critvals_refuses_the_variant_flag(capsys):
+    """critvals reads only the perturbed model: the exact one has no
+    separable discriminant, so ``--variant`` is not a flag of critvals."""
     code, _, err = run_cli(capsys, "critvals", "--d", "3",
                            "--variant", "exact")
     assert code == EXIT_USAGE
-    assert "error:" in err
+    assert "unrecognized arguments: --variant exact" in err
 
 
 # ---------------------------------------------------------------------------

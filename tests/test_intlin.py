@@ -22,7 +22,6 @@ from dpmirror._intlin import (
     primitive_vector,
     rank_integer,
     solve_integer,
-    symmetric_signature,
     transpose,
     unimodular_inverse,
     vector_gcd,
@@ -244,65 +243,6 @@ def test_unimodular_inverse_matches_sympy(matrix):
 def test_unimodular_inverse_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         unimodular_inverse([[1, 0]])
-
-
-def _sympy_inertia(matrix):
-    """(positive, negative, zero) eigenvalue counts of a symmetric integer
-    matrix, from its characteristic polynomial: all its roots are real, so
-    Descartes' rule of signs counts them exactly."""
-    x = sympy.Symbol("x")
-    poly = sympy.Matrix(matrix).charpoly(x)
-    coeffs = poly.all_coeffs()  # highest degree first
-
-    def sign_changes(values):
-        signs = [v > 0 for v in values if v != 0]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
-    degree = len(coeffs) - 1
-    mirrored = [c * (-1) ** (degree - i) for i, c in enumerate(coeffs)]
-    return sign_changes(coeffs), sign_changes(mirrored), zero
-
-
-@given(matrix=st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: _matrix_strategy(n, n)))
-@settings(max_examples=150, deadline=None)
-def test_signature_matches_sympy(matrix):
-    n = len(matrix)
-    sym = [[matrix[i][j] + matrix[j][i] for j in range(n)] for i in range(n)]
-    assert symmetric_signature(sym) == _sympy_inertia(sym)
-
-
-@given(matrix=st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: _matrix_strategy(n, n)))
-@settings(max_examples=100, deadline=None)
-def test_signature_of_a_zero_diagonal_form_matches_sympy(matrix):
-    """Forms with an empty diagonal need the hyperbolic-pair basis change."""
-    n = len(matrix)
-    sym = [[0 if i == j else matrix[i][j] + matrix[j][i] for j in range(n)]
-           for i in range(n)]
-    assert symmetric_signature(sym) == _sympy_inertia(sym)
-
-
-def test_signature_known_forms():
-    assert symmetric_signature([[1, 0], [0, -1]]) == (1, 1, 0)
-    assert symmetric_signature([[0, 1], [1, 0]]) == (1, 1, 0)
-    assert symmetric_signature([[0, 0], [0, 0]]) == (0, 0, 2)
-    assert symmetric_signature([[2, -1], [-1, 2]]) == (2, 0, 0)
-    assert symmetric_signature([[1, 2], [2, 4]]) == (1, 0, 1)
-
-
-@given(matrix=square_matrices, transform=square_matrices)
-@settings(max_examples=100, deadline=None)
-def test_signature_invariant_under_congruence(matrix, transform):
-    n = len(matrix)
-    if len(transform) != n:
-        return
-    sym = [[matrix[i][j] + matrix[j][i] for j in range(n)] for i in range(n)]
-    if determinant_integer(transform) == 0:
-        return
-    moved = matrix_multiply(matrix_multiply(transpose(transform), sym), transform)
-    assert symmetric_signature(moved) == symmetric_signature(sym)
 
 
 def test_column_space_basis_shape():

@@ -10,7 +10,8 @@ outside its own body.  Where the receiver's class is plain from the code
 (``self`` or ``cls`` in C's methods, a call of C, or a local assigned from
 one, or from a module-level function annotated to return C) the reference
 counts for that class only; any other receiver counts for every class that
-defines ``m``.
+defines ``m``.  An annotated field of a class ``C.f`` needs an attribute
+read ``.f`` somewhere outside a ``__post_init__``, by any receiver.
 """
 
 from __future__ import annotations
@@ -34,6 +35,21 @@ TEST_ONLY_MEMBERS = {
     # a change on the benchmark side can rewrite that line and delete both
     ("CPoly", "trimmed"),
     ("ComplexModel", "invariant_scale"),
+}
+
+
+# Fields that no library code reads, with the reason each is kept.
+UNREAD_FIELDS = {
+    # inputs that __post_init__ converts into the rows the sweep reads
+    ("FamilySpec", "start"),
+    ("FamilySpec", "end"),
+    # read by tests only: the quotient lattice they identify independently
+    ("KernelDecompositionReport", "quotient_gram"),
+    # read by tests only: which degree-3 rows match exactly, not up to sign
+    ("MutationVerificationReport", "intermediate_exact"),
+    # intermediates of the test-only oracle hv_to_weierstrass
+    ("HVReduction", "quadratic"),
+    ("HVReduction", "y_discriminant"),
 }
 
 
@@ -117,12 +133,45 @@ def _unreferenced_members() -> Set[Tuple[str, str]]:
     return {(c, m) for c, names in members.items() for m in names} - seen
 
 
+def _unread_fields() -> Set[Tuple[str, str]]:
+    fields: Set[Tuple[str, str]] = set()
+    read: Set[str] = set()
+    for path in FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for statement in tree.body:
+            if isinstance(statement, ast.ClassDef):
+                fields.update(
+                    (statement.name, item.target.id)
+                    for item in statement.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                )
+        skipped = {
+            id(child)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+            for child in ast.walk(node)
+        }
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in skipped
+        )
+    return {(c, f) for c, f in fields if f not in read}
+
+
 def test_only_the_catalog_oracle_is_unreferenced() -> None:
     assert _unreferenced() == TEST_ONLY
 
 
 def test_every_method_is_reached_outside_its_own_body() -> None:
     assert _unreferenced_members() == TEST_ONLY_MEMBERS
+
+
+def test_every_field_is_read_outside_post_init() -> None:
+    assert _unread_fields() == UNREAD_FIELDS
 
 
 # Every parameter default and dataclass field default of the library, keyed

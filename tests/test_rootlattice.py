@@ -7,7 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpmirror._intlin import determinant_integer, matrix_multiply, transpose
@@ -68,6 +69,64 @@ def test_short_vectors_indefinite_rejected() -> None:
     lattice = IntLattice(((1, 0), (0, -1)))
     with pytest.raises(RootLatticeError, match="definite"):
         short_vectors(lattice, 2)
+
+
+def _sympy_inertia(matrix):
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer
+    matrix, from its characteristic polynomial: all its roots are real, so
+    Descartes' rule of signs counts them exactly."""
+    x = sympy.Symbol("x")
+    poly = sympy.Matrix(matrix).charpoly(x)
+    coeffs = poly.all_coeffs()  # highest degree first
+
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    degree = len(coeffs) - 1
+    mirrored = [c * (-1) ** (degree - i) for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(mirrored), zero
+
+
+_square = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+# Any symmetric form, and the semidefinite M M^T of either sign, which is
+# degenerate whenever M is singular.
+_symmetric_forms = st.one_of(
+    _square.map(lambda m: [[m[min(i, j)][max(i, j)] for j in range(len(m))]
+                           for i in range(len(m))]),
+    _square.map(lambda m: matrix_multiply(m, transpose(m))),
+    _square.map(lambda m: [[-x for x in row]
+                           for row in matrix_multiply(m, transpose(m))]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_forms)
+@example([[0, 1], [1, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 0], [0, 0]])
+@example([[-2, 1], [1, -2]])
+def test_short_vectors_refuse_exactly_the_forms_that_are_not_definite(
+    gram: list,
+) -> None:
+    """The leading Bareiss minors decide definiteness for
+    ``root_system_identify``: a form is refused exactly when it is not
+    definite of either sign, degenerate forms included."""
+    positive, negative, zero = _sympy_inertia(gram)
+    definite = zero == 0 and (positive == 0 or negative == 0)
+    try:
+        short_vectors(IntLattice(tuple(tuple(r) for r in gram)), 1)
+    except RootLatticeError:
+        assert not definite
+    else:
+        assert definite
 
 
 def test_short_vectors_exceptional_root_counts() -> None:

@@ -341,7 +341,6 @@ def test_vanishing_data_validates_records():
         d=3,
         epsilon=Fraction(1, 100),
         critical_values=(1 + 0j,),
-        arcs=(arc,),
         colliding_pairs=((0, 1),),
         deltas=(arc,),
         classes=(HomologyClass(1, 1),),
@@ -354,7 +353,7 @@ def test_vanishing_data_validates_records():
     with pytest.raises(NumericsError, match="residual"):
         VanishingData(**{**fields, "residuals": (1e-3,)})
     with pytest.raises(NumericsError, match="lengths"):
-        VanishingData(**{**fields, "arcs": ()})
+        VanishingData(**{**fields, "deltas": ()})
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,6 @@ def test_render_delta_svg_requires_arcs():
         d=3,
         epsilon=Fraction(1, 100),
         critical_values=(),
-        arcs=(),
         colliding_pairs=(),
         deltas=(),
         classes=(),
