@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ._record import Record
 from .exactpoly import rational_to_num_den
 from .homology import (
     HomologyClass,
@@ -107,8 +107,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(sign * numerator, denominator)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One fully parsed invocation; fields a subcommand does not read keep
     their defaults."""
 

@@ -8,8 +8,7 @@ stored:
   Each polynomial carries a variable tag (``"lam"`` for the base coordinate,
   ``"mu"`` for the coordinate at infinity) so that chart mix-ups fail loudly.
 * :class:`LaurentPoly` — Laurent polynomials in several variables, keyed by
-  integer exponent vectors (negative exponents allowed).  The curve
-  presentations are 2- and 3-variable ones.
+  integer exponent vectors (negative exponents allowed).
 
 JSON artifacts store a univariate polynomial as a sorted list of
 ``[exponent, "num/den"]`` pairs.  The gcd, the square-free factorization,
@@ -474,22 +473,3 @@ def disc_cubic(a: UniPoly, b: UniPoly) -> UniPoly:
     den = da ** 3 * db * db
     terms = _difference(cube, square)
     return UniPoly(dict(enumerate(Fraction(c, den) for c in terms)), a.var)
-
-
-def disc_quadratic_in_y(A: LaurentPoly, B: LaurentPoly, C: LaurentPoly) -> LaurentPoly:
-    """Discriminant B^2 - 4AC of the quadratic A y^2 + B y + C."""
-    return B ** 2 - A * C * 4
-
-
-def depress_cubic(A: UniPoly, B: UniPoly, C: UniPoly, D: UniPoly) -> Tuple[UniPoly, UniPoly]:
-    """Reduce ``w^2 = A x^3 + B x^2 + C x + D`` to ``y^2 = X^3 + a X + b``.
-
-    The substitution (x, w) -> ((X - B/3)/A, Y/A) clears the leading
-    coefficient and the quadratic term; the exact output scaling is
-
-        a = C*A - B^2/3,      b = D*A^2 - B*C*A/3 + 2 B^3/27.
-    """
-    third = Fraction(1, 3)
-    a = C * A - B ** 2 * third
-    b = D * A ** 2 - B * C * A * third + B ** 3 * Fraction(2, 27)
-    return a, b

@@ -12,12 +12,12 @@ pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class HomologyClass:
+
+class HomologyClass(Record):
     """An integer class ``m * first + n * second`` in fiber homology."""
 
     m: int  # coordinate on the first basis class
@@ -68,8 +68,7 @@ def seifert_gram(classes: Sequence[HomologyClass]) -> List[List[int]]:
     return gram
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
+class SL2Matrix(Record):
     """A 2x2 integer matrix of determinant 1 acting on fiber homology."""
 
     rows: Tuple[Tuple[int, int], Tuple[int, int]]

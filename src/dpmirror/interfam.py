@@ -28,12 +28,12 @@ intervals are decided by that rule in one array pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._record import Record
 from .exactpoly import UniPoly
 from .pathnum import (
     _MAX_ITERATIONS,
@@ -62,18 +62,22 @@ FINITE = "finite"  # chart coordinate is the base parameter itself
 INFINITE = "infinite"  # chart coordinate is its reciprocal
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """A point of the projective line in one of two affine charts."""
 
     chart: str  # FINITE or INFINITE
     coordinate: complex  # position in the named chart
 
-    def __post_init__(self) -> None:
-        if self.chart not in (FINITE, INFINITE):
-            raise ValueError(f"unknown chart {self.chart!r}")
-        if self.chart == FINITE and abs(self.coordinate) > 1.0 + 1e-12:
+    # Written out because a sweep builds thousands of points, and the generic
+    # record __init__ followed by a __post_init__ takes about twice as long.
+    def __init__(self, chart: str, coordinate: complex) -> None:
+        if chart not in (FINITE, INFINITE):
+            raise ValueError(f"unknown chart {chart!r}")
+        if chart == FINITE and abs(coordinate) > 1.0 + 1e-12:
             raise ValueError("finite-chart coordinate exceeds the chart bound")
+        state = self.__dict__
+        state["chart"] = chart
+        state["coordinate"] = coordinate
 
     @property
     def parked(self) -> bool:
@@ -144,8 +148,7 @@ def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexModel:
+class ComplexModel(Record):
     """Complex-coefficient fibration data ``y^2 = x^3 + a(t) x + b(t)``.
 
     ``a`` and ``b`` are ascending coefficient rows in the base parameter
@@ -155,6 +158,10 @@ class ComplexModel:
 
     a: np.ndarray  # coefficient of x
     b: np.ndarray  # constant coefficient
+
+    # Arrays have no exact equality, so a model is equal only to itself.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def invariant_rows(self) -> np.ndarray:
         """The coefficient rows of the singular-fiber invariant 4a^3 + 27b^2."""
@@ -187,18 +194,17 @@ def _float_rows(*polys: UniPoly) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Endpoint models of one interpolation family.
 
-    ``rows`` holds the float coefficient rows a_0, a_0 + a_1, b_0 and
-    b_0 + b_1 of the start (0) and end (1) models, converted once for all
-    the times at which ``family_at`` blends them.
+    ``rows``, set by ``__post_init__`` and outside equality, hashing and
+    repr, holds the float coefficient rows a_0, a_0 + a_1, b_0 and b_0 + b_1
+    of the start (0) and end (1) models, converted once for all the times
+    at which ``family_at`` blends them.
     """
 
     start: WeierstrassModel
     end: WeierstrassModel
-    rows: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start.var != self.end.var:
@@ -256,8 +262,7 @@ _MAX_SWEEP_SAMPLES = 4000
 _GRID_BLOCK = 50
 
 
-@dataclass(frozen=True)
-class TrajectorySet:
+class TrajectorySet(Record):
     """Tracked critical-value positions over the interpolation interval."""
 
     parameters: Tuple[float, ...]  # increasing sample times in [0, 1]

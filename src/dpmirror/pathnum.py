@@ -36,11 +36,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._record import Record
 from .exactpoly import UniPoly
 
 __all__ = [
@@ -67,8 +67,7 @@ class NumericsError(ValueError):
 _TRIM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CPoly:
+class CPoly(Record):
     """A dense complex polynomial; coefficients ascending, leading nonzero."""
 
     coeffs: Tuple[complex, ...]
@@ -338,8 +337,7 @@ def batch_roots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 # polyline paths
 
 
-@dataclass(frozen=True)
-class PathPolyline:
+class PathPolyline(Record):
     """An ordered polyline in the complex plane, parameterized by arclength."""
 
     nodes: Tuple[complex, ...]
@@ -387,8 +385,7 @@ _PREDICTED_SHARE = 4.5
 _MAX_FAMILY_EVALUATIONS = 2000
 
 
-@dataclass(frozen=True)
-class TrackedRoots:
+class TrackedRoots(Record):
     """Aligned root trajectories along a path, with per-step certificates."""
 
     parameters: Tuple[float, ...]  # accepted path parameters, from 0

@@ -38,12 +38,12 @@ All arithmetic is exact; every series carries its truncation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
+from ._record import Record
 from .exactpoly import LaurentPoly, rational_to_string
 
 # The three catalog degrees and their weighted hypersurface data: the degree-d
@@ -56,8 +56,7 @@ _WEIGHT_CATALOG: Dict[int, Tuple[Tuple[int, int, int, int], int]] = {
 }
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """A truncated power series with exact rational coefficients."""
 
     coefficients: Tuple[Fraction, ...]  # c_0 .. c_N inclusive
@@ -82,8 +81,7 @@ class PowerSeries:
         return [rational_to_string(c) for c in self.coefficients]
 
 
-@dataclass(frozen=True)
-class FanoWeightData:
+class FanoWeightData(Record):
     """Weights and constraint degree of a weighted hypersurface surface."""
 
     weights: Tuple[int, int, int, int]  # ambient weights a_1..a_4
@@ -219,8 +217,7 @@ def classical_period(f: LaurentPoly, order: int = 12) -> PowerSeries:
     return PowerSeries(tuple(constants))
 
 
-@dataclass(frozen=True)
-class MirrorCheckReport:
+class MirrorCheckReport(Record):
     """Outcome of the coefficient-by-coefficient mirror comparison."""
 
     d: int
@@ -228,8 +225,8 @@ class MirrorCheckReport:
     alpha: Fraction
     passed: bool
     first_mismatch: Optional[int]  # smallest order where the sides differ
-    regularized: PowerSeries = field(repr=False)
-    classical: PowerSeries = field(repr=False)
+    regularized: PowerSeries
+    classical: PowerSeries
 
 
 def mirror_check(d: int, order: int = 12) -> MirrorCheckReport:

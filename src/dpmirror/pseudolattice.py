@@ -18,8 +18,8 @@ linear charge map, never tracked as mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._intlin import (
     column_space_basis,
@@ -33,6 +33,7 @@ from ._intlin import (
     transpose,
     unimodular_inverse,
 )
+from ._record import Record
 from .homology import (
     HomologyClass,
     extended_vanishing_classes,
@@ -54,15 +55,21 @@ class PseudolatticeError(ValueError):
 # domain types
 
 
-@dataclass(frozen=True)
-class Pseudolattice:
+def _first_violation(cells: Iterable[Tuple[int, int, int]]) -> Optional[str]:
+    """The first failed exceptionality condition among the basis Gram
+    entries ``(i, j, <e_i, e_j>)``, ``j <= i``, in the order given."""
+    for i, j, g in cells:
+        if i == j and g != 1:
+            return f"<e{i}, e{i}> = {g} != 1"
+        if i != j and g != 0:
+            return f"<e{i}, e{j}> = {g} != 0 below the diagonal"
+    return None
+
+
+class Pseudolattice(Record):
     """A free module with a non-degenerate integer bilinear form."""
 
     gram: Tuple[Tuple[int, ...], ...]  # ambient Gram matrix, row acts first
-    # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads
-    entries: Tuple[Tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -74,6 +81,8 @@ class Pseudolattice:
             raise PseudolatticeError("rank must be positive")
         if determinant_integer([list(r) for r in rows]) == 0:
             raise PseudolatticeError("bilinear form is degenerate")
+        # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads;
+        # derived, so outside equality, hashing and repr
         object.__setattr__(self, "entries", tuple(
             (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g
         ))
@@ -98,20 +107,15 @@ class Pseudolattice:
         self, vectors: Sequence[Sequence[int]]
     ) -> Optional[str]:
         gram = self.basis_gram(vectors)
-        for i in range(len(vectors)):
-            if gram[i][i] != 1:
-                return f"<e{i}, e{i}> = {gram[i][i]} != 1"
-            for j in range(i):
-                if gram[i][j] != 0:
-                    return f"<e{i}, e{j}> = {gram[i][j]} != 0 below the diagonal"
-        return None
+        return _first_violation(
+            (i, j, gram[i][j]) for i in range(len(vectors)) for j in (i, *range(i))
+        )
 
     def to_json(self) -> List[List[int]]:
         return [list(row) for row in self.gram]
 
 
-@dataclass(frozen=True)
-class ExceptionalBasis:
+class ExceptionalBasis(Record):
     """An ordered tuple of ambient-coordinate basis vectors."""
 
     vectors: Tuple[Tuple[int, ...], ...]
@@ -128,8 +132,7 @@ class ExceptionalBasis:
         return [list(v) for v in self.vectors]
 
 
-@dataclass(frozen=True)
-class ChargeMap:
+class ChargeMap(Record):
     """The linear map sending an ambient vector to its boundary class."""
 
     rows: Tuple[Tuple[int, ...], Tuple[int, ...]]  # 2 x n coordinate rows
@@ -146,8 +149,7 @@ class ChargeMap:
         return [list(self.rows[0]), list(self.rows[1])]
 
 
-@dataclass(frozen=True)
-class MutationMove:
+class MutationMove(Record):
     """One left or right mutation acting on slots (slot, slot + 1)."""
 
     side: str  # "L" or "R"
@@ -163,8 +165,7 @@ class MutationMove:
         return f"{self.side}{self.slot}"
 
 
-@dataclass(frozen=True)
-class MutationWord:
+class MutationWord(Record):
     """A word of mutations, displayed left to right, applied right to left."""
 
     moves: Tuple[MutationMove, ...]
@@ -240,19 +241,51 @@ def _apply_move(
         vectors[move.slot + 1] = [ei - s * fi for ei, fi in zip(e, f)]
 
 
+def _moved_violation(
+    lattice: Pseudolattice, vectors: List[IntVector], slot: int
+) -> Optional[str]:
+    """``exceptionality_violation`` of ``vectors`` after a move at ``slot``,
+    for vectors that were exceptional before it: only the entries in the
+    rows and columns of ``slot`` and ``slot + 1`` are read."""
+    moved = (slot, slot + 1)
+    # <e_a, v> = row[a] . v and <v, e_a> = column[a] . v for a moved slot a
+    row = {a: [0] * lattice.rank for a in moved}
+    column = {a: [0] * lattice.rank for a in moved}
+    for i, j, g in lattice.entries:
+        for a in moved:
+            row[a][j] += vectors[a][i] * g
+            column[a][i] += g * vectors[a][j]
+
+    def entry(i: int, j: int) -> int:
+        left, right = (row[i], vectors[j]) if i in moved else (vectors[i], column[j])
+        return sum(map(mul, left, right))
+
+    return _first_violation(
+        (i, j, entry(i, j))
+        for i in range(len(vectors))
+        for j in ((i, *range(i)) if i in moved else [k for k in moved if k < i])
+    )
+
+
 def mutate(
     lattice: Pseudolattice, basis: ExceptionalBasis, word: MutationWord
 ) -> ExceptionalBasis:
     """Apply a mutation word (rightmost move first), checking exceptionality.
 
     A left move at slot i sends the pair (e, f) to (f - <e,f> e, e); a right
-    move sends it to (f, e - <e,f> f).  Exceptionality is re-verified after
-    every move; losing it indicates corrupted input and raises.
+    move sends it to (f, e - <e,f> f).  Exceptionality is verified after
+    every move; losing it indicates corrupted input and raises.  The first
+    move is followed by the full check, which also catches an input basis
+    that was not exceptional; a later move changes only the pairings of its
+    two slots, so only those are checked, in the full check's order.
     """
     vectors = basis.as_lists()
-    for move in word.applied_order():
+    for count, move in enumerate(word.applied_order()):
         _apply_move(lattice, vectors, move)
-        violation = lattice.exceptionality_violation(vectors)
+        if count:
+            violation = _moved_violation(lattice, vectors, move.slot)
+        else:
+            violation = lattice.exceptionality_violation(vectors)
         if violation is not None:
             raise PseudolatticeError(
                 f"exceptionality lost after {move.token()}: {violation}"
@@ -304,8 +337,7 @@ def point_like(lattice: Pseudolattice) -> IntVector:
     return p
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
+class QuotientLattice(Record):
     """The symmetric lattice carried by (orthogonal of p) / p."""
 
     gram: Tuple[Tuple[int, ...], ...]  # induced symmetric form
@@ -490,8 +522,7 @@ _D3_ROWS: Tuple[Tuple[Tuple[int, int], ...], ...] = (
 # the main verification
 
 
-@dataclass(frozen=True)
-class MutationVerificationReport:
+class MutationVerificationReport(Record):
     """Outcome of the reduction-word verification for one degree."""
 
     d: int

@@ -20,7 +20,6 @@ basis and divided by 4 once, and only the reported basis and Gram are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,6 +35,7 @@ from ._intlin import (
     symmetric_bareiss_step,
     transpose,
 )
+from ._record import Record
 from .exactpoly import rational_to_num_den
 from .pseudolattice import (
     ChargeMap,
@@ -56,15 +56,10 @@ class RootLatticeError(ValueError):
     """Raised when an input violates a root-lattice assumption."""
 
 
-@dataclass(frozen=True)
-class IntLattice:
+class IntLattice(Record):
     """A finite-rank lattice with a symmetric integer bilinear form."""
 
     gram: Tuple[Tuple[int, ...], ...]
-    # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads
-    entries: Tuple[Tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -76,6 +71,8 @@ class IntLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise RootLatticeError("Gram matrix must be symmetric")
+        # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads;
+        # derived, so outside equality, hashing and repr
         object.__setattr__(self, "entries", tuple(
             (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g
         ))
@@ -267,8 +264,7 @@ def _classify_component(
     raise RootLatticeError("Dynkin graph is outside the A/D/E catalog")
 
 
-@dataclass(frozen=True)
-class RootSystemReport:
+class RootSystemReport(Record):
     """Identification of the root system of a definite lattice."""
 
     sign: int  # +1 if the input was positive definite, -1 if it was negated
@@ -395,8 +391,7 @@ def root_system_identify(lattice: IntLattice) -> RootSystemReport:
 # hyperbolic model
 
 
-@dataclass(frozen=True)
-class HyperbolicModelReport:
+class HyperbolicModelReport(Record):
     """The rank-(ell + 1) hyperbolic lattice with its canonical vector."""
 
     ell: int
@@ -496,8 +491,7 @@ def fundamental_weights(
 # kernel decomposition
 
 
-@dataclass(frozen=True)
-class KernelDecompositionReport:
+class KernelDecompositionReport(Record):
     """Splitting of a charge kernel into a root factor and the radical."""
 
     kernel_rank: int
@@ -604,8 +598,7 @@ def kernel_decomposition(
 # the rational surface basis
 
 
-@dataclass(frozen=True)
-class SurfaceBasisReport:
+class SurfaceBasisReport(Record):
     """The rational basis (unit, canonical, roots, point) and its Gram."""
 
     d: int

@@ -14,12 +14,12 @@ the homology module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._record import Record
 from .exactpoly import poly_gcd, rational_to_num_den
 from .homology import (
     HomologyClass,
@@ -203,8 +203,7 @@ def _quadrature_path(
     return PathPolyline(tuple(delta.nodes[k] for k in kept))
 
 
-@dataclass(frozen=True)
-class VanishingData:
+class VanishingData(Record):
     """Ordered critical values with their vanishing arcs and classes."""
 
     d: int

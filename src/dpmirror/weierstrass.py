@@ -5,8 +5,6 @@ fibration ``y^2 = x^3 + a(lam) x + b(lam)``.  The module provides
 
 * a small catalog of reference fibrations indexed by an integer degree
   ``d in {1, 2, 3}``, together with their standard perturbations,
-* the reduction from the associated hyperelliptic (Hori--Vafa style) curve
-  presentations to the same Weierstrass data,
 * exact Kodaira fiber classification from coefficient valuations, and
 * full fiber configurations over the projective line, with the Euler-number
   count certifying completeness.
@@ -18,18 +16,15 @@ minimal polynomial factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
+from ._record import Record
 from .exactpoly import (
-    LaurentPoly,
     Rational,
     UniPoly,
-    depress_cubic,
     disc_cubic,
-    disc_quadratic_in_y,
     poly_gcd,
     rational_roots,
     rational_to_string,
@@ -40,10 +35,6 @@ from .exactpoly import (
 # A place on the projective line: a rational base point or the point at
 # infinity (represented by the string "inf").
 Place = Union[Fraction, str]
-
-# Exponents (a3, a4) of the two non-trivial weights entering the curve
-# presentation lam * (1 - x/y - y) * (x/y)^a3 * y^a4 = 1 for each degree.
-_HV_EXPONENTS: Dict[int, Tuple[int, int]] = {1: (2, 3), 2: (1, 2), 3: (1, 1)}
 
 # Euler numbers of the Kodaira types handled here (I_n and I_n* carry their
 # index separately).
@@ -63,8 +54,7 @@ class UncertifiedPlacesError(FiberClassificationError):
     nodal."""
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(Record):
     """Coefficients of ``y^2 = x^3 + a(t) x + b(t)`` over one affine chart."""
 
     a: UniPoly  # quartic-bounded coefficient of x
@@ -92,8 +82,7 @@ class WeierstrassModel:
         return {"a": self.a.to_pairs(), "b": self.b.to_pairs()}
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(Record):
     """A classified singular fiber."""
 
     type_name: str  # "I0", "In", "In*", "II", ..., "II*", or "NonMinimal"
@@ -121,8 +110,7 @@ class KodairaFiber:
         return _EULER[self.type_name]
 
 
-@dataclass(frozen=True)
-class FiberPlacement:
+class FiberPlacement(Record):
     """A fiber (or group of conjugate fibers) at a place of the base."""
 
     place: Optional[Place]  # rational place, "inf", or None for a group
@@ -140,8 +128,7 @@ class FiberPlacement:
         ) + ")"
 
 
-@dataclass(frozen=True)
-class FiberConfiguration:
+class FiberConfiguration(Record):
     """All singular fibers of a model over the projective line."""
 
     model: WeierstrassModel
@@ -200,67 +187,6 @@ def reference_nodal_place(d: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# hyperelliptic reduction
-
-
-@dataclass(frozen=True)
-class HVReduction:
-    """Intermediates of the curve-presentation to Weierstrass reduction."""
-
-    # (A, B, C) with A y^2 + B y + C, each a polynomial in (lam, x)
-    quadratic: Tuple[LaurentPoly, LaurentPoly, LaurentPoly]
-    y_discriminant: LaurentPoly  # B^2 - 4AC, after clearing excess x powers
-    model: WeierstrassModel
-
-
-def hv_to_weierstrass(d: int) -> HVReduction:
-    """Reduce the degree-``d`` curve presentation to Weierstrass form.
-
-    Starting from ``lam * (1 - y3 - y4) * y3^a3 * y4^a4 = 1`` with
-    ``y3 = x/y`` and ``y4 = y``, the equation is cleared to a quadratic in
-    ``y``, its ``y``-discriminant is taken, excess powers of ``x`` are
-    divided out, and the resulting cubic in ``x`` is depressed.
-    """
-    a3, a4 = _HV_EXPONENTS[d]
-    # Work in Laurent variables (lam, x, y); y3 = x / y and y4 = y.
-    lam = LaurentPoly.monomial((1, 0, 0))
-    y4 = LaurentPoly.monomial((0, 0, 1))
-    one = LaurentPoly.constant(1, 3)
-    y3 = LaurentPoly.monomial((0, 1, -1))
-    curve = lam * (one - y3 - y4) * y3**a3 * y4**a4 - one
-    # Clear denominators in y.
-    min_y = min(e[2] for e in curve.terms)
-    if min_y < 0:
-        curve = curve * LaurentPoly.monomial((0, 0, -min_y))
-    y_deg = max(e[2] for e in curve.terms)
-    if y_deg != 2:
-        raise FiberClassificationError(
-            f"curve presentation for d={d} is not quadratic in y (degree {y_deg})"
-        )
-    coeffs: List[LaurentPoly] = []
-    for k in (2, 1, 0):
-        terms = {(el, ex): c for (el, ex, ey), c in curve.terms.items() if ey == k}
-        if any(el < 0 or ex < 0 for el, ex in terms):
-            raise FiberClassificationError("unexpected pole after clearing")
-        coeffs.append(LaurentPoly(terms, 2))
-    A, B, C = coeffs
-    disc = disc_quadratic_in_y(A, B, C)
-    excess = max((ex for _, ex in disc.terms), default=-1) - 3
-    if excess > 0:
-        if any(ex < excess for _, ex in disc.terms):
-            raise FiberClassificationError(
-                f"the y-discriminant is not divisible by x^{excess}"
-            )
-        disc = disc * LaurentPoly.monomial((0, -excess))
-    unis = [
-        UniPoly({el: c for (el, ex), c in disc.terms.items() if ex == k})
-        for k in (3, 2, 1, 0)
-    ]
-    a_out, b_out = depress_cubic(*unis)
-    return HVReduction((A, B, C), disc, WeierstrassModel(a_out, b_out))
-
-
-# ---------------------------------------------------------------------------
 # minimality
 
 
@@ -279,8 +205,7 @@ def chart_at_infinity(model: WeierstrassModel) -> WeierstrassModel:
     return WeierstrassModel(a, b)
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(Record):
     """Outcome of the global minimality test."""
 
     is_minimal: bool

@@ -52,7 +52,8 @@ from dpmirror.rootlattice import (
     kuznetsov_basis,
 )
 from dpmirror.vancycles import vanishing_classes
-from dpmirror.weierstrass import catalog, fiber_configuration, hv_to_weierstrass
+from dpmirror.weierstrass import catalog, fiber_configuration
+from hv_oracle import hv_to_weierstrass
 
 # Frozen singular-fiber tables of the exact catalog models.
 EXACT_TABLES = {

@@ -522,25 +522,16 @@ def test_check_fails_when_a_claim_fails(capsys, monkeypatch):
 # imports
 
 
-def test_importing_the_cli_loads_no_scipy():
-    """A fresh interpreter imports ``dpmirror.cli`` without any scipy module."""
+@pytest.mark.parametrize("prefix", ["scipy", "numpy.polynomial", "dataclasses"])
+def test_importing_the_cli_loads_no_module_under(prefix):
+    """A fresh interpreter imports ``dpmirror.cli`` without loading ``prefix``
+    or any module under it: the track matcher needs no scipy, the
+    Gauss-Legendre table is written out (no ``numpy.polynomial``), and
+    records are built by ``dpmirror._record`` (no ``dataclasses``)."""
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=source_root)
     code = ("import sys, dpmirror.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
-
-
-def test_importing_the_cli_loads_no_numpy_polynomial():
-    """The Gauss-Legendre table is written out, so a fresh interpreter
-    imports ``dpmirror.cli`` without ``numpy.polynomial``."""
-    source_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=source_root)
-    code = ("import sys, dpmirror.cli; "
-            "print([m for m in sys.modules if m.startswith('numpy.polynomial')])")
+            f"print([m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})])")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

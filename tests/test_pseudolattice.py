@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmirror import pseudolattice
 from dpmirror._intlin import determinant_integer, integer_kernel, matrix_vector
 from dpmirror.homology import (
     HomologyClass,
@@ -206,6 +207,38 @@ def test_mutate_rejects_non_exceptional_input():
     broken = ExceptionalBasis(((1, 0), (1, 0)))
     with pytest.raises(PseudolatticeError):
         mutate(lattice, broken, MutationWord.parse("L0"))
+
+
+@pytest.mark.parametrize("word, moved, added, expected", [
+    ("R5 L2", 1, 3, "after R5: <e6, e3> = 1 != 0 below the diagonal"),
+    ("L5 L2", 0, 7, "after L5: <e7, e5> = 1 != 0 below the diagonal"),
+    ("R5 L2", 1, 0, "after R5: <e6, e6> = 0 != 1"),
+])
+def test_a_corrupted_later_move_is_reported_as_the_full_check_reports_it(
+    monkeypatch, word, moved, added, expected
+):
+    """After the first move ``mutate`` reads only the two moved slots' rows
+    and columns of the basis Gram; corrupting one moved vector after the
+    second move (adding basis vector ``added`` to it) must still name the
+    same first failed entry as the full scan of every entry does."""
+    lattice, basis, _ = from_boundaries(extended_vanishing_classes(3))
+    apply_move = pseudolattice._apply_move
+    moves = []
+
+    def corrupted(lattice, vectors, move):
+        apply_move(lattice, vectors, move)
+        moves.append(move)
+        if len(moves) == 2:
+            slot = move.slot + moved
+            vectors[slot] = [x + y for x, y in zip(vectors[slot], vectors[added])]
+            full = lattice.exceptionality_violation(vectors)
+            assert expected == f"after {move.token()}: {full}"
+
+    monkeypatch.setattr(pseudolattice, "_apply_move", corrupted)
+    with pytest.raises(PseudolatticeError) as caught:
+        mutate(lattice, basis, MutationWord.parse(word))
+    assert str(caught.value) == f"exceptionality lost {expected}"
+    assert len(moves) == 2
 
 
 # ---------------------------------------------------------------------------

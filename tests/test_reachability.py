@@ -24,10 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "dpmirror"
 FILES = sorted(LIBRARY.glob("*.py"))
 
-# The catalog models are written by hand; this conversion is kept as the
-# independent oracle that tests/test_acceptance.py checks them against.
-TEST_ONLY = {"hv_to_weierstrass"}
-
 TEST_ONLY_MEMBERS = {
     ("_Parser", "error"),  # argparse calls it
     ("MutationWord", "slots"),  # perfbench checks generated words with it
@@ -47,9 +43,6 @@ UNREAD_FIELDS = {
     ("KernelDecompositionReport", "quotient_gram"),
     # read by tests only: which degree-3 rows match exactly, not up to sign
     ("MutationVerificationReport", "intermediate_exact"),
-    # intermediates of the test-only oracle hv_to_weierstrass
-    ("HVReduction", "quadratic"),
-    ("HVReduction", "y_discriminant"),
 }
 
 
@@ -162,8 +155,11 @@ def _unread_fields() -> Set[Tuple[str, str]]:
     return {(c, f) for c, f in fields if f not in read}
 
 
-def test_only_the_catalog_oracle_is_unreferenced() -> None:
-    assert _unreferenced() == TEST_ONLY
+def test_every_definition_is_referenced_outside_its_own_body() -> None:
+    """No library definition is reached by tests alone; the catalog oracle
+    that tests/test_weierstrass.py and tests/test_acceptance.py check the
+    hand-written models against lives in tests/hv_oracle.py."""
+    assert _unreferenced() == set()
 
 
 def test_every_method_is_reached_outside_its_own_body() -> None:
@@ -174,7 +170,7 @@ def test_every_field_is_read_outside_post_init() -> None:
     assert _unread_fields() == UNREAD_FIELDS
 
 
-# Every parameter default and dataclass field default of the library, keyed
+# Every parameter default and record field default of the library, keyed
 # (module, qualified owner, name), with the reason it is not a module
 # constant: two values in use, a CLI flag, or data.  A new setting needs an
 # entry here, and a constant needs none.
@@ -208,13 +204,6 @@ SETTINGS = {
 }
 
 
-def _has_default(value: ast.expr) -> bool:
-    """False for ``field(...)`` without a default, True for any other value."""
-    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
-        return any(k.arg in ("default", "default_factory") for k in value.keywords)
-    return True
-
-
 def _settings() -> Set[Tuple[str, str, str]]:
     found: Set[Tuple[str, str, str]] = set()
 
@@ -237,7 +226,6 @@ def _settings() -> Set[Tuple[str, str, str]]:
                     for item in child.body
                     if isinstance(item, ast.AnnAssign)
                     and item.value is not None
-                    and _has_default(item.value)
                 )
                 visit(child, module, name)
             else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -16,6 +15,7 @@ from dpmirror.pathnum import (
     CPoly,
     NumericsError,
     PathPolyline,
+    TrackedRoots,
     all_roots,
     elliptic_integral,
 )
@@ -314,7 +314,8 @@ def test_an_arc_without_a_certified_pair_is_a_numeric_error(monkeypatch):
     continue_roots = vancycles.continue_roots
 
     def uncertified(*args, **kwargs):
-        return dataclasses.replace(continue_roots(*args, **kwargs), pair=None)
+        tracked = continue_roots(*args, **kwargs)
+        return TrackedRoots(tracked.parameters, tracked.roots, tracked.residuals, None)
 
     monkeypatch.setattr(vancycles, "continue_roots", uncertified)
     with pytest.raises(NumericsError, match="no colliding pair certified"):

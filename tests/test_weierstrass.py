@@ -9,6 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpmirror.exactpoly import LaurentPoly, UniPoly, rational_roots
+from dpmirror.interfam import FamilySpec
+from dpmirror.pseudolattice import Pseudolattice
+from dpmirror.rootlattice import IntLattice
 from dpmirror.weierstrass import (
     FiberClassificationError,
     UncertifiedPlacesError,
@@ -17,10 +20,10 @@ from dpmirror.weierstrass import (
     chart_at_infinity,
     classify_fiber_at,
     fiber_configuration,
-    hv_to_weierstrass,
     is_globally_minimal,
     reference_nodal_place,
 )
+from hv_oracle import hv_to_weierstrass
 
 FR = Fraction
 
@@ -320,6 +323,19 @@ def test_exact_algebra_kept_on_a_model_leaves_its_identity_alone():
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) and used.to_json() == fresh.to_json()
     assert used.discriminant_scale() == fresh.discriminant_scale()
+    # The records that derive a cache in __post_init__ keep it out of
+    # equality, hashing and repr too.
+    gram = ((1, 0), (2, 1))
+    for make, cache in (
+        (lambda: FamilySpec.between_degrees(3, 2), "rows"),
+        (lambda: Pseudolattice(gram), "entries"),
+        (lambda: IntLattice(((2, -1), (-1, 2))), "entries"),
+    ):
+        record, twin = make(), make()
+        assert getattr(record, cache)
+        object.__setattr__(twin, cache, ())
+        assert record == twin and hash(record) == hash(twin)
+        assert repr(record) == repr(twin) and f"{cache}=" not in repr(record)
 
 
 def test_configuration_json_schema():
