@@ -43,6 +43,14 @@ def matrix_multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> I
     return product
 
 
+def restricted_gram(
+    gram: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]
+) -> IntMatrix:
+    """``V G V^T``: the form ``gram`` on the rows of ``vectors``, entry (i, j)
+    pairing vector i on the left with vector j on the right."""
+    return matrix_multiply(matrix_multiply(vectors, gram), transpose(vectors))
+
+
 def matrix_vector(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
     if a and len(a[0]) != len(v):
         raise ValueError("dimensions do not match")

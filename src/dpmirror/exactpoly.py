@@ -7,8 +7,11 @@ stored:
 * :class:`UniPoly` — univariate polynomials, keyed by integer exponent.
   Each polynomial carries a variable tag (``"lam"`` for the base coordinate,
   ``"mu"`` for the coordinate at infinity) so that chart mix-ups fail loudly.
+  It is a value type with sum, derivative and division; the rest of its
+  algebra runs on integer rows (below).
 * :class:`LaurentPoly` — Laurent polynomials in several variables, keyed by
-  integer exponent vectors (negative exponents allowed).
+  integer exponent vectors (negative exponents allowed), with the ring
+  arithmetic of the period series.
 
 JSON artifacts store a univariate polynomial as a sorted list of
 ``[exponent, "num/den"]`` pairs.  The gcd, the square-free factorization,
@@ -115,42 +118,6 @@ class UniPoly:
                 terms.pop(exp, None)
         return UniPoly(terms, self.var)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({e: -c for e, c in self.terms.items()}, self.var)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly | RationalLike") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            scalar = Fraction(other)
-            return UniPoly({e: c * scalar for e, c in self.terms.items()}, self.var)
-        self._check_var(other)
-        terms: UniTerms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                c = terms.get(e, Fraction(0)) + c1 * c2
-                if c:
-                    terms[e] = c
-                else:
-                    terms.pop(e, None)
-        return UniPoly(terms, self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.constant(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def derivative(self) -> "UniPoly":
         return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
                        self.var)
@@ -209,9 +176,6 @@ class LaurentPoly:
         exps = tuple(int(e) for e in exponents)
         return cls({exps: 1}, len(exps))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -248,11 +212,7 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            scalar = Fraction(other)
-            return LaurentPoly({k: c * scalar for k, c in self.terms.items()},
-                               self.nvars)
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         terms: LaurentTerms = {}
         for e1, c1 in self.terms.items():
@@ -261,8 +221,6 @@ class LaurentPoly:
                 c = c1 * c2
                 terms[key] = terms[key] + c if key in terms else c
         return LaurentPoly(terms, self.nvars)  # the constructor drops zero terms
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -275,9 +233,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
-
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(int(e) for e in exponents), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

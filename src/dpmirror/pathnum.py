@@ -398,10 +398,6 @@ class TrackedRoots(Record):
         if not len(self.roots) == len(self.residuals) == len(self.parameters):
             raise NumericsError("per-step records have inconsistent lengths")
 
-    @property
-    def track_count(self) -> int:
-        return len(self.roots[0]) if self.roots else 0
-
 
 def _newton(coeffs: Sequence[complex], start: complex) -> Tuple[complex, float]:
     """The Newton iterate of least residual from ``start``, with its residual.

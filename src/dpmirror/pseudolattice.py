@@ -29,6 +29,7 @@ from ._intlin import (
     matrix_multiply,
     matrix_vector,
     primitive_vector,
+    restricted_gram,
     solve_integer,
     transpose,
     unimodular_inverse,
@@ -97,22 +98,13 @@ class Pseudolattice(Record):
             total += u[i] * g * v[j]
         return total
 
-    def basis_gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
-        rows = [list(v) for v in vectors]
-        return matrix_multiply(
-            matrix_multiply(rows, [list(r) for r in self.gram]), transpose(rows)
-        )
-
     def exceptionality_violation(
         self, vectors: Sequence[Sequence[int]]
     ) -> Optional[str]:
-        gram = self.basis_gram(vectors)
+        gram = restricted_gram(self.gram, vectors)
         return _first_violation(
             (i, j, gram[i][j]) for i in range(len(vectors)) for j in (i, *range(i))
         )
-
-    def to_json(self) -> List[List[int]]:
-        return [list(row) for row in self.gram]
 
 
 class ExceptionalBasis(Record):
@@ -124,9 +116,6 @@ class ExceptionalBasis(Record):
         object.__setattr__(
             self, "vectors", tuple(tuple(int(x) for x in v) for v in self.vectors)
         )
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
     def as_lists(self) -> List[IntVector]:
         return [list(v) for v in self.vectors]
@@ -186,9 +175,6 @@ class MutationWord(Record):
 
     def __str__(self) -> str:
         return " ".join(move.token() for move in self.moves)
-
-    def __add__(self, other: "MutationWord") -> "MutationWord":
-        return MutationWord(self.moves + other.moves)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -344,10 +330,6 @@ class QuotientLattice(Record):
     point: Tuple[int, ...]  # the point-like vector in ambient coordinates
     representatives: Tuple[Tuple[int, ...], ...]  # ambient lifts of the basis
 
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
     def gram_lists(self) -> IntMatrix:
         return [list(row) for row in self.gram]
 
@@ -377,7 +359,7 @@ def neron_severi(lattice: Pseudolattice) -> QuotientLattice:
     if ambient[0] != p:
         raise PseudolatticeError("completion failed to place the point first")
     reps = ambient[1:]
-    induced = [[lattice.pairing(u, v) for v in reps] for u in reps]
+    induced = restricted_gram(lattice.gram, reps)
     for i in range(len(reps)):
         for j in range(len(reps)):
             if induced[i][j] != induced[j][i]:
@@ -531,7 +513,6 @@ class MutationVerificationReport(Record):
     first_boundary_mismatch: Optional[int]
     sign_diagonal: Optional[Tuple[int, ...]]  # normalizes the final Gram
     intermediates_ok: Optional[bool]  # degree 3 only: rows match up to sign
-    intermediate_exact: Optional[Tuple[bool, ...]]  # degree 3: exact matches
     final_boundaries: Tuple[Tuple[int, int], ...]
     failure: Optional[str]
 
@@ -585,7 +566,6 @@ def verify_mutation_equivalence(d: int) -> MutationVerificationReport:
     final = basis
     position = 0
     ok_flags: List[bool] = []
-    exact_flags: List[bool] = []
     failure: Optional[str] = None
     for row_index, (length, row) in enumerate(rows):
         group = moves[position : position + length]
@@ -595,13 +575,11 @@ def verify_mutation_equivalence(d: int) -> MutationVerificationReport:
         expected = [HomologyClass(m, n) for m, n in row]
         mismatch = _matches_up_to_sign(got, expected)
         ok_flags.append(mismatch is None)
-        exact_flags.append(got == expected)
         if mismatch is not None and failure is None:
             failure = f"intermediate row {row_index} differs at class {mismatch}"
     if position < len(moves):
         final = mutate(lattice, final, MutationWord(moves[position:][::-1]))
     intermediates_ok = all(ok_flags) if rows else None
-    intermediate_exact = tuple(exact_flags) if rows else None
 
     boundaries = charge.charges(final)
     target = target_boundary_classes(d)
@@ -610,7 +588,7 @@ def verify_mutation_equivalence(d: int) -> MutationVerificationReport:
     if not boundary_ok and failure is None:
         failure = f"final boundary class {mismatch} differs from the target"
 
-    full_gram = lattice.basis_gram(final.vectors)
+    full_gram = restricted_gram(lattice.gram, final.vectors)
     top = [row[: 3 + ell] for row in full_gram[: 3 + ell]]
     diagonal = sign_normalize(top, del_pezzo_gram(ell))
     if diagonal is None and failure is None:
@@ -628,7 +606,6 @@ def verify_mutation_equivalence(d: int) -> MutationVerificationReport:
         first_boundary_mismatch=mismatch,
         sign_diagonal=diagonal,
         intermediates_ok=intermediates_ok,
-        intermediate_exact=intermediate_exact,
         final_boundaries=tuple((b.m, b.n) for b in boundaries),
         failure=failure,
     )

@@ -31,6 +31,7 @@ from ._intlin import (
     matrix_vector,
     primitive_vector,
     rank_integer,
+    restricted_gram,
     solve_integer,
     symmetric_bareiss_step,
     transpose,
@@ -92,9 +93,6 @@ class IntLattice(Record):
 
     def negated(self) -> "IntLattice":
         return IntLattice(tuple(tuple(-x for x in row) for row in self.gram))
-
-    def to_json(self) -> List[List[int]]:
-        return [list(row) for row in self.gram]
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +326,11 @@ def root_system_identify(lattice: IntLattice) -> RootSystemReport:
         raise RootLatticeError(
             f"extracted {len(simple)} simple roots in rank {lattice.rank}"
         )
+    pairs = restricted_gram(work.gram, simple)
     adjacency: Dict[int, set] = {i: set() for i in range(len(simple))}
     for i in range(len(simple)):
         for j in range(i + 1, len(simple)):
-            value = work.pairing(simple[i], simple[j])
+            value = pairs[i][j]
             if value == -1:
                 adjacency[i].add(j)
                 adjacency[j].add(i)
@@ -358,7 +357,7 @@ def root_system_identify(lattice: IntLattice) -> RootSystemReport:
     components.sort(key=lambda c: (-c[1], c[0], [simple[i] for i in c[2]]))
     order = [i for _, _, comp in components for i in comp]
     ordered = [simple[i] for i in order]
-    cartan = [[work.pairing(u, v) for v in ordered] for u in ordered]
+    cartan = [[pairs[i][j] for j in order] for i in order]
 
     expected: IntMatrix = []
     offset = 0
@@ -430,7 +429,7 @@ def hyperbolic_model(ell: int) -> HyperbolicModelReport:
     norm = lattice.norm(k)
     functional = matrix_vector(gram, k)
     kernel = integer_kernel([functional])
-    restricted = [[lattice.pairing(u, v) for v in kernel] for u in kernel]
+    restricted = restricted_gram(lattice.gram, kernel)
     report = root_system_identify(IntLattice(tuple(tuple(r) for r in restricted)))
     ambient_roots = tuple(
         tuple(r) for r in matrix_multiply(report.simple_roots, kernel)
@@ -498,7 +497,6 @@ class KernelDecompositionReport(Record):
     radical_rank: int
     radical_generator: Tuple[int, ...]  # kernel coordinates
     radical_is_point: bool
-    quotient_gram: Tuple[Tuple[int, ...], ...]
     quotient_det: int
     root_report: RootSystemReport
     orthogonal: bool
@@ -534,7 +532,7 @@ def kernel_decomposition(
     failure: Optional[str] = None
     if not charge.charge(p).is_zero():
         raise PseudolatticeError("point-like vector carries nonzero charge")
-    restricted = [[lattice.pairing(u, v) for v in kernel] for u in kernel]
+    restricted = restricted_gram(lattice.gram, kernel)
     for i in range(len(kernel)):
         for j in range(i):
             if restricted[i][j] != restricted[j][i]:
@@ -553,9 +551,7 @@ def kernel_decomposition(
 
     completion = complete_unimodular(generator) if radical_ok else None
     if completion is not None:
-        full = matrix_multiply(
-            matrix_multiply(transpose(completion), restricted), completion
-        )
+        full = restricted_gram(restricted, transpose(completion))
         quotient = [row[1:] for row in full[1:]]
     else:
         quotient = [row[1:] for row in restricted[1:]]
@@ -585,7 +581,6 @@ def kernel_decomposition(
         radical_rank=len(radical),
         radical_generator=tuple(generator),
         radical_is_point=radical_is_point,
-        quotient_gram=tuple(tuple(r) for r in quotient),
         quotient_det=quotient_det,
         root_report=root_report,
         orthogonal=orthogonal,
@@ -658,8 +653,7 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
     ns_gram = quotient.gram_lists()
     functional = matrix_vector(ns_gram, k_ns)
     kernel = integer_kernel([functional])
-    ns_lattice = IntLattice(tuple(tuple(r) for r in ns_gram))
-    restricted = [[ns_lattice.pairing(u, v) for v in kernel] for u in kernel]
+    restricted = restricted_gram(ns_gram, kernel)
     report = root_system_identify(IntLattice(tuple(tuple(r) for r in restricted)))
     if report.dynkin_type != f"E{ell}":
         raise RootLatticeError(
@@ -679,7 +673,7 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
     doubled.append([2 * x for x in p])
     basis = tuple(tuple(Fraction(x, 2) for x in v) for v in doubled)
     gram = tuple(
-        tuple(Fraction(x, 4) for x in row) for row in model.basis_gram(doubled)
+        tuple(Fraction(x, 4) for x in row) for row in restricted_gram(model.gram, doubled)
     )
     half = Fraction(d, 2)
     last = len(basis) - 1

@@ -7,8 +7,8 @@ integrate dx/y against the period lattice of the base fiber over a chord
 path that a fan of triangles certifies homotopic to the arc
 (``_quadrature_path``), and solve for the integer homology class of every
 vanishing cycle.  The algebraic layer (intersection pairing, Seifert Gram
-matrix, Dehn twists, monodromy, the cycle at infinity) is re-exported from
-the homology module.
+matrix, Dehn twists, monodromy, the cycle at infinity) lives in the
+homology module.
 """
 
 from __future__ import annotations
@@ -21,16 +21,7 @@ import numpy as np
 
 from ._record import Record
 from .exactpoly import poly_gcd, rational_to_num_den
-from .homology import (
-    HomologyClass,
-    SL2Matrix,
-    dehn_twist,
-    h1_pair,
-    infinity_cycle,
-    reference_vanishing_classes,
-    seifert_gram,
-    total_monodromy,
-)
+from .homology import HomologyClass
 from .pathnum import (
     CPoly,
     NumericsError,
@@ -46,16 +37,9 @@ from .weierstrass import WeierstrassModel, catalog, reference_nodal_place
 __all__ = [
     "ArcGuardError",
     "HomologyClass",
-    "SL2Matrix",
     "VanishingData",
     "critical_values_ordered",
-    "dehn_twist",
-    "h1_pair",
-    "infinity_cycle",
-    "reference_vanishing_classes",
     "render_delta_svg",
-    "seifert_gram",
-    "total_monodromy",
     "vanishing_classes",
 ]
 

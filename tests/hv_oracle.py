@@ -22,7 +22,7 @@ _HV_EXPONENTS: Dict[int, Tuple[int, int]] = {1: (2, 3), 2: (1, 2), 3: (1, 1)}
 
 def disc_quadratic_in_y(A: LaurentPoly, B: LaurentPoly, C: LaurentPoly) -> LaurentPoly:
     """Discriminant B^2 - 4AC of the quadratic A y^2 + B y + C."""
-    return B ** 2 - A * C * 4
+    return B ** 2 - A * C * LaurentPoly.constant(4, A.nvars)
 
 
 def depress_cubic(A: UniPoly, B: UniPoly, C: UniPoly, D: UniPoly) -> Tuple[UniPoly, UniPoly]:
@@ -32,11 +32,16 @@ def depress_cubic(A: UniPoly, B: UniPoly, C: UniPoly, D: UniPoly) -> Tuple[UniPo
     coefficient and the quadratic term; the exact output scaling is
 
         a = C*A - B^2/3,      b = D*A^2 - B*C*A/3 + 2 B^3/27.
+
+    UniPoly is a value type, so the algebra runs on one-variable
+    Laurent polynomials.
     """
-    third = Fraction(1, 3)
+    A, B, C, D = (LaurentPoly({(e,): c for e, c in p.terms.items()}) for p in (A, B, C, D))
+    third = LaurentPoly.constant(Fraction(1, 3), 1)
     a = C * A - B ** 2 * third
-    b = D * A ** 2 - B * C * A * third + B ** 3 * Fraction(2, 27)
-    return a, b
+    b = D * A ** 2 - B * C * A * third + B ** 3 * LaurentPoly.constant(Fraction(2, 27), 1)
+    a_out, b_out = (UniPoly({e: c for (e,), c in f.terms.items()}) for f in (a, b))
+    return a_out, b_out
 
 
 class HVReduction(NamedTuple):

@@ -258,7 +258,7 @@ def test_criterion_12_property_suites():
     # Mutation inverse / exceptionality preservation, 200 random cases.
     lattice, basis, _ = from_boundaries(reference_vanishing_classes(3))
     rng = random.Random(0)
-    top = len(basis) - 2
+    top = len(basis.vectors) - 2
     for _ in range(200):
         slot = rng.randint(0, top)
         side = rng.choice("LR")

@@ -34,13 +34,50 @@ def unipoly_strategy(max_degree: int = 6) -> st.SearchStrategy[UniPoly]:
     )
 
 
-def value_at(p: UniPoly, x: Fraction) -> Fraction:
-    """p(x) in exact ``Fraction`` arithmetic, term by term."""
-    return sum((c * x ** e for e, c in p.terms.items()), Fraction(0))
+def value_at(p: UniPoly | LaurentPoly, x: Fraction) -> Fraction:
+    """p(x) in exact ``Fraction`` arithmetic, term by term; a Laurent
+    polynomial is in one variable."""
+    return sum(
+        (c * x ** (e if isinstance(e, int) else e[0]) for e, c in p.terms.items()),
+        Fraction(0),
+    )
 
 
-def to_sympy(p: UniPoly, symbol: sp.Symbol) -> sp.Expr:
-    return sum(sp.Rational(c) * symbol**e for e, c in p.terms.items())
+# UniPoly is a value type: tests build its products and powers with sympy.
+X = sp.Symbol("x")
+
+
+def sympy_poly(p: UniPoly) -> sp.Poly:
+    """``p`` as a dense sympy polynomial over QQ, built from its coefficients."""
+    coeffs = [p.coefficient(e) for e in range(p.degree(), -1, -1)]
+    return sp.Poly.from_list(
+        [sp.QQ(c.numerator, c.denominator) for c in coeffs], X, domain=sp.QQ
+    )
+
+
+def from_sympy(poly: sp.Poly) -> UniPoly:
+    coeffs = enumerate(reversed(poly.rep.to_list()))
+    return UniPoly({e: Fraction(c.numerator, c.denominator) for e, c in coeffs})
+
+
+def poly(expr: sp.Expr) -> UniPoly:
+    """The polynomial in ``X`` that sympy expands ``expr`` to."""
+    return from_sympy(sp.Poly(expr, X, domain=sp.QQ))
+
+
+def mul(*factors: UniPoly) -> UniPoly:
+    """The product of ``factors``, formed by sympy."""
+    out = sp.Poly(1, X, domain=sp.QQ)
+    for f in factors:
+        out *= sympy_poly(f)
+    return from_sympy(out)
+
+
+def laurent_strategy(low: int = -2, high: int = 5) -> st.SearchStrategy[LaurentPoly]:
+    """One-variable Laurent polynomials with exponents in [low, high]."""
+    return st.dictionaries(st.integers(low, high), rationals, max_size=4).map(
+        lambda terms: LaurentPoly({(e,): c for e, c in terms.items()}, 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +105,14 @@ def test_string_coefficients_parse_exactly():
     assert rational_to_string(Fraction(5)) == "5"
 
 
-@given(unipoly_strategy(), unipoly_strategy(), unipoly_strategy())
+@given(laurent_strategy(), laurent_strategy(), laurent_strategy())
 def test_multiplication_distributes_over_addition(p, q, r):
     assert (p + q) * r == p * r + q * r
 
 
-@given(unipoly_strategy(4), st.integers(min_value=0, max_value=4))
+@given(laurent_strategy(), st.integers(min_value=0, max_value=4))
 def test_power_matches_repeated_product(p, n):
-    expected = UniPoly.constant(1)
+    expected = LaurentPoly.constant(1, 1)
     for _ in range(n):
         expected = expected * p
     assert p**n == expected
@@ -83,18 +120,19 @@ def test_power_matches_repeated_product(p, n):
 
 @given(unipoly_strategy(), unipoly_strategy())
 def test_derivative_is_leibniz(p, q):
-    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+    assert mul(p, q).derivative() == mul(p.derivative(), q) + mul(p, q.derivative())
 
 
-def shifted(p: UniPoly, c: Fraction) -> UniPoly:
-    """p(x + c), expanded with the ring operations."""
-    out = UniPoly({}, p.var)
+def shifted(p: LaurentPoly, c: Fraction) -> LaurentPoly:
+    """p(y + c), expanded with the ring operations."""
+    out = LaurentPoly({}, 1)
     for e, coeff in p.terms.items():
-        out = out + UniPoly({1: 1, 0: c}, p.var) ** e * coeff
+        step = LaurentPoly({(1,): 1, (0,): c}, 1)
+        out = out + step ** e[0] * LaurentPoly.constant(coeff, 1)
     return out
 
 
-@given(unipoly_strategy(4), rationals)
+@given(laurent_strategy(low=0, high=4), rationals)
 def test_shift_then_evaluate_agrees(p, c):
     moved = shifted(p, c)
     for x in (Fraction(0), Fraction(1), Fraction(-2, 3)):
@@ -106,7 +144,7 @@ def test_division_reconstructs_dividend(p, q):
     if q.is_zero():
         return
     quo, rem = p.divmod_exact(q)
-    assert quo * q + rem == p
+    assert mul(quo, q) + rem == p
     assert rem.degree() < q.degree() or rem.is_zero()
 
 
@@ -120,7 +158,7 @@ def test_valuation_at_origin_is_min_exponent():
 
 
 def test_valuation_at_shifted_point():
-    p = (UniPoly({1: 1, 0: -3})) ** 4 * UniPoly({1: 2, 0: 1})
+    p = poly((X - 3) ** 4 * (2 * X + 1))
     assert valuation_at(p, 3) == 4
     assert valuation_at(p, Fraction(-1, 2)) == 1
     assert valuation_at(p, 5) == 0
@@ -138,7 +176,7 @@ def test_valuation_of_zero_polynomial_rejected():
 def test_squarefree_factorization_of_known_product():
     f = UniPoly({1: 1, 0: -1})  # x - 1
     g = UniPoly({1: 1, 0: 2})  # x + 2
-    p = f**3 * g * 5
+    p = poly(5 * (X - 1) ** 3 * (X + 2))
     unit, factors = squarefree_factorization(p)
     assert unit == Fraction(5)
     assert factors == [(g, 1), (f, 3)]
@@ -150,14 +188,10 @@ def test_squarefree_factorization_of_known_product():
 def test_squarefree_reconstruction(roots, mults):
     n = min(len(roots), len(mults))
     roots, mults = roots[:n], mults[:n]
-    p = UniPoly.constant(3)
-    for r, m in zip(roots, mults):
-        p = p * UniPoly({1: 1, 0: -r}) ** m
+    p = mul(UniPoly.constant(3),
+            *(UniPoly({1: 1, 0: -r}) for r, m in zip(roots, mults) for _ in range(m)))
     unit, factors = squarefree_factorization(p)
-    rebuilt = UniPoly.constant(unit)
-    for f, m in factors:
-        rebuilt = rebuilt * f**m
-    assert rebuilt == p
+    assert mul(UniPoly.constant(unit), *(f for f, m in factors for _ in range(m))) == p
     for f, _ in factors:
         assert poly_gcd(f, f.derivative()).degree() == 0
 
@@ -165,7 +199,6 @@ def test_squarefree_reconstruction(roots, mults):
 # ---------------------------------------------------------------------------
 # the integer algebra against sympy, at numerators and denominators up to 10^300
 
-X = sp.Symbol("x")
 BIG = 10**300
 
 
@@ -200,23 +233,7 @@ huge_settings = settings(
 
 
 def product(unit: Fraction, powers) -> UniPoly:
-    p = UniPoly.constant(unit)
-    for f, m in powers:
-        p = p * f**m
-    return p
-
-
-def sympy_poly(p: UniPoly) -> sp.Poly:
-    """``p`` as a dense sympy polynomial over QQ, built from its coefficients."""
-    coeffs = [p.coefficient(e) for e in range(p.degree(), -1, -1)]
-    return sp.Poly.from_list(
-        [sp.QQ(c.numerator, c.denominator) for c in coeffs], X, domain=sp.QQ
-    )
-
-
-def from_sympy(poly: sp.Poly) -> UniPoly:
-    coeffs = enumerate(reversed(poly.rep.to_list()))
-    return UniPoly({e: Fraction(c.numerator, c.denominator) for e, c in coeffs})
+    return mul(UniPoly.constant(unit), *(f for f, m in powers for _ in range(m)))
 
 
 @given(factor_powers, factor_powers, factor_powers, nonzero_huge, nonzero_huge)
@@ -260,7 +277,7 @@ def test_valuation_counts_the_linear_factor(unit, root, order, powers):
     rest = product(unit, powers)
     if value_at(rest, root) == 0:
         return
-    p = rest * UniPoly({1: 1, 0: -root}) ** order
+    p = mul(rest, *[UniPoly({1: 1, 0: -root})] * order)
     assert valuation_at(p, root) == order
 
 
@@ -420,7 +437,7 @@ def test_trinomial_cube_monomial_data():
     one = LaurentPoly.constant(1, 2)
     cube = (one + y3 + y4) ** 3
     assert len(cube.terms) == 10
-    assert cube.coefficient((1, 1)) == Fraction(6)
+    assert cube.terms[(1, 1)] == Fraction(6)
     square_of_cube = cube * cube
     assert len(square_of_cube.terms) == 28
 
@@ -430,7 +447,7 @@ def test_laurent_negative_exponents_multiply():
     yinv = LaurentPoly.monomial((-1,))
     assert (y * yinv) == LaurentPoly.constant(1, 1)
     f = y + yinv
-    assert (f * f).coefficient((0,)) == Fraction(2)
+    assert (f * f).terms[(0,)] == Fraction(2)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +514,8 @@ def test_rational_roots_match_fraction_evaluation(roots, middle, trail, lead, sc
     """Linear factors times a cofactor with small end coefficients (so its
     divisors are cheap) and middle coefficients up to 10^30."""
     cofactor_coeffs = [trail, *middle, lead]
-    p = UniPoly({k: scale * c for k, c in enumerate(cofactor_coeffs) if c})
-    for r in roots:
-        p = p * UniPoly({1: r.denominator, 0: -r.numerator})
+    p = mul(UniPoly({k: scale * c for k, c in enumerate(cofactor_coeffs) if c}),
+            *(UniPoly({1: r.denominator, 0: -r.numerator}) for r in roots))
     expected = rational_roots_by_fraction_evaluation(p)
     assert rational_roots(p) == expected
     assert set(roots) <= set(expected)
@@ -531,9 +547,9 @@ def test_rational_roots_match_sympy_at_huge_roots(planted, cofactor, shift, unit
     a sympy factorization over QQ.  The explicit examples are a repeated
     root, an x^k shift, the cofactor x^2 - 7 (roots 1 and 2 mod 3, which
     lift to no rational root) and roots 1 and 4, which meet mod 3."""
-    p = UniPoly({shift + k: unit * c for k, c in enumerate(cofactor) if c})
-    for r, m in planted:
-        p = p * UniPoly({1: r.denominator, 0: -r.numerator}) ** m
+    p = mul(UniPoly({shift + k: unit * c for k, c in enumerate(cofactor) if c}),
+            *(UniPoly({1: r.denominator, 0: -r.numerator})
+              for r, m in planted for _ in range(m)))
     found = rational_roots(p)
     zeros = sympy_poly(p).ground_roots()
     expected = sorted(Fraction(int(r.p), int(r.q)) for r in zeros)

@@ -11,7 +11,14 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpmirror._intlin import determinant_integer, matrix_multiply, transpose
+from dpmirror._intlin import (
+    complete_unimodular,
+    determinant_integer,
+    integer_kernel,
+    matrix_multiply,
+    restricted_gram,
+    transpose,
+)
 from dpmirror.homology import reference_vanishing_classes
 from dpmirror.pseudolattice import ChargeMap, PseudolatticeError, from_boundaries
 from dpmirror.rootlattice import (
@@ -206,12 +213,20 @@ def test_short_vectors_bound_is_inclusive_and_exact(vector: list) -> None:
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_short_vectors_on_the_junction_quotient_lattices(d: int) -> None:
-    """The quotient Grams that ``junction`` builds are not reduced; their
-    short vectors of norm at most 2 are the 240, 126 and 72 roots."""
+    """The quotient Grams that ``junction`` builds, rebuilt here the same
+    way, are not reduced; their short vectors of norm at most 2 are the 240,
+    126 and 72 roots that ``junction`` reports."""
     lattice, charge = _lattice_and_charge(d)
-    quotient = IntLattice(kernel_decomposition(lattice, charge).quotient_gram)
+    kernel = integer_kernel(charge.matrix())
+    restricted = restricted_gram(lattice.gram, kernel)
+    (radical,) = integer_kernel(restricted)
+    if next(x for x in radical if x) < 0:
+        radical = [-x for x in radical]
+    full = restricted_gram(restricted, transpose(complete_unimodular(radical)))
+    quotient = IntLattice(tuple(tuple(row[1:]) for row in full[1:]))
     vectors = short_vectors(quotient, 2)
     assert len(vectors) == KERNEL_FINGERPRINTS[d][3]
+    assert kernel_decomposition(lattice, charge).root_report.root_count == len(vectors)
     assert all(abs(quotient.norm(v)) == 2 for v in vectors)
 
 

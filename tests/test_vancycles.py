@@ -19,16 +19,18 @@ from dpmirror.pathnum import (
     all_roots,
     elliptic_integral,
 )
-from dpmirror.vancycles import (
-    ArcGuardError,
+from dpmirror.homology import (
     HomologyClass,
-    VanishingData,
-    critical_values_ordered,
     infinity_cycle,
     reference_vanishing_classes,
-    render_delta_svg,
     seifert_gram,
     total_monodromy,
+)
+from dpmirror.vancycles import (
+    ArcGuardError,
+    VanishingData,
+    critical_values_ordered,
+    render_delta_svg,
     vanishing_classes,
 )
 from dpmirror.weierstrass import WeierstrassModel, catalog, reference_nodal_place
