@@ -4,10 +4,10 @@ Matrices are plain lists of rows of Python ints (arbitrary precision);
 vectors are lists of ints.  Everything here is exact: Hermite column
 reduction with a recorded unimodular transform, saturated integer kernels,
 completion of a primitive vector to a unimodular matrix, Bareiss
-determinants, exact linear solves over the integers, inverses of unimodular
-matrices by integer row reduction, and the step of fraction-free (Bareiss)
-symmetric elimination that short-vector enumeration runs on.  No step leaves
-the integers.
+determinants, exact linear solves over the integers, and the step of
+fraction-free (Bareiss) symmetric elimination that short-vector enumeration
+runs on.  No step leaves the integers.  ``IntegerForm`` is the part that
+pseudolattices and symmetric lattices share: a Gram matrix and its pairing.
 """
 
 from __future__ import annotations
@@ -17,6 +17,35 @@ from typing import List, Optional, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 IntVector = List[int]
+
+
+class IntegerForm:
+    """The shared part of a record whose field ``gram`` is the Gram matrix of
+    an integer bilinear form, row acting first.
+
+    A subclass declares the field (a record's fields are those of its own
+    body), calls this ``__post_init__`` first, and then checks the shape it
+    needs with its own error type.
+    """
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in self.gram)
+        object.__setattr__(self, "gram", rows)
+        # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads;
+        # derived, so outside equality, hashing and repr
+        object.__setattr__(self, "entries", tuple(
+            (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g
+        ))
+
+    @property
+    def rank(self) -> int:
+        return len(self.gram)
+
+    def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
+        total = 0
+        for i, j, g in self.entries:
+            total += u[i] * g * v[j]
+        return total
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -49,6 +78,11 @@ def restricted_gram(
     """``V G V^T``: the form ``gram`` on the rows of ``vectors``, entry (i, j)
     pairing vector i on the left with vector j on the right."""
     return matrix_multiply(matrix_multiply(vectors, gram), transpose(vectors))
+
+
+def is_symmetric(matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether the square ``matrix`` equals its transpose."""
+    return all(row[j] == matrix[j][i] for i, row in enumerate(matrix) for j in range(i))
 
 
 def matrix_vector(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
@@ -232,40 +266,6 @@ def determinant_integer(matrix: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def unimodular_inverse(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    """Integer inverse of an integer matrix with determinant ±1.
-
-    Integer row operations of determinant one reduce ``[matrix | I]`` to
-    ``[I | inverse]``: an extended-gcd pair clears each column below its
-    pivot, leaving the gcd of the column there.  The determinant is the
-    product of these pivots up to sign, so a pivot other than ±1 means the
-    inverse is not integral.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    for k in range(n):
-        for i in range(k + 1, n):
-            a, b = work[k][k], work[i][k]
-            if b == 0:
-                continue
-            g, s, t = extended_gcd(a, b)
-            top, low = work[k], work[i]
-            work[k] = [s * x + t * y for x, y in zip(top, low)]
-            work[i] = [(a // g) * y - (b // g) * x for x, y in zip(top, low)]
-        if work[k][k] not in (1, -1):
-            raise ValueError("matrix is not unimodular; inverse is not integral")
-        if work[k][k] == -1:
-            work[k] = [-x for x in work[k]]
-    for k in range(n - 1, 0, -1):
-        for i in range(k):
-            factor = work[i][k]
-            if factor:
-                work[i] = [x - factor * y for x, y in zip(work[i], work[k])]
-    return [row[n:] for row in work]
 
 
 def symmetric_bareiss_step(m: IntMatrix, k: int, previous: int) -> None:

@@ -7,16 +7,18 @@ stored:
 * :class:`UniPoly` — univariate polynomials, keyed by integer exponent.
   Each polynomial carries a variable tag (``"lam"`` for the base coordinate,
   ``"mu"`` for the coordinate at infinity) so that chart mix-ups fail loudly.
-  It is a value type with sum, derivative and division; the rest of its
-  algebra runs on integer rows (below).
+  It is a value type with sum and derivative; the rest of its algebra runs
+  on integer rows (below).
 * :class:`LaurentPoly` — Laurent polynomials in several variables, keyed by
   integer exponent vectors (negative exponents allowed), with the ring
   arithmetic of the period series.
 
 JSON artifacts store a univariate polynomial as a sorted list of
-``[exponent, "num/den"]`` pairs.  The gcd, the square-free factorization,
-valuations and the cubic invariant clear denominators once and run
-fraction-free on dense integer rows (primitive remainder sequences).
+``[exponent, "num/den"]`` pairs, an integral coefficient as ``"num"`` (for
+example ``[5, "-64"]``): the text of ``str(Fraction)``.  The gcd, the
+square-free factorization, valuations, the division by rational roots and
+the cubic invariant clear denominators once and run fraction-free on dense
+integer rows (primitive remainder sequences).
 """
 
 from __future__ import annotations
@@ -32,13 +34,6 @@ RationalLike = Union[Fraction, int, str]
 # Sparse coefficient maps. Values are always nonzero.
 UniTerms = Dict[int, Fraction]
 LaurentTerms = Dict[Tuple[int, ...], Fraction]
-
-
-def rational_to_string(value: Fraction) -> str:
-    """Render a Fraction as ``"num/den"`` (or ``"num"`` when integral)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def rational_to_num_den(value: Fraction) -> str:
@@ -97,7 +92,7 @@ class UniPoly:
     def __repr__(self) -> str:
         if not self.terms:
             return f"UniPoly(0, var={self.var!r})"
-        parts = [f"{rational_to_string(c)}*{self.var}^{e}"
+        parts = [f"{c}*{self.var}^{e}"
                  for e, c in sorted(self.terms.items())]
         return f"UniPoly({' + '.join(parts)})"
 
@@ -122,32 +117,10 @@ class UniPoly:
         return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
                        self.var)
 
-    def divmod_exact(self, divisor: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
-        """Polynomial long division; returns (quotient, remainder)."""
-        self._check_var(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient: UniTerms = {}
-        remainder = dict(self.terms)
-        ddeg = divisor.degree()
-        dlc = divisor.leading_coefficient()
-        while remainder and max(remainder) >= ddeg:
-            rdeg = max(remainder)
-            factor = remainder[rdeg] / dlc
-            quotient[rdeg - ddeg] = factor
-            for exp, coeff in divisor.terms.items():
-                e = exp + rdeg - ddeg
-                c = remainder.get(e, Fraction(0)) - factor * coeff
-                if c:
-                    remainder[e] = c
-                else:
-                    remainder.pop(e, None)
-        return UniPoly(quotient, self.var), UniPoly(remainder, self.var)
-
     # -- serialization -------------------------------------------------------
 
     def to_pairs(self) -> List[List[object]]:
-        return [[e, rational_to_string(c)] for e, c in sorted(self.terms.items())]
+        return [[e, str(c)] for e, c in sorted(self.terms.items())]
 
 
 class LaurentPoly:
@@ -187,7 +160,7 @@ class LaurentPoly:
     def __repr__(self) -> str:
         if not self.terms:
             return f"LaurentPoly(0, nvars={self.nvars})"
-        parts = [f"{rational_to_string(c)}*y^{list(e)}"
+        parts = [f"{c}*y^{list(e)}"
                  for e, c in sorted(self.terms.items())]
         return f"LaurentPoly({' + '.join(parts)})"
 
@@ -252,6 +225,18 @@ def valuation_at(p: UniPoly, point: RationalLike) -> int:
     while _vanishes_at(row, top, den):
         row, order = _quotient(row, [-top, den]), order + 1
     return order
+
+
+def cofactor(p: UniPoly, roots: Sequence[Fraction]) -> UniPoly:
+    """The monic quotient of ``p`` by the product of x - r over ``roots``,
+    distinct roots of ``p``: the primitive row of den*x - top is divided out
+    of the cleared integer row of ``p`` once per root top/den, as
+    ``valuation_at`` does."""
+    row = _cleared(p)[0]
+    for root in roots:
+        top, den = root.as_integer_ratio()
+        row = _quotient(row, [-top, den])
+    return _monic(row, p.var)
 
 
 # Dense integer rows: index k holds the coefficient of x^k, with no

@@ -29,12 +29,6 @@ class HomologyClass(Record):
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         return HomologyClass(self.m + other.m, self.n + other.n)
 
-    def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        return HomologyClass(self.m - other.m, self.n - other.n)
-
-    def scaled(self, k: int) -> "HomologyClass":
-        return HomologyClass(k * self.m, k * self.n)
-
     def is_zero(self) -> bool:
         return self.m == 0 and self.n == 0
 

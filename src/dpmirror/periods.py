@@ -44,7 +44,7 @@ from math import factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
-from .exactpoly import LaurentPoly, rational_to_string
+from .exactpoly import LaurentPoly
 
 # The three catalog degrees and their weighted hypersurface data: the degree-d
 # surface is a hypersurface of degree ``d1`` in the weighted projective space
@@ -78,7 +78,7 @@ class PowerSeries(Record):
         return self.coefficients[j]
 
     def to_json(self) -> List[str]:
-        return [rational_to_string(c) for c in self.coefficients]
+        return [str(c) for c in self.coefficients]
 
 
 class FanoWeightData(Record):

@@ -22,23 +22,23 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._intlin import (
+    IntegerForm,
     column_space_basis,
     complete_unimodular,
     determinant_integer,
     integer_kernel,
+    is_symmetric,
     matrix_multiply,
     matrix_vector,
     primitive_vector,
     restricted_gram,
     solve_integer,
     transpose,
-    unimodular_inverse,
 )
 from ._record import Record
 from .homology import (
     HomologyClass,
     extended_vanishing_classes,
-    h1_pair,
     reference_vanishing_classes,
     seifert_gram,
     target_boundary_classes,
@@ -67,36 +67,20 @@ def _first_violation(cells: Iterable[Tuple[int, int, int]]) -> Optional[str]:
     return None
 
 
-class Pseudolattice(Record):
+class Pseudolattice(IntegerForm, Record):
     """A free module with a non-degenerate integer bilinear form."""
 
     gram: Tuple[Tuple[int, ...], ...]  # ambient Gram matrix, row acts first
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+        super().__post_init__()
+        n = self.rank
+        if any(len(row) != n for row in self.gram):
             raise PseudolatticeError("Gram matrix must be square")
         if n == 0:
             raise PseudolatticeError("rank must be positive")
-        if determinant_integer([list(r) for r in rows]) == 0:
+        if determinant_integer(self.gram) == 0:
             raise PseudolatticeError("bilinear form is degenerate")
-        # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads;
-        # derived, so outside equality, hashing and repr
-        object.__setattr__(self, "entries", tuple(
-            (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g
-        ))
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-    def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        total = 0
-        for i, j, g in self.entries:
-            total += u[i] * g * v[j]
-        return total
 
     def exceptionality_violation(
         self, vectors: Sequence[Sequence[int]]
@@ -294,11 +278,25 @@ def word_identity(
 
 
 def serre(lattice: Pseudolattice) -> IntMatrix:
-    """The integral operator S with <u, v> = <v, S u> for all u, v."""
-    gram = [list(row) for row in lattice.gram]
-    if determinant_integer(gram) not in (1, -1):
-        raise PseudolatticeError("Serre operator requires a unimodular Gram")
-    return matrix_multiply(unimodular_inverse(gram), transpose(gram))
+    """The integral operator S with <u, v> = <v, S u> for all u, v.
+
+    That is G S = G^T for the Gram G, which must be upper unitriangular, as
+    the Gram of an exceptional basis is; each column of S then follows from
+    the matching row of G by back-substitution, in integers.
+    """
+    gram, n = lattice.gram, lattice.rank
+    violation = _first_violation(
+        (i, j, gram[i][j]) for i in range(n) for j in (i, *range(i))
+    )
+    if violation is not None:
+        raise PseudolatticeError(
+            f"Serre operator requires an upper unitriangular Gram: {violation}"
+        )
+    s = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for i in range(n - 1, -1, -1):
+            s[i][c] = gram[c][i] - sum(gram[i][j] * s[j][c] for j in range(i + 1, n))
+    return s
 
 
 def point_like(lattice: Pseudolattice) -> IntVector:
@@ -360,12 +358,8 @@ def neron_severi(lattice: Pseudolattice) -> QuotientLattice:
         raise PseudolatticeError("completion failed to place the point first")
     reps = ambient[1:]
     induced = restricted_gram(lattice.gram, reps)
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            if induced[i][j] != induced[j][i]:
-                raise PseudolatticeError(
-                    "induced form on the quotient is not symmetric"
-                )
+    if not is_symmetric(induced):
+        raise PseudolatticeError("induced form on the quotient is not symmetric")
     return QuotientLattice(
         tuple(tuple(row) for row in induced),
         tuple(p),
@@ -615,24 +609,15 @@ def verify_mutation_equivalence(d: int) -> MutationVerificationReport:
 # boundary-level sequences for the root-system comparison
 
 
-def _boundary_mutate(
-    classes: List[HomologyClass], side: str, slot: int
-) -> None:
-    u, v = classes[slot], classes[slot + 1]
-    s = h1_pair(u, v)
-    if side == "L":
-        classes[slot], classes[slot + 1] = v - u.scaled(s), u
-    else:
-        classes[slot], classes[slot + 1] = v, u - v.scaled(s)
-
-
 def ghs_sequences(ell: int) -> List[HomologyClass]:
     """Vanishing-cycle sequences matched against the frozen torus targets.
 
     Starting from the reference class list of degree ``9 - ell``, the class
     in position 0 is removed and a frozen linear change of fiber basis for
-    the given rank is applied; for rank 7 two boundary-level mutations (left
-    at slot 1, then right at slot 6) finish the alignment.
+    the given rank is applied.  For rank 7 the word ``R6 L1`` (left at slot
+    1, then right at slot 6) finishes the alignment: it mutates the standard
+    basis of the changed classes' pseudolattice, and the charge map reads the
+    classes back.
     """
     if ell == 8:
         base = list(reference_vanishing_classes(1)[1:])
@@ -643,10 +628,10 @@ def ghs_sequences(ell: int) -> List[HomologyClass]:
         return [HomologyClass(c.n - c.m, -c.m) for c in base]
     if ell == 7:
         base = list(reference_vanishing_classes(2)[1:])
-        out = [HomologyClass(c.m + c.n, c.n) for c in base]
-        _boundary_mutate(out, "L", 1)
-        _boundary_mutate(out, "R", 6)
-        return out
+        lattice, basis, charge = from_boundaries(
+            [HomologyClass(c.m + c.n, c.n) for c in base]
+        )
+        return list(charge.charges(mutate(lattice, basis, MutationWord.parse("R6 L1"))))
     raise ValueError(f"no sequence for rank {ell}")
 
 

@@ -24,9 +24,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._intlin import (
+    IntegerForm,
     complete_unimodular,
     determinant_integer,
     integer_kernel,
+    is_symmetric,
     matrix_multiply,
     matrix_vector,
     primitive_vector,
@@ -57,36 +59,18 @@ class RootLatticeError(ValueError):
     """Raised when an input violates a root-lattice assumption."""
 
 
-class IntLattice(Record):
+class IntLattice(IntegerForm, Record):
     """A finite-rank lattice with a symmetric integer bilinear form."""
 
     gram: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", rows)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
+        super().__post_init__()
+        n = self.rank
+        if n == 0 or any(len(row) != n for row in self.gram):
             raise RootLatticeError("Gram matrix must be square and nonempty")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise RootLatticeError("Gram matrix must be symmetric")
-        # the nonzero Gram entries (i, j, g_ij), which is all a pairing reads;
-        # derived, so outside equality, hashing and repr
-        object.__setattr__(self, "entries", tuple(
-            (i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g
-        ))
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-    def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        total = 0
-        for i, j, g in self.entries:
-            total += u[i] * g * v[j]
-        return total
+        if not is_symmetric(self.gram):
+            raise RootLatticeError("Gram matrix must be symmetric")
 
     def norm(self, v: Sequence[int]) -> int:
         return self.pairing(v, v)
@@ -533,10 +517,8 @@ def kernel_decomposition(
     if not charge.charge(p).is_zero():
         raise PseudolatticeError("point-like vector carries nonzero charge")
     restricted = restricted_gram(lattice.gram, kernel)
-    for i in range(len(kernel)):
-        for j in range(i):
-            if restricted[i][j] != restricted[j][i]:
-                raise PseudolatticeError("restricted form is not symmetric")
+    if not is_symmetric(restricted):
+        raise PseudolatticeError("restricted form is not symmetric")
     radical = integer_kernel(restricted)
     radical_ok = len(radical) == 1
     generator = radical[0] if radical_ok else [0] * len(kernel)

@@ -24,10 +24,10 @@ from ._record import Record
 from .exactpoly import (
     Rational,
     UniPoly,
+    cofactor,
     disc_cubic,
     poly_gcd,
     rational_roots,
-    rational_to_string,
     squarefree_factorization,
     valuation_at,
 )
@@ -122,9 +122,9 @@ class FiberPlacement(Record):
         if self.place == "inf":
             return "inf"
         if self.place is not None:
-            return rational_to_string(self.place)
+            return str(self.place)
         return "roots(" + ",".join(
-            f"{e}:{rational_to_string(c)}" for e, c in sorted(self.factor.terms.items())
+            f"{e}:{c}" for e, c in sorted(self.factor.terms.items())
         ) + ")"
 
 
@@ -242,7 +242,7 @@ def is_globally_minimal(model: WeierstrassModel) -> MinimalityReport:
         v_b = valuation_at(model.b, root) if not model.b.is_zero() else 12
         if v_a >= 4 and v_b >= 6:
             return MinimalityReport(
-                False, f"non-minimal at lam = {rational_to_string(root)}"
+                False, f"non-minimal at lam = {root}"
             )
     inf = model._at_infinity
     disc_inf = inf.discriminant_scale()
@@ -317,12 +317,10 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     _unit, factors = model._factors
     placements: List[FiberPlacement] = []
     for factor, multiplicity in factors:
-        remainder = factor
-        for root in rational_roots(factor):
-            remainder, _ = remainder.divmod_exact(
-                UniPoly({1: 1, 0: -root}, factor.var)
-            )
+        roots = rational_roots(factor)
+        for root in roots:
             placements.append(FiberPlacement(root, classify_fiber_at(model, root)))
+        remainder = cofactor(factor, roots)
         if remainder.degree() == 0:
             continue
         coprime_a = (

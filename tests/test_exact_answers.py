@@ -5,8 +5,8 @@ exit code, the text of a typed error (what ``main`` prints after "error: ",
 or null), and the sha256 of the artifact's exact projection.  The
 projection of a subcommand keeps the keys that are exact answers and drops
 numeric samples; ``PROJECTIONS`` names one per subcommand in the corpus.
-The lattice subcommands write no floats, so their whole artifact is the
-projection.
+The fiber tables, the period series and the lattice subcommands write no
+floats, so their whole artifact is the projection.
 
 Every call runs in process.  A changed answer fails with the list of argv
 whose exit code, error or digest moved.  To record new digests after an
@@ -35,6 +35,8 @@ def _whole(artifact: str) -> str:
 
 # subcommand -> the exact projection of its artifact
 PROJECTIONS: Dict[str, Callable[[str], str]] = {
+    "fibers": _whole,
+    "mirror": _whole,
     "junction": _whole,
     "verify": _whole,
     "ghs": _whole,
@@ -55,9 +57,22 @@ MUTATE_WORDS = (
 )
 
 
+# Perturbations of the fiber tables: two small ones and one with a 40-digit
+# denominator, whose discriminant coefficients run to about 120 digits.
+FIBER_EPSILONS = ("1/90", "1/7", "7/1234567890123456789012345678901234567891")
+
+
 def corpus() -> List[List[str]]:
     argvs: List[List[str]] = []
     for d in ("1", "2", "3"):
+        for fmt in ("json", "csv"):
+            argvs.append(["fibers", "--d", d, "--variant", "exact", "--format", fmt])
+            argvs += [
+                ["fibers", "--d", d, "--variant", "perturbed", "--epsilon", epsilon,
+                 "--format", fmt]
+                for epsilon in FIBER_EPSILONS
+            ]
+        argvs += [["mirror", "--d", d, "--order", order] for order in ("6", "20")]
         argvs += [[command, "--d", d] for command in ("junction", "verify", "ghs")]
         argvs += [["mutate", "--d", d, "--word", word] for word in MUTATE_WORDS]
     argvs.append(["check"])

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from dpmirror.exactpoly import (
     LaurentPoly,
     UniPoly,
+    cofactor,
     disc_cubic,
     poly_gcd,
     rational_roots,
-    rational_to_string,
     squarefree_factorization,
     valuation_at,
 )
@@ -101,8 +101,8 @@ def test_string_coefficients_parse_exactly():
     p = UniPoly({2: "3/7"})
     assert p.coefficient(2) == Fraction(3, 7)
     assert UniPoly({0: "-4/6"}).coefficient(0) == Fraction(-2, 3)
-    assert rational_to_string(Fraction(-2, 3)) == "-2/3"
-    assert rational_to_string(Fraction(5)) == "5"
+    assert str(UniPoly({0: "-4/6"}).coefficient(0)) == "-2/3"
+    assert UniPoly({0: "-4/6", 3: 5}).to_pairs() == [[0, "-2/3"], [3, "5"]]
 
 
 @given(laurent_strategy(), laurent_strategy(), laurent_strategy())
@@ -139,13 +139,15 @@ def test_shift_then_evaluate_agrees(p, c):
         assert value_at(moved, x) == value_at(p, x + c)
 
 
-@given(unipoly_strategy(5), unipoly_strategy(3))
-def test_division_reconstructs_dividend(p, q):
-    if q.is_zero():
+@given(unipoly_strategy(5), st.lists(rationals, max_size=3, unique=True))
+def test_division_reconstructs_dividend(p, roots):
+    """Dividing the linear factors of ``roots`` back out of p * prod(x - r)
+    leaves the monic multiple of p."""
+    if p.is_zero():
         return
-    quo, rem = p.divmod_exact(q)
-    assert mul(quo, q) + rem == p
-    assert rem.degree() < q.degree() or rem.is_zero()
+    dividend = mul(p, *(UniPoly({1: 1, 0: -r}) for r in roots))
+    monic = UniPoly({e: c / p.leading_coefficient() for e, c in p.terms.items()})
+    assert cofactor(dividend, roots) == monic
 
 
 # ---------------------------------------------------------------------------

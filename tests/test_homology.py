@@ -31,9 +31,8 @@ REFERENCE_LENGTHS = {1: 11, 2: 10, 3: 9}
 
 def test_class_arithmetic():
     assert A + B == HomologyClass(1, 1)
-    assert A - B == HomologyClass(1, -1)
+    assert A + -B == HomologyClass(1, -1)
     assert -A == HomologyClass(-1, 0)
-    assert B.scaled(3) == HomologyClass(0, 3)
     assert HomologyClass(0, 0).is_zero()
     assert not A.is_zero()
     assert A.to_pair() == (1, 0)
@@ -109,7 +108,8 @@ def test_dehn_twist_fixes_its_class_and_ignores_sign():
 def test_dehn_twist_action_formula(m1, n1, m2, n2):
     cls, other = HomologyClass(m1, n1), HomologyClass(m2, n2)
     moved = _act(dehn_twist(cls), other)
-    assert moved == other + cls.scaled(h1_pair(cls, other))
+    k = h1_pair(cls, other)
+    assert moved == other + HomologyClass(k * cls.m, k * cls.n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +22,6 @@ from dpmirror._intlin import (
     rank_integer,
     solve_integer,
     transpose,
-    unimodular_inverse,
     vector_gcd,
 )
 
@@ -160,7 +158,7 @@ def test_solve_integer_recovers_solutions(matrix, data):
 
 
 # ---------------------------------------------------------------------------
-# determinants, inverses, signatures
+# determinants
 
 
 def test_determinant_known_values():
@@ -189,60 +187,6 @@ def test_determinant_matches_fraction_gauss(matrix):
             factor = work[i][k] / work[k][k]
             work[i] = [a - factor * b for a, b in zip(work[i], work[k])]
     assert determinant_integer(matrix) == det
-
-
-@given(matrix=square_matrices)
-@settings(max_examples=100, deadline=None)
-def test_unimodular_inverse_round_trip(matrix):
-    if determinant_integer(matrix) not in (1, -1):
-        with pytest.raises(ValueError):
-            unimodular_inverse(matrix)
-        return
-    inverse = unimodular_inverse(matrix)
-    assert matrix_multiply(matrix, inverse) == identity_matrix(len(matrix))
-    assert matrix_multiply(inverse, matrix) == identity_matrix(len(matrix))
-
-
-def _elementary_product(n, moves):
-    """The product of elementary integer matrices: each move adds a multiple
-    of one row to another, or swaps two rows, or negates one row."""
-    matrix = identity_matrix(n)
-    for kind, i, j, c in moves:
-        i, j = i % n, j % n
-        if kind == 0 and i != j:
-            matrix[i] = [a + c * b for a, b in zip(matrix[i], matrix[j])]
-        elif kind == 1:
-            matrix[i], matrix[j] = matrix[j], matrix[i]
-        elif kind == 2:
-            matrix[i] = [-a for a in matrix[i]]
-    return matrix
-
-
-unimodular_matrices = st.builds(
-    _elementary_product,
-    st.integers(min_value=1, max_value=5),
-    st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4),
-                  st.integers(-3, 3)),
-        max_size=12,
-    ),
-)
-
-
-@given(matrix=st.one_of(unimodular_matrices, square_matrices))
-@settings(max_examples=150, deadline=None)
-def test_unimodular_inverse_matches_sympy(matrix):
-    expected = sympy.Matrix(matrix)
-    if expected.det() not in (1, -1):
-        with pytest.raises(ValueError):
-            unimodular_inverse(matrix)
-        return
-    assert unimodular_inverse(matrix) == expected.inv().tolist()
-
-
-def test_unimodular_inverse_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        unimodular_inverse([[1, 0]])
 
 
 def test_column_space_basis_shape():

@@ -5,15 +5,17 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpmirror import pseudolattice
 from dpmirror._intlin import (
     determinant_integer,
     integer_kernel,
+    matrix_multiply,
     matrix_vector,
     restricted_gram,
+    transpose,
 )
 from dpmirror.homology import (
     HomologyClass,
@@ -321,6 +323,41 @@ def test_serre_rank_two_example():
         point_like(lattice)
 
 
+def _unitriangular(n, above):
+    """The rank-``n`` upper unitriangular matrix with the entries ``above``
+    the diagonal, row by row."""
+    cells = iter(above)
+    return [[int(i == j) if j <= i else next(cells) for j in range(n)]
+            for i in range(n)]
+
+
+unitriangular_grams = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.integers(-9, 9), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+    ).map(lambda above: _unitriangular(n, above))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unitriangular_grams)
+def test_serre_solves_the_unitriangular_gram(gram):
+    assert matrix_multiply(gram, serre(Pseudolattice(gram))) == transpose(gram)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unitriangular_grams, st.integers(0, 7), st.integers(0, 7),
+       st.integers(-9, 9).filter(bool))
+def test_serre_refuses_a_gram_that_is_not_unitriangular(gram, i, j, shift):
+    # one entry on or below the diagonal moves off its unitriangular value
+    n = len(gram)
+    i, j = max(i % n, j % n), min(i % n, j % n)
+    gram[i][j] += shift
+    assume(determinant_integer(gram) != 0)
+    lattice = Pseudolattice(gram)
+    with pytest.raises(PseudolatticeError, match="unitriangular"):
+        serre(lattice)
+
+
 def test_serre_identity_on_fibration_lattice():
     lattice, _, _ = from_boundaries(reference_vanishing_classes(3))
     s = serre(lattice)
@@ -539,12 +576,13 @@ def test_mutation_charges_transform_linearly(pairs, side, slot):
     after = charge.charges(mutate(lattice, basis, word))
     e, f = list(basis.vectors[slot]), list(basis.vectors[slot + 1])
     s = lattice.pairing(e, f)
+    u, v = before[slot], before[slot + 1]
     if side == "L":
-        assert after[slot] == before[slot + 1] - before[slot].scaled(s)
-        assert after[slot + 1] == before[slot]
+        assert after[slot] == HomologyClass(v.m - s * u.m, v.n - s * u.n)
+        assert after[slot + 1] == u
     else:
-        assert after[slot] == before[slot + 1]
-        assert after[slot + 1] == before[slot] - before[slot + 1].scaled(s)
+        assert after[slot] == v
+        assert after[slot + 1] == HomologyClass(u.m - s * v.m, u.n - s * v.n)
 
 
 @settings(max_examples=100, deadline=None)
