@@ -6,7 +6,10 @@ or null), and the sha256 of the artifact's exact projection.  The
 projection of a subcommand keeps the keys that are exact answers and drops
 numeric samples; ``PROJECTIONS`` names one per subcommand in the corpus.
 The fiber tables, the period series and the lattice subcommands write no
-floats, so their whole artifact is the projection.
+floats, and the JSON of ``interpolate`` holds its word, verdict, track
+counts and chart-switch times but no samples, so their whole artifact is
+the projection.  The ``interpolate`` calls, which run the numeric sweep,
+are a corpus of their own with a test and a time budget of their own.
 
 Every call runs in process.  A changed answer fails with the list of argv
 whose exit code, error or digest moved.  To record new digests after an
@@ -42,6 +45,7 @@ PROJECTIONS: Dict[str, Callable[[str], str]] = {
     "ghs": _whole,
     "mutate": _whole,
     "check": _whole,
+    "interpolate": _whole,
 }
 
 # Fixed mutation words per degree.  The last slot of a basis of 12 is 10, so
@@ -79,6 +83,23 @@ def corpus() -> List[List[str]]:
     return argvs
 
 
+# The twelve epsilons at which the 3 -> 2 word is pinned in
+# tests/test_interfam.py, then 10^k for k = -12, -10, ..., 12 (the default
+# 1/100 and 1 are listed once).  The sweep refuses the base point at
+# epsilon <= 10^-4 and bisects at 10^4 and above.
+INTERPOLATE_EPSILONS = (
+    "1/100", "1/200", "1/50", "3/100", "1/80", "1/250", "1/300", "1/400",
+    "1/500", "3/10", "1", "3",
+    *(f"1/{10 ** -k}" for k in range(-12, -2, 2)),
+    *(str(10 ** k) for k in range(2, 14, 2)),
+)
+
+
+def interpolate_corpus() -> List[List[str]]:
+    return [["interpolate", "--d", d, "--epsilon", epsilon]
+            for d in ("3", "2") for epsilon in INTERPOLATE_EPSILONS]
+
+
 def answer(argv: List[str]) -> Dict[str, object]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -95,22 +116,36 @@ def answer(argv: List[str]) -> Dict[str, object]:
     }
 
 
-def test_exact_answers_match_the_recorded_digests():
-    recorded = json.loads(DATA.read_text(encoding="utf-8"))["calls"]
-    assert [call["argv"] for call in recorded] == corpus()
+def _changed(key: str, argvs: List[List[str]], budget: float) -> None:
+    """Run the recorded calls under ``key`` and check that they are the
+    corpus ``argvs``, that no answer moved, and that they end within
+    ``budget`` seconds."""
+    recorded = json.loads(DATA.read_text(encoding="utf-8"))[key]
+    assert [call["argv"] for call in recorded] == argvs
     start = time.perf_counter()
     changed = [
-        (call["argv"], key)
+        (call["argv"], field)
         for call in recorded
-        for key, value in answer(call["argv"]).items()
-        if call[key] != value
+        for field, value in answer(call["argv"]).items()
+        if call[field] != value
     ]
     elapsed = time.perf_counter() - start
     assert changed == []
-    assert elapsed < 2.0
+    assert elapsed < budget
+
+
+def test_exact_answers_match_the_recorded_digests():
+    _changed("calls", corpus(), 2.0)
+
+
+def test_interpolate_answers_match_the_recorded_digests():
+    _changed("interpolate_calls", interpolate_corpus(), 5.0)
 
 
 if __name__ == "__main__":
-    rows = ",\n".join(json.dumps(answer(argv)) for argv in corpus())
+    blocks = []
+    for key, argvs in (("calls", corpus()), ("interpolate_calls", interpolate_corpus())):
+        rows = ",\n".join(json.dumps(answer(argv)) for argv in argvs)
+        blocks.append(f'"{key}": [\n{rows}\n]')
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(f'{{"calls": [\n{rows}\n]}}\n', encoding="utf-8")
+    DATA.write_text("{" + ",\n".join(blocks) + "}\n", encoding="utf-8")
