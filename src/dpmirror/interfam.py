@@ -14,9 +14,12 @@ the invariant by convolution.  One function, ``_samples``, solves every
 sample: it forms the invariants of an array of times together and finds
 their roots by one batched Aberth run per trimmed degree, for the grid
 in blocks and for the start and each bisection midpoint as a batch of
-one.  Each sample is a ``_Row`` of per-track arrays (finite-chart
-position, homogeneous coordinates and pairwise chordal distances), so
-nothing is recomputed for the next interval; ``ProjectivePoint`` rows, the
+one.  The ends start from Newton-polygon circles; a block or a midpoint
+starts from the roots of the last accepted sample when their counts
+agree (consecutive grid samples are 1/400 apart).  Each sample is a
+``_Row`` of per-track arrays (finite-chart position, homogeneous
+coordinates and pairwise chordal distances), so nothing is recomputed for
+the next interval; ``ProjectivePoint`` rows, the
 only ones that carry charts, are built once, for the returned
 ``TrajectorySet``.  Every interval, on the grid or between bisection
 midpoints, is decided by one rule: it is accepted when each track's
@@ -339,20 +342,23 @@ def _rows(affine: np.ndarray) -> List[_Row]:
 
 
 def _samples(
-    spec: FamilySpec, times: np.ndarray, width: int, tracks: int
+    spec: FamilySpec, times: np.ndarray, width: int, tracks: int,
+    start: Optional[np.ndarray],
 ) -> List[Union[_Row, str]]:
     """The sweep row of each of ``times``, or the reason it is refused.
 
     The invariants of all the times are formed together and grouped by
     their degree once trimmed (leading coefficients at most ``_TRIM_TOL``
     of the largest dropped); each group is solved by one ``batch_roots``
-    run, and the rows are built together.  A row holds ``tracks`` points:
-    the roots, then the point at infinity.  A time is refused, in this
-    order, when its invariant has a coefficient beyond the float range,
-    has trimmed degree below 1 or a constant term at most 1e-12 of its
-    largest coefficient, when its sphere degree is not ``width``, when it
-    has more than ``tracks`` roots, and when the batch cannot certify its
-    roots.
+    run, and the rows are built together.  ``start`` is the ``affine`` of
+    a solved nearby row, or None: a group of degree n starts from its
+    roots when it has exactly n finite ones, and from the Newton-polygon
+    circles otherwise.  A row holds ``tracks`` points: the roots, then the
+    point at infinity.  A time is refused, in this order, when its
+    invariant has a coefficient beyond the float range, has trimmed degree
+    below 1 or a constant term at most 1e-12 of its largest coefficient,
+    when its sphere degree is not ``width``, when it has more than
+    ``tracks`` roots, and when the batch cannot certify its roots.
     """
     model = family_at(spec, times)
     invariant = model.invariant_rows()
@@ -374,9 +380,12 @@ def _samples(
     )
     reason = np.select([failed for failed, _ in refusals], range(1, 6))
     affine = np.full((len(times), tracks), math.inf, dtype=complex)
+    roots = () if start is None else start[np.isfinite(start)]
     for n in sorted(set(degree[reason == 0].tolist())):
         members = np.flatnonzero((reason == 0) & (degree == n))
-        affine[members, :n], certified = batch_roots(invariant[members, : n + 1])
+        affine[members, :n], certified = batch_roots(
+            invariant[members, : n + 1], roots if len(roots) == n else None
+        )
         reason[members[~certified]] = 6
     texts = [text for _, text in refusals] + [
         f"root iteration failed to converge in {_MAX_ITERATIONS} steps at time {{s}}"
@@ -444,8 +453,9 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     before any other work; then the grid of ``SAMPLES`` equal intervals in
     blocks of ``_GRID_BLOCK`` times (the last block ends on the solved end);
     then each bisection midpoint alone, kept with its time until the sweep
-    accepts it.  A refused grid sample or midpoint raises ``NumericsError``
-    with its reason when the sweep reaches it.
+    accepts it.  Each block and midpoint hands ``_samples`` the roots of the
+    last accepted sample to start from.  A refused grid sample or midpoint
+    raises ``NumericsError`` with its reason when the sweep reaches it.
 
     The sweep follows as many tracks as the end model has roots, and a
     sample with more roots is refused.  A track that arrives from infinity
@@ -473,7 +483,8 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
             raise NumericsError(sample)
         return sample
 
-    start, end = map(solved, _samples(spec, np.array([0.0, 1.0]), width, width))
+    ends = _samples(spec, np.array([0.0, 1.0]), width, width, None)
+    start, end = map(solved, ends)
     finite, tracks = (int(np.isfinite(row.affine).sum()) for row in (start, end))
     if finite > tracks:
         raise NumericsError(f"track count changed: {finite} finite roots at time "
@@ -484,7 +495,8 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     count = 2  # samples solved so far
     for first in range(1, SAMPLES + 1, _GRID_BLOCK):
         times = np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
-        block = _samples(spec, times[times < 1.0], width, tracks)
+        block = _samples(spec, times[times < 1.0], width, tracks,
+                         accepted[-1][1].affine)
         count += len(block)
         block += [end] * (len(times) - len(block))  # the end closes the last block
         settled = _settled([accepted[-1][1], *block])
@@ -521,7 +533,8 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
                                         f"budget, and reached time {here:.8f}")
                 count += 1
                 midpoint = here + (target - here) / 2
-                (sample,) = _samples(spec, np.array([midpoint]), width, tracks)
+                (sample,) = _samples(spec, np.array([midpoint]), width, tracks,
+                                     row.affine)
                 pending.append((midpoint, solved(sample)))
     times = tuple(time for time, _, _ in accepted)
     parked = (ProjectivePoint(INFINITE, 0j),) * (width - tracks)

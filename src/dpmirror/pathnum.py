@@ -3,8 +3,9 @@
 Three kernels:
 
 - complete complex root finding: a numpy Aberth-Ehrlich iteration (Bini
-  1996, as in MPSolve) that starts from the circles of the Newton polygon
-  and certifies each root by its componentwise backward error
+  1996, as in MPSolve) that starts from the circles of the Newton polygon,
+  or from the roots of a nearby polynomial when ``batch_roots`` is given
+  them, and certifies each root by its componentwise backward error
   |p(z)| / sum_i |c_i| |z|^i, which means the same at every scale of |z|.
   The iteration runs on a batch of polynomials of one degree:
   ``all_roots`` solves one, ``batch_roots`` many at once;
@@ -316,18 +317,25 @@ def all_roots(p: CPoly) -> List[complex]:
     return sorted(roots, key=lambda w: (w.real, w.imag))
 
 
-def batch_roots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def batch_roots(
+    rows: np.ndarray, start: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """All roots of many polynomials of one degree n >= 1 in one batched run.
 
     ``rows`` holds their coefficients, ascending, one polynomial per row,
     each with a nonzero constant and leading coefficient.  Every row starts
-    from the circles of its Newton polygon, as ``all_roots`` starts.
-    Returns the roots as a ``(rows, n)`` array, each row sorted by (re, im)
-    as ``all_roots`` sorts, and the mask of the rows whose roots all meet
-    the certificate of ``all_roots``; the entries of the other rows are not
-    roots.
+    from the n distinct points of ``start`` when they are given (the roots
+    of a nearby polynomial, a warm start), and otherwise from the circles
+    of its Newton polygon, as ``all_roots`` starts; the iteration, its
+    certificate and its polish are the same either way.  Returns the roots as a
+    ``(rows, n)`` array, each row sorted by (re, im) as ``all_roots``
+    sorts, and the mask of the rows whose roots all meet the certificate
+    of ``all_roots``; the entries of the other rows are not roots.
     """
-    starts = np.array([_newton_polygon_start(row) for row in rows])
+    if start is None:
+        starts = np.array([_newton_polygon_start(row) for row in rows])
+    else:
+        starts = np.broadcast_to(start, (len(rows), rows.shape[1] - 1))
     roots, certified = _aberth(rows, starts, _ROOT_TOL)
     order = np.lexsort((roots.imag, roots.real), axis=1)
     return np.take_along_axis(roots, order, axis=1), certified

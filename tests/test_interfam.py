@@ -226,15 +226,18 @@ def test_sweep_exactly_one_track_leaves_infinity():
 
 # The sweeps' work, by family and epsilon: accepted samples, rows solved by
 # the batch (every sample once: the ends, the grid and any bisection
-# midpoints), one-row `all_roots` solves, and chart switches.  None of these
-# sweeps bisects an interval.
+# midpoints), rows of it that start from Newton-polygon circles, one-row
+# `all_roots` solves, and chart switches.  The cold rows are the two ends
+# and the first grid block, whose rows have one root more than the start
+# (the track arriving from infinity); every later row starts from the roots
+# of the last accepted sample.  None of these sweeps bisects an interval.
 SWEEP_WORK = {
-    ((3, 2), "1/100"): (401, 401, 0, ((11, 0.595),)),
-    ((2, 1), "1/100"): (401, 401, 0, ((11, 0.35),)),
-    ((3, 2), "3"): (401, 401, 0, ((2, 0.26), (2, 0.5525), (11, 0.735))),
-    ((2, 1), "3"): (401, 401, 0, ((11, 0.425),)),
-    ((3, 2), "30"): (401, 401, 0, ()),
-    ((2, 1), "30"): (401, 401, 0, (
+    ((3, 2), "1/100"): (401, 401, 52, 0, ((11, 0.595),)),
+    ((2, 1), "1/100"): (401, 401, 52, 0, ((11, 0.35),)),
+    ((3, 2), "3"): (401, 401, 52, 0, ((2, 0.26), (2, 0.5525), (11, 0.735))),
+    ((2, 1), "3"): (401, 401, 52, 0, ((11, 0.425),)),
+    ((3, 2), "30"): (401, 401, 52, 0, ()),
+    ((2, 1), "30"): (401, 401, 52, 0, (
         (1, 0.555), (4, 0.6275), (6, 0.64), (8, 0.7375), (0, 0.845), (11, 0.9425),
         (7, 0.9825), (3, 0.985), (2, 0.99), (0, 1.0), (6, 1.0), (11, 1.0),
     )),
@@ -243,22 +246,30 @@ PAIRS = [(2, 1), (3, 2)]
 
 
 def _assert_sweep_work(pair, epsilon, monkeypatch):
-    solves, batched = [], []
+    solves, batched, cold = [], [], []
 
     def counted(*args, **kwargs):
         solves.append(1)
         return all_roots(*args, **kwargs)
 
-    def counted_batch(rows):
+    def counted_batch(rows, start=None):
         batched.append(len(rows))
-        return batch_roots(rows)
+        return batch_roots(rows, start)
 
+    def counted_start(coeffs):
+        cold.append(1)
+        return newton_polygon_start(coeffs)
+
+    newton_polygon_start = pathnum._newton_polygon_start
     monkeypatch.setattr(pathnum, "all_roots", counted)
+    monkeypatch.setattr(pathnum, "_newton_polygon_start", counted_start)
     monkeypatch.setattr(interfam, "batch_roots", counted_batch)
     traj = sweep(FamilySpec.between_degrees(*pair, Fraction(epsilon)))
-    samples, expected_batched, expected_solves, switches = SWEEP_WORK[pair, epsilon]
+    samples, expected_batched, expected_cold, expected_solves, switches = \
+        SWEEP_WORK[pair, epsilon]
     assert len(traj.parameters) == samples
     assert sum(batched) == expected_batched
+    assert len(cold) == expected_cold
     assert len(solves) == expected_solves
     assert traj.chart_switches == switches
 
@@ -293,9 +304,9 @@ def test_sweep_solves_the_ends_first_and_each_time_once(pair, monkeypatch):
     with its time, not solved again when the sweep comes back to it."""
     solved = []
 
-    def counted(spec, times, width, tracks):
+    def counted(spec, times, width, tracks, start):
         solved.extend(times.tolist())
-        return _samples(spec, times, width, tracks)
+        return _samples(spec, times, width, tracks, start)
 
     monkeypatch.setattr(interfam, "_samples", counted)
     traj = sweep(FamilySpec.between_degrees(*pair))
@@ -307,8 +318,8 @@ def test_sweep_refuses_a_sample_the_batch_cannot_certify(monkeypatch):
     """A grid sample whose roots the batch leaves uncertified is not solved
     another way: the sweep stops with a typed error that names its time."""
 
-    def failing_first_grid_row(rows):
-        roots, certified = batch_roots(rows)
+    def failing_first_grid_row(rows, start=None):
+        roots, certified = batch_roots(rows, start)
         if len(rows) > 1:
             certified[0] = False
         return roots, certified
@@ -333,9 +344,9 @@ def test_sweep_refuses_a_non_finite_invariant(monkeypatch):
 
     batches = []
 
-    def checked(rows):
+    def checked(rows, start=None):
         batches.append(np.isfinite(rows).all())
-        return batch_roots(rows)
+        return batch_roots(rows, start)
 
     monkeypatch.setattr(interfam, "family_at", overflowing)
     monkeypatch.setattr(interfam, "batch_roots", checked)
@@ -382,9 +393,9 @@ def test_sweep_bisects_down_to_the_floor_and_names_the_reason(detail, patch,
     twelve midpoints take the first grid interval below 1e-6."""
     solved = []
 
-    def counted(spec, times, width, tracks):
+    def counted(spec, times, width, tracks, start):
         solved.extend(times.tolist())
-        return _samples(spec, times, width, tracks)
+        return _samples(spec, times, width, tracks, start)
 
     monkeypatch.setattr(interfam, "_samples", counted)
     monkeypatch.setattr(interfam, *patch)

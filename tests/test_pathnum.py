@@ -7,7 +7,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 from unittest import mock
 
 import mpmath
@@ -280,11 +280,11 @@ def _perfect_match(candidates: List[List[int]], width: int) -> bool:
     return all(claim(row, set()) for row in range(len(candidates)))
 
 
-def _roots_within_conditioning(
-    poly: CPoly, prescribed: List[complex], roots: List[complex], tol: float
-) -> bool:
-    """Whether each prescribed root has its own computed root within the
-    distance a backward error ``tol`` allows.
+def _conditioning_reach(
+    poly: CPoly, prescribed: List[complex], tol: float
+) -> Dict[complex, float]:
+    """For each prescribed root, the distance from it within which a
+    backward error ``tol`` keeps a computed root.
 
     The prescribed roots are grouped with ``_conditioned_groups``.  A group
     of m roots around c, with q the product of the other factors, may move
@@ -310,6 +310,15 @@ def _roots_within_conditioning(
         radius = 2 * spread + 4 * conditioned
         for z in group:
             reach[z] = radius
+    return reach
+
+
+def _roots_within_conditioning(
+    poly: CPoly, prescribed: List[complex], roots: List[complex], tol: float
+) -> bool:
+    """Whether each prescribed root has its own computed root within the
+    distance a backward error ``tol`` allows (``_conditioning_reach``)."""
+    reach = _conditioning_reach(poly, prescribed, tol)
     candidates = [
         [j for j, w in enumerate(roots) if abs(w - z) <= reach[z]] for z in prescribed
     ]
@@ -445,18 +454,22 @@ def root_batches(draw) -> np.ndarray:
     singles = draw(st.integers(1, 6))
     rows = []
     for _ in range(draw(st.integers(1, 8))):
-        roots = [
-            cmath.rect(10 ** draw(st.floats(-3, 3)), draw(st.floats(0, 6.3)))
-            for _ in range(singles)
-        ]
-        center = cmath.rect(10 ** draw(st.floats(-3, 3)), draw(st.floats(0, 6.3)))
-        spread = abs(center) * 10 ** draw(st.floats(-6, -2))
-        roots += [center + spread, center - spread]
         coeffs = np.ones(1, dtype=complex)
-        for r in roots:
+        for r in _batch_row_roots(draw, singles):
             coeffs = np.convolve(coeffs, [-r, 1])
         rows.append(coeffs)
     return np.array(rows)
+
+
+def _batch_row_roots(draw, singles: int) -> List[complex]:
+    """The roots of one row of ``root_batches``."""
+    roots = [
+        cmath.rect(10 ** draw(st.floats(-3, 3)), draw(st.floats(0, 6.3)))
+        for _ in range(singles)
+    ]
+    center = cmath.rect(10 ** draw(st.floats(-3, 3)), draw(st.floats(0, 6.3)))
+    spread = abs(center) * 10 ** draw(st.floats(-6, -2))
+    return roots + [center + spread, center - spread]
 
 
 def _backward_error(coeffs: np.ndarray, z: complex) -> float:
@@ -492,6 +505,56 @@ def test_batch_roots_agree_with_all_roots_row_by_row(rows: np.ndarray) -> None:
             [j for j, w in enumerate(single)
              if abs(z - w) <= r + own[j] + 4e-16 * abs(z)]
             for z, r in zip(found.tolist(), reach)
+        ]
+        assert _perfect_match(candidates, len(single))
+
+
+@st.composite
+def neighbouring_rows(draw) -> Tuple[np.ndarray, List[List[complex]]]:
+    """The roots of one row of ``root_batches``, and of one to eight
+    neighbours, each of whose roots moves by a relative 1e-9 to 1e-3 in its
+    own direction; returned with the coefficient rows, row 0 first."""
+    base = _batch_row_roots(draw, draw(st.integers(1, 6)))
+    prescribed = [base]
+    for _ in range(draw(st.integers(1, 8))):
+        size = 10 ** draw(st.floats(-9, -3))
+        prescribed.append([
+            r + abs(r) * cmath.rect(size, draw(st.floats(0, 6.3))) for r in base
+        ])
+    rows = np.array([_expand(1 + 0j, roots).coeffs for roots in prescribed])
+    return rows, prescribed
+
+
+@settings(max_examples=60, deadline=None)
+@given(neighbouring_rows())
+def test_batch_roots_warm_started_from_a_neighbour_match_the_cold_roots(
+    case: Tuple[np.ndarray, List[List[complex]]],
+) -> None:
+    """Started from the roots of row 0, as the sweep starts a block from its
+    last accepted sample, every neighbour is certified, sorted, and holds the
+    roots that the Newton-polygon start finds: each warm root is paired with
+    its own cold root, by distance, within twice the reach a backward error
+    of ``_ROOT_TOL`` allows at the nearest prescribed root."""
+    rows, prescribed = case
+    (start,), (ok,) = batch_roots(rows[:1])
+    assert ok
+    warm, certified = batch_roots(rows[1:], start)
+    cold, cold_certified = batch_roots(rows[1:])
+    assert certified.all() and cold_certified.all()
+    tol = pathnum._ROOT_TOL
+    for coeffs, roots, found, single in zip(
+        rows[1:], prescribed[1:], warm.tolist(), cold.tolist()
+    ):
+        assert found == sorted(found, key=lambda w: (w.real, w.imag))
+        for z in found:
+            assert _backward_error(coeffs, z) < tol + 1e-13
+        poly = CPoly(tuple(coeffs.tolist()))
+        assert _roots_within_conditioning(poly, roots, found, tol)
+        reach = _conditioning_reach(poly, roots, tol)
+        allowed = [reach[min(roots, key=lambda r: abs(z - r))] for z in found]
+        candidates = [
+            [j for j, w in enumerate(single) if abs(z - w) <= 2 * radius]
+            for z, radius in zip(found, allowed)
         ]
         assert _perfect_match(candidates, len(single))
 

@@ -258,6 +258,7 @@ SETTINGS = {
     ("exactpoly", "LaurentPoly.__init__", "terms"): "data: the zero polynomial",
     ("exactpoly", "LaurentPoly.__init__", "nvars"): "data: the variable count",
     ("interfam", "FamilySpec.between_degrees", "epsilon"): "CLI flag --epsilon",
+    ("pathnum", "batch_roots", "start"): "two values: a warm start or the Newton polygon",
     ("pathnum", "elliptic_integral.branch_values", "ridx"): "two values: substituted",
     ("pathnum", "elliptic_integral.branch_values", "factor"): "two values: substituted",
     ("periods", "quantum_period", "order"): "CLI flag --order",

@@ -295,6 +295,25 @@ def test_mixed_rational_and_irrational_places_split():
     assert config.euler_total() == 12
 
 
+def test_rational_place_divided_out_of_an_irrational_factor():
+    # b - 2 = e = (lam - 27)(lam^2 - 2), so the invariant 27 (b - 2)(b + 2) is
+    # 27 e (e + 4): one square-free sextic with the rational root 27.  Its
+    # quotient by lam - 27 is the quintic (lam^2 - 2)(e + 4), one irrational
+    # place of five I1 fibers, named by its coefficients.
+    model = WeierstrassModel(_poly(-3 + 0 * LAM), _poly(LAM**3 - 27 * LAM**2
+                                                        - 2 * LAM + 56))
+    quintic = (LAM**2 - 2) * (LAM**3 - 27 * LAM**2 - 2 * LAM + 58)
+    config = fiber_configuration(model)
+    (irrational,) = [p for p in config.placements if p.place is None]
+    assert irrational.factor == _poly(quintic)
+    assert config.to_json()["fibers"] == [
+        {"place": "27", "type": "I1", "count": 1, "v_a": 0, "v_b": 0, "v_disc": 1},
+        {"place": "roots(0:-116,1:4,2:112,3:-4,4:-27,5:1)", "type": "I1",
+         "count": 5, "v_a": 0, "v_b": 0, "v_disc": 1},
+        {"place": "inf", "type": "I0*", "count": 1, "v_a": 4, "v_b": 3, "v_disc": 6},
+    ]
+
+
 def test_additive_fiber_over_irrational_place_refused():
     # b = 3 f^3 makes the invariant 135 f^6: additive fibers over lam = ±sqrt(2).
     f = LAM**2 - 2
