@@ -8,8 +8,11 @@ numeric samples; ``PROJECTIONS`` names one per subcommand in the corpus.
 The fiber tables, the period series and the lattice subcommands write no
 floats, and the JSON of ``interpolate`` holds its word, verdict, track
 counts and chart-switch times but no samples, so their whole artifact is
-the projection.  The ``interpolate`` calls, which run the numeric sweep,
-are a corpus of their own with a test and a time budget of their own.
+the projection.  The JSON of ``cycles`` is projected to its classes,
+colliding pairs, Seifert Gram and the epsilon it used; its critical
+values, residuals and periods are samples.  The ``interpolate`` and
+``cycles`` calls, which run the numeric layers, are corpora of their own,
+each with a test and a time budget of its own.
 
 Every call runs in process.  A changed answer fails with the list of argv
 whose exit code, error or digest moved.  To record new digests after an
@@ -36,6 +39,15 @@ def _whole(artifact: str) -> str:
     return artifact
 
 
+def _cycles(artifact: str) -> str:
+    """The exact keys of a ``cycles`` JSON artifact; empty on an error."""
+    if not artifact:
+        return artifact
+    payload = json.loads(artifact)
+    keys = ("classes", "colliding_pairs", "seifert_gram", "epsilon")
+    return json.dumps({key: payload[key] for key in keys}, sort_keys=True)
+
+
 # subcommand -> the exact projection of its artifact
 PROJECTIONS: Dict[str, Callable[[str], str]] = {
     "fibers": _whole,
@@ -46,6 +58,7 @@ PROJECTIONS: Dict[str, Callable[[str], str]] = {
     "mutate": _whole,
     "check": _whole,
     "interpolate": _whole,
+    "cycles": _cycles,
 }
 
 # Fixed mutation words per degree.  The last slot of a basis of 12 is 10, so
@@ -100,6 +113,26 @@ def interpolate_corpus() -> List[List[str]]:
             for d in ("3", "2") for epsilon in INTERPOLATE_EPSILONS]
 
 
+# The distinct `cycles` epsilons, 1/q, of the homology workload of
+# perfbench seeds 0-4, per degree.
+CYCLES_DENOMINATORS = {
+    "1": (83, 131, 194, 45, 137, 155, 50, 96, 164, 79, 134, 149, 35, 111, 163),
+    "2": (65, 143, 186, 71, 141, 162, 82, 112, 188, 46, 136, 158, 72, 97, 177),
+    "3": (63, 104, 200, 48, 98, 152, 49, 113, 181, 70, 95, 183, 40, 94),
+}
+
+
+def cycles_corpus() -> List[List[str]]:
+    """The seeded calls, then 10^k for k = -12, -10, ..., 12 at each degree;
+    the arc guard, the evaluation budget and the calibration refuse about
+    half of the decades with a typed error."""
+    decades = [f"1/{10 ** -k}" for k in range(-12, 0, 2)]
+    decades += [str(10 ** k) for k in range(0, 14, 2)]
+    return [["cycles", "--d", d, "--epsilon", epsilon]
+            for d, denominators in CYCLES_DENOMINATORS.items()
+            for epsilon in [f"1/{q}" for q in denominators] + decades]
+
+
 def answer(argv: List[str]) -> Dict[str, object]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -142,9 +175,14 @@ def test_interpolate_answers_match_the_recorded_digests():
     _changed("interpolate_calls", interpolate_corpus(), 5.0)
 
 
+def test_cycles_answers_match_the_recorded_digests():
+    _changed("cycles_calls", cycles_corpus(), 5.0)
+
+
 if __name__ == "__main__":
     blocks = []
-    for key, argvs in (("calls", corpus()), ("interpolate_calls", interpolate_corpus())):
+    for key, argvs in (("calls", corpus()), ("interpolate_calls", interpolate_corpus()),
+                       ("cycles_calls", cycles_corpus())):
         rows = ",\n".join(json.dumps(answer(argv)) for argv in argvs)
         blocks.append(f'"{key}": [\n{rows}\n]')
     DATA.parent.mkdir(exist_ok=True)
