@@ -16,23 +16,23 @@ their roots by one batched Aberth run per trimmed degree, for the grid
 in blocks and for the start and each bisection midpoint as a batch of
 one.  The ends start from Newton-polygon circles; a block or a midpoint
 starts from the roots of the last accepted sample when their counts
-agree (consecutive grid samples are 1/400 apart).  Each sample is a
-``_Row`` of per-track arrays (finite-chart position, homogeneous
-coordinates and pairwise chordal distances), so nothing is recomputed for
-the next interval; ``ProjectivePoint`` rows, the
-only ones that carry charts, are built once, for the returned
-``TrajectorySet``.  Every interval, on the grid or between bisection
-midpoints, is decided by one rule: it is accepted when each track's
-nearest new position is unique and taken by no other track and neither
-refinement trigger fires, and bisected otherwise.  A block's grid
-intervals are decided by that rule in one array pass.
+agree (consecutive grid samples are 1/400 apart).  A sample is its array
+of roots, one finite-chart position per track (infinite when parked);
+the interval rule forms their homogeneous coordinates and chordal
+distances.  ``ProjectivePoint`` rows, the only ones that carry charts,
+are built once, for the returned ``TrajectorySet``.  Every interval, on
+the grid or between bisection midpoints, is decided by one rule: it is
+accepted when each track's nearest new position is unique and taken by
+no other track and neither refinement trigger fires, and bisected
+otherwise.  A block's grid intervals are decided by that rule in one
+array pass.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .pathnum import (
     batch_roots,
 )
 from .pseudolattice import MutationMove, MutationWord
-from .vancycles import svg_preamble, sweep_key
+from .vancycles import svg_document, sweep_key
 from .weierstrass import WeierstrassModel, catalog
 
 __all__ = [
@@ -111,10 +111,13 @@ def chordal(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return cross / norm
 
 
-def _homogeneous(coordinate: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """The homogeneous coordinates (a : b) that ``chordal`` uses, as the
-    columns of a ``(..., 2, points)`` array: (z : 1) in the finite chart and
-    (1 : w) in the chart at infinity."""
+def _homogeneous(affine: np.ndarray) -> np.ndarray:
+    """The homogeneous coordinates (a : b) that ``chordal`` uses for the
+    finite-chart positions ``affine``, as the columns of a
+    ``(..., 2, points)`` array: (z : 1) in the finite chart and (1 : w) in
+    the chart at infinity, where an infinite position is parked at (1 : 0)."""
+    finite = np.abs(affine) <= 1.0
+    coordinate = np.divide(1, affine, out=affine.copy(), where=~finite)
     return np.stack(
         [np.where(finite, coordinate, 1), np.where(finite, 1, coordinate)], axis=-2
     )
@@ -304,57 +307,25 @@ class TrajectorySet(Record):
         return "\n".join(lines) + "\n"
 
 
-class _Row(NamedTuple):
-    """One sample of the sweep as arrays indexed by track (or a stack)."""
-
-    affine: np.ndarray  # position in the finite chart, infinite when parked
-    homogeneous: np.ndarray  # the (2, tracks) array of ``_homogeneous``
-    closeness: np.ndarray  # ``_chordal_matrix`` of the row with itself
-
-    def points(self, order: np.ndarray) -> Tuple[ProjectivePoint, ...]:
-        """The row, tracks listed in ``order``, as ``ProjectivePoint`` values."""
-        return tuple(map(ProjectivePoint.from_affine, self.affine[order].tolist()))
-
-    def take(self, order: np.ndarray) -> "_Row":
-        """The same positions with the tracks listed in ``order`` (per sample)."""
-        order, along = np.asarray(order), np.take_along_axis
-        rows, columns = order[..., :, None], order[..., None, :]
-        return _Row(
-            along(self.affine, order, -1),
-            along(self.homogeneous, columns, -1),
-            along(along(self.closeness, rows, -2), columns, -1),
-        )
-
-
-def _stack(*rows: _Row) -> _Row:
-    """The rows stacked along a new leading axis."""
-    return _Row(*map(np.stack, zip(*rows)))
-
-
-def _rows(affine: np.ndarray) -> List[_Row]:
-    """The sweep rows of the finite-chart positions in the rows of
-    ``affine``; an infinite position is parked at the point at infinity."""
-    finite = np.abs(affine) <= 1.0
-    coordinate = np.divide(1, affine, out=affine.copy(), where=~finite)
-    homogeneous = _homogeneous(coordinate, finite)
-    closeness = _chordal_matrix(homogeneous, homogeneous)
-    return list(map(_Row, affine, homogeneous, closeness))
+def _points(affine: np.ndarray) -> Tuple[ProjectivePoint, ...]:
+    """The finite-chart positions ``affine`` as ``ProjectivePoint`` values."""
+    return tuple(map(ProjectivePoint.from_affine, affine.tolist()))
 
 
 def _samples(
     spec: FamilySpec, times: np.ndarray, width: int, tracks: int,
     start: Optional[np.ndarray],
-) -> List[Union[_Row, str]]:
-    """The sweep row of each of ``times``, or the reason it is refused.
+) -> List[Union[np.ndarray, str]]:
+    """The sample of each of ``times``, or the reason it is refused.
 
     The invariants of all the times are formed together and grouped by
     their degree once trimmed (leading coefficients at most ``_TRIM_TOL``
     of the largest dropped); each group is solved by one ``batch_roots``
-    run, and the rows are built together.  ``start`` is the ``affine`` of
-    a solved nearby row, or None: a group of degree n starts from its
-    roots when it has exactly n finite ones, and from the Newton-polygon
-    circles otherwise.  A row holds ``tracks`` points: the roots, then the
-    point at infinity.  A time is refused, in this order, when its
+    run.  ``start`` is a solved nearby sample, or None: a group of degree n
+    starts from its roots when it has exactly n finite ones, and from the
+    Newton-polygon circles otherwise.  A sample is an array of ``tracks``
+    finite-chart positions: the roots, then infinity for each track parked
+    at the point at infinity.  A time is refused, in this order, when its
     invariant has a coefficient beyond the float range, has trimmed degree
     below 1 or a constant term at most 1e-12 of its largest coefficient,
     when its sphere degree is not ``width``, when it has more than
@@ -390,21 +361,24 @@ def _samples(
     texts = [text for _, text in refusals] + [
         f"root iteration failed to converge in {_MAX_ITERATIONS} steps at time {{s}}"
     ]
-    rows = iter(_rows(affine[reason == 0]))
     return [
-        texts[why - 1].format(s=s, ratio=r, n=n) if why else next(rows)
-        for s, why, r, n in zip(times.tolist(), reason.tolist(), ratio.tolist(),
-                                degree.tolist())
+        texts[why - 1].format(s=s, ratio=r, n=n) if why else row
+        for row, s, why, r, n in zip(affine, times.tolist(), reason.tolist(),
+                                     ratio.tolist(), degree.tolist())
     ]
 
 
-def _interval_verdict(before: _Row, after: _Row, motion: np.ndarray) -> np.ndarray:
+def _interval_verdict(
+    before: np.ndarray, after: np.ndarray, motion: np.ndarray
+) -> np.ndarray:
     """For each interval of a stack, the reason it needs refinement ("motion"
     or "proximity", the two triggers of ``sweep``), or "".
 
-    ``after`` is in the track order of ``before``; ``motion`` holds each step.
+    ``before`` and ``after`` are the ``_homogeneous`` coordinates of the
+    interval's ends, ``after`` in the track order of ``before``; ``motion``
+    holds each step.
     """
-    now, was = after.closeness, before.closeness
+    now, was = (_chordal_matrix(ends, ends) for ends in (after, before))
     flags = [
         motion.max(axis=-1) > MAX_MOTION,
         ((now < PROXIMITY) & (now < was)).any(axis=(-2, -1)),
@@ -423,25 +397,31 @@ def _certified_matches(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return columns, (hits.sum(axis=-1) == 1).all(axis=-1) & distinct
 
 
-def _decided(before: _Row, after: _Row) -> Tuple[np.ndarray, ...]:
-    """The sweep's one interval rule, for each interval of a stack: the
-    columns of ``after`` that continue the rows of ``before``, each row's
-    chordal step, and the reason to bisect the interval ("uncertified",
-    "motion" or "proximity"), or "" when the interval is accepted."""
-    cost = _chordal_matrix(before.homogeneous, after.homogeneous)
+def _decided(before: np.ndarray, after: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The sweep's one interval rule, for each interval of a stack of
+    samples: the columns of ``after`` that continue the rows of ``before``,
+    each row's chordal step, and the reason to bisect the interval
+    ("uncertified", "motion" or "proximity"), or "" when the interval is
+    accepted.  The homogeneous coordinates of both stacks, and the chordal
+    distances between and within them, are formed here in one array pass."""
+    before, after = _homogeneous(before), _homogeneous(after)
+    cost = _chordal_matrix(before, after)
     columns, certified = _certified_matches(cost)
     motion = np.take_along_axis(cost, columns[..., None], -1)[..., 0]
-    verdicts = _interval_verdict(before, after.take(columns), motion)
+    taken = np.take_along_axis(after, columns[..., None, :], -1)
+    verdicts = _interval_verdict(before, taken, motion)
     return columns, motion, np.where(certified, verdicts, "uncertified")
 
 
-def _settled(samples: Sequence[Union[_Row, str]]) -> List[Optional[np.ndarray]]:
+def _settled(
+    samples: Sequence[Union[np.ndarray, str]]
+) -> List[Optional[np.ndarray]]:
     """The array pass: for each interval between consecutive ``samples``, its
     columns if ``_decided`` accepts it, else None.  A refused sample leaves
     every interval to the loop, which stops there."""
     if any(isinstance(sample, str) for sample in samples):
         return [None] * (len(samples) - 1)
-    columns, _, verdicts = _decided(_stack(*samples[:-1]), _stack(*samples[1:]))
+    columns, _, verdicts = _decided(np.stack(samples[:-1]), np.stack(samples[1:]))
     return [c if not v else None for c, v in zip(columns, verdicts)]
 
 
@@ -453,9 +433,10 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     before any other work; then the grid of ``SAMPLES`` equal intervals in
     blocks of ``_GRID_BLOCK`` times (the last block ends on the solved end);
     then each bisection midpoint alone, kept with its time until the sweep
-    accepts it.  Each block and midpoint hands ``_samples`` the roots of the
-    last accepted sample to start from.  A refused grid sample or midpoint
-    raises ``NumericsError`` with its reason when the sweep reaches it.
+    accepts it.  A sample is its array of roots, one finite-chart position
+    per track, and each block and midpoint hands ``_samples`` the last
+    accepted one to start from.  A refused grid sample or midpoint raises
+    ``NumericsError`` with its reason when the sweep reaches it.
 
     The sweep follows as many tracks as the end model has roots, and a
     sample with more roots is refused.  A track that arrives from infinity
@@ -478,25 +459,24 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
     """
     width = int(family_at(spec, 0.0).sphere_degree())
 
-    def solved(sample: Union[_Row, str]) -> _Row:
+    def solved(sample: Union[np.ndarray, str]) -> np.ndarray:
         if isinstance(sample, str):
             raise NumericsError(sample)
         return sample
 
     ends = _samples(spec, np.array([0.0, 1.0]), width, width, None)
     start, end = map(solved, ends)
-    finite, tracks = (int(np.isfinite(row.affine).sum()) for row in (start, end))
+    finite, tracks = (int(np.isfinite(row).sum()) for row in (start, end))
     if finite > tracks:
         raise NumericsError(f"track count changed: {finite} finite roots at time "
                             f"0.0, more than the {tracks} of the end model")
-    start, end = (row.take(np.arange(tracks)) for row in (start, end))
+    start, end = start[:tracks], end[:tracks]
     # (time, sample as solved, the row of it that each track holds)
     accepted = [(0.0, start, np.arange(tracks))]
     count = 2  # samples solved so far
     for first in range(1, SAMPLES + 1, _GRID_BLOCK):
         times = np.arange(first, min(first + _GRID_BLOCK, SAMPLES + 1)) / SAMPLES
-        block = _samples(spec, times[times < 1.0], width, tracks,
-                         accepted[-1][1].affine)
+        block = _samples(spec, times[times < 1.0], width, tracks, accepted[-1][1])
         count += len(block)
         block += [end] * (len(times) - len(block))  # the end closes the last block
         settled = _settled([accepted[-1][1], *block])
@@ -509,15 +489,15 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
             while pending:
                 target, fresh = pending[-1]
                 here, row, order = accepted[-1]
-                (columns,), (motion,), (verdict,) = _decided(_stack(row), _stack(fresh))
+                (columns,), (motion,), (verdict,) = _decided(row[None], fresh[None])
                 if not verdict:
                     accepted.append((target, fresh, columns[order]))
                     pending.pop()
                     continue
                 if target - here <= WIDTH_FLOOR:
                     track = int(np.argmax(motion[order]))  # the one that moved most
-                    step = chordal(*row.points(order[[track]]),
-                                   *fresh.points(columns[order][[track]]))
+                    step = chordal(*_points(row[order[[track]]]),
+                                   *_points(fresh[columns[order][[track]]]))
                     label = track + (width - tracks) * (track >= finite)
                     reason = {
                         "uncertified": "no track assignment is certified",
@@ -533,14 +513,13 @@ def sweep(spec: FamilySpec) -> TrajectorySet:
                                         f"budget, and reached time {here:.8f}")
                 count += 1
                 midpoint = here + (target - here) / 2
-                (sample,) = _samples(spec, np.array([midpoint]), width, tracks,
-                                     row.affine)
+                (sample,) = _samples(spec, np.array([midpoint]), width, tracks, row)
                 pending.append((midpoint, solved(sample)))
     times = tuple(time for time, _, _ in accepted)
     parked = (ProjectivePoint(INFINITE, 0j),) * (width - tracks)
     positions = tuple(
         points[:finite] + parked + points[finite:]
-        for points in (row.points(order) for _, row, order in accepted)
+        for points in (_points(row[order]) for _, row, order in accepted)
     )
     return TrajectorySet(times, positions, chart_switches=tuple(
         (index, time)
@@ -739,7 +718,7 @@ def render_svg(trajectories: TrajectorySet) -> str:
     def place(z: complex) -> Tuple[float, float]:
         return ((z.real + half) * scale, (half - z.imag) * scale)
 
-    parts = svg_preamble(size) + [
+    parts = [
         f'<line x1="0" y1="{size / 2:.2f}" x2="{size}" y2="{size / 2:.2f}" '
         'stroke="#bbbbbb" stroke-width="1"/>',
         f'<line x1="{size / 2:.2f}" y1="0" x2="{size / 2:.2f}" y2="{size}" '
@@ -765,5 +744,4 @@ def render_svg(trajectories: TrajectorySet) -> str:
     for z, color in markers:
         x, y = place(z)
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return svg_document(size, parts)

@@ -8,7 +8,7 @@ Three kernels:
   them, and certifies each root by its componentwise backward error
   |p(z)| / sum_i |c_i| |z|^i, which means the same at every scale of |z|.
   The iteration runs on a batch of polynomials of one degree:
-  ``all_roots`` solves one, ``batch_roots`` many at once;
+  ``batch_roots`` solves many at once, and ``all_roots`` a batch of one;
 - root continuation along polyline paths of a family given by coefficient
   arrays, each track carried by its own tangent-predicted Newton corrector,
   with steps sized by the tangent and accepted by a separation criterion.
@@ -27,9 +27,10 @@ Polynomials are dense ``CPoly`` coefficient tuples.  One Horner pass,
 ``_horner``, gives p(z), p'(z) and the floored residual
 |p(z)| / max(1, sum_i |c_i| |z|^i) that certifies each continuation step;
 ``CPoly.__call__`` and the Newton corrector read it.  ``CPoly`` has no
-arithmetic: ``continue_roots`` evaluates coefficient arrays by Horner,
-and the interpolation sweep forms its invariants by array convolution
-before ``batch_roots`` solves them.
+arithmetic: ``continue_roots`` evaluates its coefficient arrays, the
+fibers, their lam-derivatives and the drift bounds, by the one plain
+Horner evaluator ``_polyval``, and the interpolation sweep forms its
+invariants by array convolution before ``batch_roots`` solves them.
 """
 
 from __future__ import annotations
@@ -136,6 +137,15 @@ def _horner(
     return value, slope, abs(value) / max(1.0, denom)
 
 
+def _polyval(coeffs: Sequence[complex], x: complex) -> complex:
+    """p(x) by Horner's rule, for ascending ``coeffs``, in the arithmetic of
+    ``x``: real for a float, complex for a complex."""
+    value = x - x  # the zero of x's type, for finite x
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
 # ---------------------------------------------------------------------------
 # complete root finding
 
@@ -184,12 +194,12 @@ def _newton_polygon_start(coeffs: np.ndarray) -> np.ndarray:
 def _aberth(
     coeffs: np.ndarray, z: np.ndarray, tol: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Aberth-Ehrlich iteration on one polynomial of degree n, or on a batch.
+    """Aberth-Ehrlich iteration on a batch of polynomials of degree n.
 
-    ``coeffs`` holds the ascending coefficients (shape ``(n + 1,)``) and
-    ``z`` the starting points (shape ``(n,)``); a batch stacks rows of both
-    along a leading axis, and row k of ``z`` starts the polynomial of row k
-    of ``coeffs``.  Returns the roots and whether (per row) every
+    ``coeffs`` holds their ascending coefficients, one polynomial per row
+    (shape ``(rows, n + 1)``), and ``z`` the starting points (shape
+    ``(rows, n)``): row k of ``z`` starts the polynomial of row k of
+    ``coeffs``.  Returns the roots and whether (per row) every
     componentwise backward error fell below ``tol`` within
     ``_MAX_ITERATIONS`` steps; a row where it did not holds no roots.
 
@@ -236,7 +246,7 @@ def _aberth(
         reciprocals = np.zeros(z.shape + (n,), dtype=complex)  # zero diagonal
 
         def step(z: np.ndarray, value: np.ndarray, slope: np.ndarray) -> np.ndarray:
-            inverse = reciprocals[: len(z)] if z.ndim == 2 else reciprocals
+            inverse = reciprocals[: len(z)]
             np.divide(1.0, z[..., :, None] - z[..., None, :], out=inverse,
                       where=off_diagonal)
             return z - value / (slope - value * inverse.sum(axis=-1))
@@ -248,7 +258,7 @@ def _aberth(
             active = ~(error < tol)  # NaN counts as not converged
             if not active.any():
                 break
-            if z.ndim == 1 or (busy := active.any(axis=1)).all():
+            if (busy := active.any(axis=1)).all():
                 z = np.where(active, step(z, value, slope), z)
                 value, slope, error = evaluate(everyone, z)
                 continue
@@ -293,9 +303,10 @@ def all_roots(p: CPoly) -> List[complex]:
     roots, spread about _ROOT_TOL**(1/m) times its modulus.
 
     Exact zero coefficients at the bottom are exact zero roots and are
-    returned as such.  The other roots start from the circles of the Newton
-    polygon of |c_i|, which put roots of every modulus near their own
-    scale.  A run that does not meet the certificate within
+    returned as such.  The others are those of the rest of p, solved by
+    ``batch_roots`` as a batch of one: they start from the circles of the
+    Newton polygon of |c_i|, which put roots of every modulus near their
+    own scale.  A run that does not meet the certificate within
     ``_MAX_ITERATIONS`` steps raises ``NumericsError``.  So may a polynomial
     with a nonzero coefficient below ``np.finfo(float).tiny``: rounding in
     the subnormal range is absolute, so a root there may have no double
@@ -307,13 +318,12 @@ def all_roots(p: CPoly) -> List[complex]:
     zeros = next(i for i, c in enumerate(p.coeffs) if c)
     roots = [0j] * zeros
     if zeros < n:
-        coeffs = np.array(p.coeffs[zeros:], dtype=complex)
-        found, converged = _aberth(coeffs, _newton_polygon_start(coeffs), _ROOT_TOL)
-        if not converged:
+        found, certified = batch_roots(np.array([p.coeffs[zeros:]], dtype=complex))
+        if not certified[0]:
             raise NumericsError(
                 f"root iteration failed to converge in {_MAX_ITERATIONS} steps"
             )
-        roots += found.tolist()
+        roots += found[0].tolist()
     return sorted(roots, key=lambda w: (w.real, w.imag))
 
 
@@ -326,11 +336,11 @@ def batch_roots(
     each with a nonzero constant and leading coefficient.  Every row starts
     from the n distinct points of ``start`` when they are given (the roots
     of a nearby polynomial, a warm start), and otherwise from the circles
-    of its Newton polygon, as ``all_roots`` starts; the iteration, its
-    certificate and its polish are the same either way.  Returns the roots as a
-    ``(rows, n)`` array, each row sorted by (re, im) as ``all_roots``
-    sorts, and the mask of the rows whose roots all meet the certificate
-    of ``all_roots``; the entries of the other rows are not roots.
+    of its Newton polygon; the iteration, its certificate and its polish
+    are the same either way.  ``all_roots`` is this run on a batch of one.
+    Returns the roots as a ``(rows, n)`` array, each row sorted by (re, im),
+    and the mask of the rows whose roots all meet the certificate of
+    ``all_roots``; the entries of the other rows are not roots.
     """
     if start is None:
         starts = np.array([_newton_polygon_start(row) for row in rows])
@@ -572,12 +582,7 @@ def continue_roots(
                 f"{_MAX_FAMILY_EVALUATIONS} family evaluations"
             )
         lam = path.point(t)
-        coeffs = []
-        for row in rows:
-            value = 0j
-            for c in reversed(row):
-                value = value * lam + c
-            coeffs.append(value)
+        coeffs = [_polyval(row, lam) for row in rows]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return lam, tuple(coeffs)
@@ -589,33 +594,20 @@ def continue_roots(
         reach = max(
             [abs(lam)] + [abs(w) for w, s in zip(nodes, distances) if s > here]
         )
-        bounds = []
-        for row in rates:
-            speed = 0.0
-            for c in reversed(row):
-                speed = speed * reach + c
-            bounds.append((total - here) * speed)
-        return bounds
+        return [(total - here) * _polyval(row, reach) for row in rates]
 
     def tangents(lam: complex, poly: Tuple[complex, ...],
                  roots: Sequence[complex]) -> Tuple[List[complex], float]:
         """dz/dlam at ``roots`` of ``poly``, the fiber at ``lam``, and the
         step the tangent allows."""
-        pulls = []  # the coefficients of d_lam p
-        for row in derivatives:
-            value = 0j
-            for c in reversed(row):
-                value = value * lam + c
-            pulls.append(value)
+        pulls = [_polyval(row, lam) for row in derivatives]  # d_lam p
         velocities = []
         for z in roots:
-            value = slope = pull = 0j
+            value = slope = 0j
             for c in reversed(poly):
                 slope = slope * z + value
                 value = value * z + c
-            for c in reversed(pulls):
-                pull = pull * z + c
-            velocities.append(-pull / slope if slope else 0j)
+            velocities.append(-_polyval(pulls, z) / slope if slope else 0j)
         speed = total * max(abs(v) for v in velocities)
         if not speed:
             return velocities, math.inf

@@ -328,9 +328,6 @@ class QuotientLattice(Record):
     point: Tuple[int, ...]  # the point-like vector in ambient coordinates
     representatives: Tuple[Tuple[int, ...], ...]  # ambient lifts of the basis
 
-    def gram_lists(self) -> IntMatrix:
-        return [list(row) for row in self.gram]
-
 
 def neron_severi(lattice: Pseudolattice) -> QuotientLattice:
     """Induced form on the quotient of the point-like orthogonal by the point.

@@ -279,7 +279,7 @@ def root_system_identify(lattice: IntLattice) -> RootSystemReport:
     increasing height; the resulting Dynkin graph is matched against the
     A/D/E catalog and returned in a canonical node order.
     """
-    abs_det = abs(determinant_integer([list(r) for r in lattice.gram]))
+    abs_det = abs(determinant_integer(lattice.gram))
     if abs_det == 0:
         raise RootLatticeError("quotient the radical before identification")
     vectors = short_vectors(lattice, 2)
@@ -370,6 +370,16 @@ def root_system_identify(lattice: IntLattice) -> RootSystemReport:
     )
 
 
+def _orthogonal_roots(
+    gram: Sequence[Sequence[int]], vector: Sequence[int]
+) -> Tuple[RootSystemReport, IntMatrix]:
+    """The root system of the orthogonal complement of ``vector`` under the
+    form ``gram``, and its simple roots in the ambient coordinates."""
+    kernel = integer_kernel([matrix_vector(gram, vector)])
+    report = root_system_identify(IntLattice(restricted_gram(gram, kernel)))
+    return report, matrix_multiply(report.simple_roots, kernel)
+
+
 # ---------------------------------------------------------------------------
 # hyperbolic model
 
@@ -409,27 +419,21 @@ def hyperbolic_model(ell: int) -> HyperbolicModelReport:
     for i in range(1, n):
         gram[i][i] = -1
     k = [-3] + [1] * ell
-    lattice = IntLattice(tuple(tuple(r) for r in gram))
+    lattice = IntLattice(gram)
     norm = lattice.norm(k)
-    functional = matrix_vector(gram, k)
-    kernel = integer_kernel([functional])
-    restricted = restricted_gram(lattice.gram, kernel)
-    report = root_system_identify(IntLattice(tuple(tuple(r) for r in restricted)))
-    ambient_roots = tuple(
-        tuple(r) for r in matrix_multiply(report.simple_roots, kernel)
-    )
+    report, ambient_roots = _orthogonal_roots(lattice.gram, k)
     passed = (
         norm == 9 - ell
         and report.dynkin_type == f"E{ell}"
-        and report.abs_det == abs(determinant_integer([list(r) for r in report.cartan]))
+        and report.abs_det == abs(determinant_integer(report.cartan))
     )
     return HyperbolicModelReport(
         ell=ell,
-        gram=tuple(tuple(r) for r in gram),
+        gram=lattice.gram,
         canonical=tuple(k),
         canonical_norm=norm,
         orthogonal=report,
-        ambient_simple_roots=ambient_roots,
+        ambient_simple_roots=tuple(map(tuple, ambient_roots)),
         passed=passed,
     )
 
@@ -537,11 +541,9 @@ def kernel_decomposition(
         quotient = [row[1:] for row in full[1:]]
     else:
         quotient = [row[1:] for row in restricted[1:]]
-    quotient_det = determinant_integer([list(r) for r in quotient])
-    root_report = root_system_identify(IntLattice(tuple(tuple(r) for r in quotient)))
-    cartan_det = abs(
-        determinant_integer([list(r) for r in root_report.cartan])
-    )
+    quotient_det = determinant_integer(quotient)
+    root_report = root_system_identify(IntLattice(quotient))
+    cartan_det = abs(determinant_integer(root_report.cartan))
     if abs(quotient_det) != cartan_det and failure is None:
         failure = (
             f"quotient determinant {quotient_det} differs from the Cartan "
@@ -617,7 +619,7 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
     if d not in (1, 2, 3):
         raise ValueError(f"no reference surface model for degree {d}")
     ell = 9 - d
-    model = Pseudolattice(tuple(tuple(r) for r in del_pezzo_gram(ell)))
+    model = Pseudolattice(del_pezzo_gram(ell))
     n = model.rank
     s = serre(model)
     quotient = neron_severi(model)
@@ -630,20 +632,14 @@ def kuznetsov_basis(d: int) -> SurfaceBasisReport:
     k_coords = solve_integer(columns, k)
     if k_coords is None:
         raise RootLatticeError("canonical class escapes the point-orthogonal")
-    k_ns = k_coords[1:]
 
-    ns_gram = quotient.gram_lists()
-    functional = matrix_vector(ns_gram, k_ns)
-    kernel = integer_kernel([functional])
-    restricted = restricted_gram(ns_gram, kernel)
-    report = root_system_identify(IntLattice(tuple(tuple(r) for r in restricted)))
+    report, ns_roots = _orthogonal_roots(quotient.gram, k_coords[1:])
     if report.dynkin_type != f"E{ell}":
         raise RootLatticeError(
             f"canonical-orthogonal identified as {report.dynkin_type}"
         )
 
     roots_ambient: List[IntVector] = []
-    ns_roots = matrix_multiply(report.simple_roots, kernel)
     for ambient in matrix_multiply(ns_roots, reps):
         shift = model.pairing(unit, ambient)  # <unit, p> = 1, so subtract
         roots_ambient.append([a - shift * b for a, b in zip(ambient, p)])

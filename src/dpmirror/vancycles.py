@@ -62,14 +62,10 @@ class ArcGuardError(NumericsError):
 
 def _fiber_family(model: WeierstrassModel) -> Tuple[Tuple[complex, ...], ...]:
     """The fiber cubic x^3 + a(lam) x + b(lam) as ``continue_roots`` reads
-    it: for each power of x, its coefficients ascending in lam."""
-    try:
-        return tuple(
-            tuple(complex(p.terms.get(m, 0)) for m in range(max(p.degree(), 0) + 1))
-            for p in (model.b, model.a)
-        ) + ((0j,), (1 + 0j,))
-    except OverflowError as exc:
-        raise NumericsError("a coefficient exceeds the float range") from exc
+    it: for each power of x, its coefficients ascending in lam.  ``a`` and
+    ``b`` are nonzero in every catalog model."""
+    rows = tuple(CPoly.from_unipoly(p).coeffs for p in (model.b, model.a))
+    return rows + ((0j,), (1 + 0j,))
 
 
 def sweep_key(first: complex) -> Callable[[complex], Tuple[float, float]]:
@@ -88,13 +84,16 @@ def sweep_key(first: complex) -> Callable[[complex], Tuple[float, float]]:
     return key
 
 
-def svg_preamble(size: int) -> List[str]:
-    """The opening ``<svg>`` tag and white background of a square figure."""
-    return [
+def svg_document(size: int, elements: Sequence[str]) -> str:
+    """A square figure of ``size`` pixels: the opening ``<svg>`` tag, a white
+    background, ``elements`` and the closing tag, one to a line."""
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+        *elements,
+        "</svg>\n",
+    ])
 
 
 def critical_values_ordered(
@@ -353,8 +352,7 @@ def render_delta_svg(data: VanishingData) -> str:
     hi_im = max(z.imag for z in points)
     span = max(hi_re - lo_re, hi_im - lo_im, 1e-9)
     margin = 0.08 * span
-    lo_re, hi_re = lo_re - margin, lo_re - margin + span + 2 * margin
-    lo_im = lo_im - margin
+    lo_re, lo_im = lo_re - margin, lo_im - margin
     scale = size / (span + 2 * margin)
 
     def place(z: complex) -> Tuple[float, float]:
@@ -362,7 +360,7 @@ def render_delta_svg(data: VanishingData) -> str:
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
               "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#ff7f0e", "#393b79"]
-    parts = svg_preamble(size)
+    parts = []
     for index, delta in enumerate(data.deltas):
         color = colors[index % len(colors)]
         coords = " ".join(
@@ -379,5 +377,4 @@ def render_delta_svg(data: VanishingData) -> str:
         parts.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="black"/>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return svg_document(size, parts)

@@ -27,9 +27,7 @@ from dpmirror.interfam import (
     _chordal_matrix,
     _homogeneous,
     _interval_verdict,
-    _rows,
     _samples,
-    _stack,
     chordal,
     family_at,
     render_svg,
@@ -698,15 +696,13 @@ _sphere_points = st.one_of(
 )
 
 
+def _affine(points) -> np.ndarray:
+    """Finite-chart positions of a list of points, infinite where parked."""
+    return np.array([np.inf if p.parked else p.affine() for p in points], dtype=complex)
+
+
 def _homogeneous_of(points) -> np.ndarray:
-    return _homogeneous(*_arrays(points))
-
-
-def _arrays(points):
-    """The chart coordinates and finite-chart mask of a list of points."""
-    coordinate = np.array([p.coordinate for p in points], dtype=complex)
-    finite = np.array([p.chart == "finite" for p in points], dtype=bool)
-    return coordinate, finite
+    return _homogeneous(_affine(points))
 
 
 @given(
@@ -756,20 +752,15 @@ def _intervals(draw, n=None):
     return before, after
 
 
-def _affine(points) -> np.ndarray:
-    """Finite-chart positions of a list of points, infinite where parked."""
-    return np.array([np.inf if p.parked else p.affine() for p in points], dtype=complex)
-
-
 @given(st.integers(2, 8).flatmap(lambda n: st.lists(_intervals(n), min_size=1,
                                                     max_size=6)))
 def test_interval_verdict_matches_the_scalar_reading(intervals):
     """A stack of intervals gets the scalar verdict interval by interval."""
-    rows = _rows(np.stack([_affine(points) for pair in intervals for points in pair]))
-    before, after = _stack(*rows[::2]), _stack(*rows[1::2])
-    motion = np.diagonal(
-        _chordal_matrix(before.homogeneous, after.homogeneous), axis1=-2, axis2=-1
+    before, after = (
+        _homogeneous(np.stack([_affine(pair[end]) for pair in intervals]))
+        for end in (0, 1)
     )
+    motion = np.diagonal(_chordal_matrix(before, after), axis1=-2, axis2=-1)
     verdicts = _interval_verdict(before, after, motion).tolist()
     assert [verdict or None for verdict in verdicts] == [
         _scalar_verdict(*interval) for interval in intervals

@@ -431,7 +431,9 @@ def test_all_roots_polish_never_merges_iterates() -> None:
     s = 0.93 and 0.95 among these).  The polish keeps them apart."""
     for s in np.linspace(0.01, 0.99, 50):
         coeffs = np.array(_invariant_3_to_2(float(s)).coeffs, dtype=complex)
-        roots, converged = _aberth(coeffs, _newton_polygon_start(coeffs), 0.1)
+        (roots,), (converged,) = _aberth(
+            coeffs[None], _newton_polygon_start(coeffs)[None], 0.1
+        )
         assert converged, s
         gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
         assert min(gaps) > 1e-6, s

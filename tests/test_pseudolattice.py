@@ -392,8 +392,8 @@ def test_neron_severi_of_fibration_model():
     quotient = neron_severi(lattice)
     assert len(quotient.gram) == 7
     assert quotient.point == tuple(FIBRATION_POINT)
-    assert determinant_integer(quotient.gram_lists()) == -1
-    gram = quotient.gram_lists()
+    assert determinant_integer(quotient.gram) == -1
+    gram = quotient.gram
     assert all(gram[i][j] == gram[j][i] for i in range(7) for j in range(7))
 
 
@@ -403,7 +403,7 @@ def test_neron_severi_of_reference_model_is_diagonal():
     expected[0][0] = -1
     for i in range(1, 7):
         expected[i][i] = 1
-    assert quotient.gram_lists() == expected
+    assert quotient.gram == tuple(map(tuple, expected))
 
 
 @pytest.mark.parametrize("d,expected_rank", [(3, 7), (2, 8), (1, 9)])
